@@ -10,7 +10,6 @@ copies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +20,7 @@ from .linop import LinearMap, OrthoProjector, SpdOperator, validate_tau
 from .monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, ProxFunction,
                        conjugate_prox_via_moreau, inverse_resolvent)
 from .solver import (ConditionCheck, ErgodicAccumulator, ErgodicCheckpoint,
-                     HypothesisCertificate, PapcState, ProblemSpec, RunRecord,
+                     HypothesisCertificate, PapcState, ProblemSpec, TraceBuffer,
                      ergodic_update, papc_step)
 from .stochastic import DeterministicOracle, GaussianOracle
 
@@ -57,6 +56,18 @@ class CompositeBlock:
             raise DimensionMismatchError("sigma must be positive")
 
 
+def _is_nonzero(L):
+    """True iff L sends some standard unit vector to a non-zero image, i.e.
+    L is not the zero map; stops at the first such column."""
+    e = np.zeros(L.domain_dim)
+    for j in range(L.domain_dim):
+        e[j] = 1.0
+        if np.any(L(e)):
+            return True
+        e[j] = 0.0
+    return False
+
+
 @dataclass(frozen=True)
 class CompositeProblem:
     weights: np.ndarray
@@ -75,7 +86,7 @@ class CompositeProblem:
         for blk in self.blocks:
             if blk.L.domain_dim != self.C.dim:
                 raise DimensionMismatchError("block L domain must match the base space")
-            if not np.any(blk.L.to_dense()):
+            if not _is_nonzero(blk.L):
                 raise DimensionMismatchError("each L_i must be nonzero")
 
     @property
@@ -300,7 +311,6 @@ def run_composite(cp, sched, oracle, x0, vs0, horizon, callbacks=(), checkpoints
                   grad_gap_reference=None, step=composite_step):
     """Iterate the flat composite algorithm; mirrors :func:`papc.solver.run`."""
     horizon = int(horizon)
-    stride = 1 if horizon <= 100000 else math.ceil(horizon / 100000)
     x0 = np.array(x0, dtype=float)
     v0 = vs0 if isinstance(vs0, np.ndarray) else cp.stack_dual(vs0)
     state = PapcState(0, x0, np.array(v0, dtype=float))
@@ -313,31 +323,15 @@ def run_composite(cp, sched, oracle, x0, vs0, horizon, callbacks=(), checkpoints
     if grad_gap_reference is not None:
         ref_val = cp.C.apply(np.asarray(grad_gap_reference, dtype=float))
 
-    rows_n, rows_x, rows_v, rows_g, rows_t, rows_gg = [], [], [], [], [], []
+    trace = TraceBuffer(horizon, state.x.size, state.v.size, grad_gap=ref_val is not None)
+    stride = trace.stride
+    stochastic = not getattr(oracle, "is_deterministic", False)
     snaps = []
     acc = ErgodicAccumulator()
     gg = 0.0
 
     def _store(n, st):
-        rows_n.append(n)
-        rows_x.append(st.x)
-        rows_v.append(st.v)
-        rows_g.append(float(sched.gamma(n)))
-        rows_t.append(float(sched.tau(n)))
-        if ref_val is not None:
-            rows_gg.append(gg)
-
-    def _record(err=None):
-        return RunRecord(
-            ns=np.array(rows_n, dtype=int),
-            xs=np.array(rows_x), vs=np.array(rows_v),
-            gammas=np.array(rows_g), taus=np.array(rows_t),
-            checkpoints=tuple(snaps),
-            stochastic=not getattr(oracle, "is_deterministic", False),
-            horizon=horizon, stride=stride,
-            grad_gap_partial=np.array(rows_gg) if ref_val is not None else None,
-            diverged=err is not None, error=err,
-        )
+        trace.store(n, st.x, st.v, float(sched.gamma(n)), float(sched.tau(n)), gg)
 
     for n in range(horizon):
         if ref_val is not None:
@@ -349,7 +343,7 @@ def run_composite(cp, sched, oracle, x0, vs0, horizon, callbacks=(), checkpoints
         try:
             state = step(state, cp, sched, oracle)
         except DivergenceError as exc:
-            exc.record = _record(str(exc))
+            exc.record = trace.record(snaps, stochastic, str(exc))
             raise
         acc = ergodic_update(acc, gam, state.x, state.v)
         if next_cp is not None and n == next_cp:
@@ -363,7 +357,7 @@ def run_composite(cp, sched, oracle, x0, vs0, horizon, callbacks=(), checkpoints
         d = cp.C.apply(state.x) - ref_val
         gg += float(np.dot(d, d))
     _store(horizon, state)
-    return _record()
+    return trace.record(snaps, stochastic)
 
 
 def validate_composite(cp, sched, horizon, regime="almost-sure", margin=1e-6):
@@ -383,6 +377,8 @@ def validate_composite(cp, sched, horizon, regime="almost-sure", margin=1e-6):
         ConditionCheck("tau capped", bool(np.max(taus) <= sched.tau_cap * (1 + 1e-12)), ""),
         ConditionCheck("gamma0 below mu", bool(gammas[0] < cp.C.beta),
                        "gamma0=%.6g mu=%.6g" % (gammas[0], cp.C.beta)),
+        ConditionCheck("gamma positive", bool(np.min(gammas) > 0.0),
+                       "all step sizes must be strictly positive"),
     ]
     if regime == "almost-sure":
         checks.append(ConditionCheck("inf gamma positive", bool(np.min(gammas) > 0.0), ""))

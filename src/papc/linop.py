@@ -115,6 +115,34 @@ class LinearMap:
         zc = np.zeros(codomain_dim)
         return cls(lambda x: zc.copy(), lambda y: zd.copy(), domain_dim, codomain_dim, name=name)
 
+    @classmethod
+    def difference(cls, dim, name="diff"):
+        """First differences x -> (x[i+1] - x[i]), from R^dim to R^(dim-1),
+        applied matrix-free in O(dim).
+
+        The operator norm is known in closed form and cached: L* L is the
+        path-graph Laplacian, with eigenvalues 2 - 2 cos(k pi / dim) for
+        k = 0..dim-1, so ||L||^2 = 2 + 2 cos(pi / dim) and
+        ||L|| = 2 cos(pi / (2 dim)).
+        """
+        dim = int(dim)
+        if dim < 2:
+            raise DimensionMismatchError("difference operator needs dim >= 2")
+
+        def apply(x):
+            return x[1:] - x[:-1]
+
+        def adjoint(y):
+            out = np.empty(dim)
+            out[0] = -y[0]
+            out[1:-1] = y[:-1] - y[1:]
+            out[-1] = y[-1]
+            return out
+
+        op = cls(apply, adjoint, dim, dim - 1, name=name)
+        op._norm_bound = 2.0 * math.cos(math.pi / (2.0 * dim))
+        return op
+
     def __call__(self, x):
         return self._apply(x)
 
@@ -178,7 +206,7 @@ class OrthoProjector:
         def apply(x):
             return q @ (q.T @ x)
 
-        return cls(apply, b.shape[0], kind="basis", matrix=q @ q.T)
+        return cls(apply, b.shape[0], kind="basis")
 
     @classmethod
     def averaging(cls, m, block_dim=1, block_weights=None):

@@ -346,6 +346,48 @@ class RunRecord:
         return self.vs[-1]
 
 
+class TraceBuffer:
+    """The trace rows of one run, allocated once for the horizon: one row
+    every ``stride`` steps plus the terminal row.  The stride keeps very long
+    horizons at about 1e5 rows."""
+
+    def __init__(self, horizon, x_dim, v_dim, grad_gap=False):
+        stride = 1 if horizon <= 100000 else math.ceil(horizon / 100000)
+        rows = len(range(0, horizon, stride)) + 1
+        self.horizon = horizon
+        self.stride = stride
+        self.ns = np.empty(rows, dtype=int)
+        self.xs = np.empty((rows, x_dim))
+        self.vs = np.empty((rows, v_dim))
+        self.gammas = np.empty(rows)
+        self.taus = np.empty(rows)
+        self.grad_gap = np.empty(rows) if grad_gap else None
+        self.rows = 0
+
+    def store(self, n, x, v, gamma, tau, grad_gap=None):
+        k = self.rows
+        self.ns[k] = n
+        self.xs[k] = x
+        self.vs[k] = v
+        self.gammas[k] = gamma
+        self.taus[k] = tau
+        if self.grad_gap is not None:
+            self.grad_gap[k] = grad_gap
+        self.rows = k + 1
+
+    def record(self, checkpoints, stochastic, err=None):
+        """The rows written so far (all of them once the run has finished)."""
+        k = self.rows
+        return RunRecord(
+            ns=self.ns[:k], xs=self.xs[:k], vs=self.vs[:k],
+            gammas=self.gammas[:k], taus=self.taus[:k],
+            checkpoints=tuple(checkpoints), stochastic=stochastic,
+            horizon=self.horizon, stride=self.stride,
+            grad_gap_partial=None if self.grad_gap is None else self.grad_gap[:k],
+            diverged=err is not None, error=err,
+        )
+
+
 def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
         grad_gap_reference=None, step=papc_step):
     """Iterate the algorithm for ``horizon`` steps and record the trace.
@@ -358,7 +400,6 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
     Divergence aborts the run and attaches the partial record to the error.
     """
     horizon = int(horizon)
-    stride = 1 if horizon <= 100000 else math.ceil(horizon / 100000)
     x0 = spec.P_V(np.array(x0, dtype=float))
     v0 = np.array(v0, dtype=float)
     state = PapcState(0, x0, v0)
@@ -372,31 +413,15 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
         ref_val = spec.B.apply(np.asarray(grad_gap_reference, dtype=float))
     wH = spec.primal_weights
 
-    rows_n, rows_x, rows_v, rows_g, rows_t, rows_gg = [], [], [], [], [], []
+    trace = TraceBuffer(horizon, x0.size, v0.size, grad_gap=ref_val is not None)
+    stride = trace.stride
+    stochastic = not getattr(oracle, "is_deterministic", False)
     snaps = []
     acc = ErgodicAccumulator()
     gg = 0.0
 
     def _store(n, st):
-        rows_n.append(n)
-        rows_x.append(st.x)
-        rows_v.append(st.v)
-        rows_g.append(float(sched.gamma(n)))
-        rows_t.append(float(sched.tau(n)))
-        if ref_val is not None:
-            rows_gg.append(gg)
-
-    def _partial_record(err=None):
-        return RunRecord(
-            ns=np.array(rows_n, dtype=int),
-            xs=np.array(rows_x), vs=np.array(rows_v),
-            gammas=np.array(rows_g), taus=np.array(rows_t),
-            checkpoints=tuple(snaps),
-            stochastic=not getattr(oracle, "is_deterministic", False),
-            horizon=horizon, stride=stride,
-            grad_gap_partial=np.array(rows_gg) if ref_val is not None else None,
-            diverged=err is not None, error=err,
-        )
+        trace.store(n, st.x, st.v, float(sched.gamma(n)), float(sched.tau(n)), gg)
 
     for n in range(horizon):
         if ref_val is not None:
@@ -408,7 +433,7 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
         try:
             state = step(state, spec, sched, oracle)
         except DivergenceError as exc:
-            exc.record = _partial_record(str(exc))
+            exc.record = trace.record(snaps, stochastic, str(exc))
             raise
         acc = ergodic_update(acc, gam, state.x, state.v)
         if next_cp is not None and n == next_cp:
@@ -422,4 +447,4 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
         d = spec.B.apply(state.x) - ref_val
         gg += inner(d, d, wH)
     _store(horizon, state)
-    return _partial_record()
+    return trace.record(snaps, stochastic)

@@ -69,6 +69,8 @@ def _getf(params, key, default):
 
 
 def _difference_matrix(dim):
+    """Dense first-difference matrix; the reference that the matrix-free
+    :meth:`LinearMap.difference` is tested against."""
     mat = np.zeros((dim - 1, dim))
     for i in range(dim - 1):
         mat[i, i] = -1.0
@@ -96,6 +98,25 @@ def _quadratic_components(D, a):
         return lambda x: rows * d_k * (float(d_k @ x) - a_k)
 
     return tuple(make(k) for k in range(rows))
+
+
+def _coordinate_components(a):
+    """:func:`_quadratic_components` for D = I, built without the identity
+    matrix: component k of 0.5||x - a||^2 is dim * (x_k - a_k) e_k."""
+    a = np.asarray(a, dtype=float)
+    dim = a.size
+
+    def make(k):
+        a_k = a[k]
+
+        def component(x):
+            out = np.zeros(dim)
+            out[k] = dim * (x[k] - a_k)
+            return out
+
+        return component
+
+    return tuple(make(k) for k in range(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +270,23 @@ def _build_fused(params):
     ])
     a = levels + 0.05 * rng.standard_normal(dim)
 
-    h = quadratic_ls(np.eye(dim), a)
+    h = sq_dist(a)
     g = l1(weight, dim - 1)
-    Lmat = _difference_matrix(dim)
     spec = ProblemSpec(
         B=gradient_map(h, 1.0),
         A=MonotoneBlock.from_prox(g),
-        L=LinearMap.from_matrix(Lmat, name="diff"),
+        L=LinearMap.difference(dim),
         P_V=OrthoProjector.full(dim),
         U=SpdOperator.scalar_op(1.0, dim - 1),
         g=g, h=h, name="fused",
     )
-    lmax = _coupling_lambda_max(spec.L, spec.P_V)
+    # lambda_max(L L*) = ||L||^2, which the difference operator knows in closed form.
+    lmax = spec.L.norm_bound() ** 2
     sched = Schedules.constant(0.9, 0.9 / lmax, 1.0)
     inst = ZooInstance("fused", "single", sched, tuple(sorted(params.items())), spec=spec,
-                       components=_quadratic_components(np.eye(dim), a),
-                       description="1-d total variation via the difference matrix; "
-                                   "oracle: cached conservative long-horizon run")
+                       components=_coordinate_components(a),
+                       description="1-d total variation via the matrix-free difference "
+                                   "operator; oracle: cached conservative long-horizon run")
     _ORACLES[_key(inst)] = lambda: long_run_oracle(spec, 1.0, 0.5 / lmax)
     return inst
 
@@ -284,7 +305,7 @@ def _build_multi(params):
     L1 = LinearMap.identity(dim, name="multi-L1")
     # Block 2: support function of an asymmetric box on first differences.
     g2 = box_support(-0.3, 0.8, dim - 1)
-    L2 = LinearMap.from_matrix(_difference_matrix(dim), name="multi-L2")
+    L2 = LinearMap.difference(dim, name="multi-L2")
     # Block 3: squared distance after a random compression.
     gdim = max(2, dim - 2)
     g3 = sq_dist(0.4 * rng.standard_normal(gdim))

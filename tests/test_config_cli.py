@@ -304,6 +304,23 @@ class TestCli:
         assert code == 0
         assert os.path.exists(os.path.join(out, "seed_7_trace.csv"))
 
+    def test_zero_gamma_composite_rejected(self, tmp_path, capsys):
+        # gamma0 = 0 in the ergodic regime passed validation on composites and
+        # then crashed the run with a ZeroDivisionError in the step.
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("[problem]\nname = multi\n\n[schedules]\ngamma0 = 0.0\n\n"
+                            "[noise]\nkind = none\nregime = ergodic\n\n"
+                            "[run]\nhorizon = 20\nseeds = 0\n")
+        assert cli_main(["validate", "--config", str(cfg_path)]) == 2
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "[FAIL] gamma positive" in captured.out
+        assert "failed condition: gamma positive" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+        with open(out / "summary.json", encoding="utf-8") as fh:
+            assert json.load(fh)["status"] == "rejected"
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text("[problem]\nname = unknown-problem\n")

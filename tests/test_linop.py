@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from papc.errors import StepSizeViolationError
+from papc.errors import DimensionMismatchError, StepSizeViolationError
 from papc.linop import (LinearMap, OrthoProjector, SpdOperator, adjoint_consistency_check,
                         inner, norm, power_iteration, read_matrix, validate_tau,
                         weighted_norm_sq, write_matrix)
+from papc.zoo import _difference_matrix
 
 
 def random_projectors(dim, rng):
@@ -40,6 +41,32 @@ class TestAdjointConsistency:
         wc = np.array([0.7, 0.2, 0.1])
         L = LinearMap.from_matrix(rng.standard_normal((3, 6)), wd, wc)
         assert adjoint_consistency_check(L, 50, rng=1)
+
+
+class TestDifference:
+    @pytest.mark.parametrize("dim", [2, 3, 12, 257])
+    def test_matches_dense_matrix(self, dim):
+        L = LinearMap.difference(dim)
+        mat = _difference_matrix(dim)
+        rng = np.random.default_rng(dim)
+        assert adjoint_consistency_check(L, 10, rng=rng)
+        assert L.matrix is None
+        for _ in range(5):
+            x = rng.standard_normal(dim)
+            y = rng.standard_normal(dim - 1)
+            np.testing.assert_array_equal(L(x), mat @ x)
+            np.testing.assert_array_equal(L.adjoint(y), mat.T @ y)
+
+    @pytest.mark.parametrize("dim", [2, 3, 12, 257])
+    def test_closed_form_norm(self, dim):
+        mat = _difference_matrix(dim)
+        lmax = np.linalg.eigvalsh(mat @ mat.T)[-1]
+        norm_bound = LinearMap.difference(dim).norm_bound()
+        assert norm_bound ** 2 == pytest.approx(lmax, rel=1e-12)
+
+    def test_needs_two_coordinates(self):
+        with pytest.raises(DimensionMismatchError):
+            LinearMap.difference(1)
 
 
 class TestPowerIteration:

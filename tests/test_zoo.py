@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,38 @@ class TestFusedExamples:
                                segment=10 ** 4)
         assert np.max(np.abs(Lmat @ x)) <= 1e-9
         np.testing.assert_allclose(x, a, atol=1e-8)
+
+    def test_closed_form_step_size(self):
+        # tau = 0.9 / lambda_max(L L*), with the dense eigendecomposition as the reference.
+        from papc.zoo import _difference_matrix
+        for dim in (2, 12, 200):
+            inst = build_instance("fused", {"dim": str(dim)})
+            mat = _difference_matrix(dim)
+            lmax = float(np.linalg.eigvalsh(mat @ mat.T)[-1])
+            assert inst.schedules.tau_cap == pytest.approx(0.9 / lmax, rel=1e-12)
+
+    def test_components_match_dense_decomposition(self):
+        from papc.zoo import _quadratic_components
+        dim = 12
+        inst = build_instance("fused", {"dim": str(dim)})
+        a = -inst.spec.B.apply(np.zeros(dim))
+        x = np.random.default_rng(4).standard_normal(dim)
+        dense = _quadratic_components(np.eye(dim), a)
+        assert len(inst.components) == len(dense) == dim
+        for comp, ref in zip(inst.components, dense):
+            np.testing.assert_array_equal(comp(x), ref(x))
+
+    def test_wide_build_holds_no_square_array(self):
+        # One 5000 x 5000 float array is 200 MB; the matrix-free build needs O(dim).
+        # The entry's builder is called directly so no cached instance is returned.
+        tracemalloc.start()
+        try:
+            inst = zoo()["fused"].build({"dim": "5000"})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert inst.spec.L.matrix is None
+        assert peak < 20e6
 
     def test_oracle_has_piecewise_structure(self):
         inst = build_instance("fused", {})
