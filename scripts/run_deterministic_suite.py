@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from papc.composite import ReplicatedOracle
+from papc.composite import validate_composite
 from papc.diagnostics import GapConstant, gap_and_bound, kkt_residual, rate_fit
 from papc.runner import default_checkpoints
 from papc.solver import run, validate_hypotheses
@@ -22,21 +22,17 @@ from papc.zoo import build_instance, oracle_solution, saddle_function
 def run_problem(name, horizon):
     inst = build_instance(name, {})
     x_ref, v_ref = oracle_solution(inst)
+    spec = inst.spec
     if inst.kind == "composite":
-        spec = inst.lifted.spec
-        x_ref = inst.lifted.embed_primal(x_ref)
-        oracle = ReplicatedOracle(DeterministicOracle(inst.composite.C),
-                                  inst.lifted.m, inst.lifted.base_dim)
+        cert = validate_composite(inst.composite, inst.schedules, horizon)
     else:
-        spec = inst.spec
-        oracle = DeterministicOracle(spec.B)
-    cert = validate_hypotheses(spec, inst.schedules, horizon)
+        cert = validate_hypotheses(spec, inst.schedules, horizon)
     if not cert.ok:
         raise SystemExit("schedule certificate failed for %s: %s"
                          % (name, [c.name for c in cert.failed()]))
     t0 = time.perf_counter()
-    rec = run(spec, inst.schedules, oracle, np.zeros(spec.B.dim), np.zeros(spec.A.dim),
-              horizon, checkpoints=default_checkpoints(horizon))
+    rec = run(spec, inst.schedules, DeterministicOracle(spec.B), np.zeros(spec.B.dim),
+              np.zeros(spec.A.dim), horizon, checkpoints=default_checkpoints(horizon))
     wall = time.perf_counter() - t0
 
     dist = float(np.linalg.norm(rec.terminal_x - x_ref))

@@ -14,8 +14,7 @@ from .monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, ProxF
                        resolvent)
 from .solver import (ErgodicAccumulator, PapcState, ProblemSpec, RunRecord, Schedules,
                      ergodic_update, papc_step, run, saddle_step, validate_hypotheses)
-from .composite import (CompositeBlock, CompositeProblem, composite_step,
-                        lift, lift_flat_equivalence, run_composite, structured_min_step)
+from .composite import CompositeBlock, CompositeProblem, lift, lift_flat_equivalence, stack
 from .diagnostics import (GapConstant, SaddleFunction, epsilon_saddle_check, fejer_tracker,
                           gap_and_bound, kkt_residual, rate_fit, saddle_value)
 from .stochastic import (DeterministicOracle, GaussianOracle, MinibatchOracle,

@@ -1,37 +1,36 @@
 """Product-space reduction for sums of composite terms.
 
-A problem  0 in sum_i w_i L_i* A_i (L_i x) + C x  lifts to the single-block
-inclusion on H^m with the w-weighted inner product, the diagonal subspace as
-constraint, and block-diagonal operators; the flat iteration below is the
-same algorithm written without the lifting, and the two are equivalent step
-by step when the lifted oracle replicates one base-space sample across the m
-copies.
+A problem  0 in sum_i w_i L_i* A_i (L_i x) + C x  is an instance of the
+single-block inclusion: :func:`stack` couples the base space to the product
+of the dual spaces through L x = (L_1 x, ..., L_m x), so the algorithm is
+:func:`papc.solver.papc_step` on that spec.  :func:`lift` builds the
+independent reference, the single-block inclusion on H^m with the w-weighted
+inner product, the diagonal subspace as constraint, and block-diagonal
+operators; the two are equivalent step by step when the lifted oracle
+replicates one base-space sample across the m copies.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DivergenceError
+from .errors import DimensionMismatchError
 from .linop import LinearMap, OrthoProjector, SpdOperator, validate_tau
 from .monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, ProxFunction,
-                       conjugate_prox_via_moreau, inverse_resolvent)
-from .solver import (ConditionCheck, ErgodicAccumulator, ErgodicCheckpoint,
-                     HypothesisCertificate, PapcState, ProblemSpec, TraceBuffer,
-                     ergodic_update, papc_step)
+                       inverse_resolvent)
+from .solver import ConditionCheck, PapcState, ProblemSpec, papc_step, validate_hypotheses
 from .stochastic import DeterministicOracle, GaussianOracle
 
 __all__ = [
     "CompositeBlock",
     "CompositeProblem",
     "LiftedProblem",
+    "stack",
     "lift",
-    "composite_step",
-    "structured_min_step",
-    "run_composite",
     "validate_composite",
     "lift_flat_equivalence",
     "composite_dual_residuals",
@@ -139,13 +138,74 @@ class LiftedProblem:
         return self.weights @ blocks
 
 
+def _stacked_dual(cp):
+    """A, U and g on the stacked dual space G_1 x ... x G_m with the
+    w-weighted inner product: the product block, the per-block scalar
+    preconditioner, and the weighted sum of the g_i (when every block has
+    one), whose prox acts blockwise in that geometry."""
+    omega = cp.weights
+    offsets = cp.dual_offsets
+    A = ProductMonotoneBlock(tuple(b.A for b in cp.blocks), cp.dual_dims)
+    U = SpdOperator.block_scalar([b.sigma for b in cp.blocks], cp.dual_dims,
+                                 name="stacked-U")
+    g = None
+    if all(b.g is not None for b in cp.blocks):
+        gs = [b.g for b in cp.blocks]
+
+        def g_value(y):
+            return float(sum(w * g.value(y[s:e]) for w, g, (s, e) in zip(omega, gs, offsets)))
+
+        def g_prox(lam, y):
+            return np.concatenate([g.prox(lam, y[s:e]) for g, (s, e) in zip(gs, offsets)])
+
+        conj = None
+        if all(g.conjugate_value is not None for g in gs):
+            def conj(v):
+                return float(sum(w * g.conjugate_value(v[s:e])
+                                 for w, g, (s, e) in zip(omega, gs, offsets)))
+
+        g = ProxFunction(sum(cp.dual_dims), value=g_value, prox=g_prox,
+                         conjugate_value=conj, name="stacked-g")
+    return A, U, g
+
+
+def stack(cp):
+    """The composite problem as one single-block spec on the base space.
+
+    L x = (L_1 x, ..., L_m x) maps into the stacked dual space with the
+    w-weighted inner product, so its adjoint is sum_i w_i L_i* v_i.  With
+    B = C, V = H and the dual side of :func:`_stacked_dual`, papc_step on
+    this spec is the composite iteration, and the step-size gate, the run
+    loop and the diagnostics apply to it unchanged.
+    """
+    d = cp.base_dim
+    weights = [float(w) for w in cp.weights]
+    maps = [b.L for b in cp.blocks]
+    slices = [slice(s, e) for s, e in cp.dual_offsets]
+
+    def apply(x):
+        return np.concatenate([L(x) for L in maps])
+
+    def adjoint(v):
+        out = np.zeros(d)
+        for w, L, sl in zip(weights, maps, slices):
+            out += w * L.adjoint(v[sl])
+        return out
+
+    L = LinearMap(apply, adjoint, d, sum(cp.dual_dims),
+                  codomain_weights=np.repeat(cp.weights, cp.dual_dims), name="stacked-L")
+    A, U, g = _stacked_dual(cp)
+    return ProblemSpec(B=cp.C, A=A, L=L, P_V=OrthoProjector.full(d), U=U, g=g, h=cp.h,
+                       name="stacked-" + (cp.name or "composite"))
+
+
 def lift(cp):
     """Build the lifted spec of a composite problem.
 
     Both product spaces carry the weight-induced inner product; the lifted
-    coupling and preconditioner act blockwise, the projector is the weighted
-    averaging onto the diagonal, and the lifted cocoercive operator applies C
-    per copy and keeps the constant of C.
+    coupling acts blockwise, the projector is the weighted averaging onto the
+    diagonal, the lifted cocoercive operator applies C per copy and keeps the
+    constant of C, and the dual side is the stacked one.
     """
     m, d = cp.m, cp.base_dim
     omega = cp.weights
@@ -164,9 +224,7 @@ def lift(cp):
 
     bold_L = LinearMap(bold_apply, bold_adjoint, m * d, sum(cp.dual_dims),
                        wH, wG, name="lifted-L")
-    bold_A = ProductMonotoneBlock(tuple(b.A for b in cp.blocks), cp.dual_dims)
-    bold_U = SpdOperator.block_scalar([b.sigma for b in cp.blocks], cp.dual_dims,
-                                      name="lifted-U")
+    bold_A, bold_U, bold_g = _stacked_dual(cp)
     P = OrthoProjector.averaging(m, d, block_weights=omega)
 
     def bold_C_apply(x):
@@ -177,25 +235,6 @@ def lift(cp):
 
     bold_B = CocoerciveMap(m * d, bold_C_apply, beta=cp.C.beta, weights=wH,
                            name="lifted-" + (cp.C.name or "C"))
-
-    bold_g = None
-    if all(b.g is not None for b in cp.blocks):
-        gs = [b.g for b in cp.blocks]
-
-        def g_value(y):
-            return float(sum(w * g.value(y[s:e]) for w, g, (s, e) in zip(omega, gs, offsets)))
-
-        def g_prox(lam, y):
-            return np.concatenate([g.prox(lam, y[s:e]) for g, (s, e) in zip(gs, offsets)])
-
-        conj = None
-        if all(g.conjugate_value is not None for g in gs):
-            def conj(v):
-                return float(sum(w * g.conjugate_value(v[s:e])
-                                 for w, g, (s, e) in zip(omega, gs, offsets)))
-
-        bold_g = ProxFunction(sum(cp.dual_dims), value=g_value, prox=g_prox,
-                              conjugate_value=conj, name="lifted-g")
 
     bold_h = None
     if cp.h is not None:
@@ -236,192 +275,35 @@ class ReplicatedOracle:
         return self.inner.error_second_moment(n)
 
 
-def _check_finite(arr, label, n):
-    if not np.all(np.isfinite(arr)):
-        raise DivergenceError(label, n)
-
-
-def composite_step(state, cp, sched, oracle):
-    """One flat iteration: a single sample of C drives both primal lines, and
-    each dual block takes its own preconditioned resolvent step."""
-    n = state.n
-    gam = float(sched.gamma(n))
-    tau = float(sched.tau(n))
-    lam = tau / gam
-    vs = cp.split_dual(state.v)
-    r = oracle.sample(state.x, n)
-    _check_finite(r, "r_n", n)
-
-    acc = np.zeros(cp.base_dim)
-    for w, blk, v_i in zip(cp.weights, cp.blocks, vs):
-        acc += w * (blk.L.adjoint(v_i) + r)
-    p = state.x - gam * acc
-    _check_finite(p, "p_n", n)
-
-    v_next = []
-    for blk, v_i in zip(cp.blocks, vs):
-        w_i = v_i + lam * (blk.sigma * blk.L(p))
-        v_next.append(inverse_resolvent(blk.A, lam * blk.sigma, w_i))
-    v1 = np.concatenate(v_next)
-    _check_finite(v1, "v_{n+1}", n)
-
-    acc2 = np.zeros(cp.base_dim)
-    for w, blk, v_i in zip(cp.weights, cp.blocks, v_next):
-        acc2 += w * (blk.L.adjoint(v_i) + r)
-    x1 = state.x - gam * acc2
-    _check_finite(x1, "x_{n+1}", n)
-    return PapcState(n + 1, x1, v1, p, r)
-
-
-def structured_min_step(state, cp, sched, oracle):
-    """The minimization form: dual blocks step through the conjugate proxes
-    of the g_i.  Identical to :func:`composite_step` when A_i = partial g_i."""
-    if not all(blk.g is not None for blk in cp.blocks):
-        raise ValueError("structured_min_step needs g_i on every block")
-    n = state.n
-    gam = float(sched.gamma(n))
-    tau = float(sched.tau(n))
-    lam = tau / gam
-    vs = cp.split_dual(state.v)
-    r = oracle.sample(state.x, n)
-    _check_finite(r, "r_n", n)
-
-    acc = np.zeros(cp.base_dim)
-    for w, blk, v_i in zip(cp.weights, cp.blocks, vs):
-        acc += w * (blk.L.adjoint(v_i) + r)
-    p = state.x - gam * acc
-    _check_finite(p, "p_n", n)
-
-    v_next = []
-    for blk, v_i in zip(cp.blocks, vs):
-        w_i = v_i + lam * (blk.sigma * blk.L(p))
-        v_next.append(conjugate_prox_via_moreau(blk.g, lam * blk.sigma, w_i))
-    v1 = np.concatenate(v_next)
-    _check_finite(v1, "v_{n+1}", n)
-
-    acc2 = np.zeros(cp.base_dim)
-    for w, blk, v_i in zip(cp.weights, cp.blocks, v_next):
-        acc2 += w * (blk.L.adjoint(v_i) + r)
-    x1 = state.x - gam * acc2
-    _check_finite(x1, "x_{n+1}", n)
-    return PapcState(n + 1, x1, v1, p, r)
-
-
-def run_composite(cp, sched, oracle, x0, vs0, horizon, callbacks=(), checkpoints=(),
-                  grad_gap_reference=None, step=composite_step):
-    """Iterate the flat composite algorithm; mirrors :func:`papc.solver.run`."""
-    horizon = int(horizon)
-    x0 = np.array(x0, dtype=float)
-    v0 = vs0 if isinstance(vs0, np.ndarray) else cp.stack_dual(vs0)
-    state = PapcState(0, x0, np.array(v0, dtype=float))
-
-    cps = sorted(set(int(c) for c in checkpoints))
-    cp_iter = iter(cps)
-    next_cp = next(cp_iter, None)
-
-    ref_val = None
-    if grad_gap_reference is not None:
-        ref_val = cp.C.apply(np.asarray(grad_gap_reference, dtype=float))
-
-    trace = TraceBuffer(horizon, state.x.size, state.v.size, grad_gap=ref_val is not None)
-    stride = trace.stride
-    stochastic = not getattr(oracle, "is_deterministic", False)
-    snaps = []
-    acc = ErgodicAccumulator()
-    gg = 0.0
-
-    def _store(n, st):
-        trace.store(n, st.x, st.v, float(sched.gamma(n)), float(sched.tau(n)), gg)
-
-    for n in range(horizon):
-        if ref_val is not None:
-            d = cp.C.apply(state.x) - ref_val
-            gg += float(np.dot(d, d))
-        if n % stride == 0:
-            _store(n, state)
-        gam = float(sched.gamma(n))
-        try:
-            state = step(state, cp, sched, oracle)
-        except DivergenceError as exc:
-            exc.record = trace.record(snaps, stochastic, str(exc))
-            raise
-        acc = ergodic_update(acc, gam, state.x, state.v)
-        if next_cp is not None and n == next_cp:
-            snaps.append(ErgodicCheckpoint(n, np.array(acc.x_avg), np.array(acc.v_avg),
-                                           acc.weight_sum))
-            next_cp = next(cp_iter, None)
-        for cb in callbacks:
-            cb(n, state, gam, float(sched.tau(n)))
-
-    if ref_val is not None:
-        d = cp.C.apply(state.x) - ref_val
-        gg += float(np.dot(d, d))
-    _store(horizon, state)
-    return trace.record(snaps, stochastic)
-
-
 def validate_composite(cp, sched, horizon, regime="almost-sure", margin=1e-6):
-    """Blockwise step-size conditions plus the lifted spectral check.
+    """The hypothesis gate of the stacked spec plus the blockwise spectral
+    conditions tau sigma_i lambda_max(L_i L_i*) < 1 - margin.
 
-    The stated blockwise condition is (tau U_i)^{-1} - L_i L_i* positive
-    definite per block; the lifted condition uses the averaging projector and
-    is provably no stricter, but both are evaluated and the run is gated on
-    their conjunction (a discrepancy is reported in the checks).
+    The blockwise checks stay because the stacked spectral estimate can lie
+    below the per-block ones: the run is gated on their conjunction.
     """
-    horizon = int(horizon)
-    gammas = np.array([float(sched.gamma(n)) for n in range(horizon + 1)])
-    taus = np.array([float(sched.tau(n)) for n in range(horizon + 1)])
-    checks = [
-        ConditionCheck("gamma non-increasing", bool(np.all(np.diff(gammas) <= 1e-15)), ""),
-        ConditionCheck("tau non-decreasing", bool(np.all(np.diff(taus) >= -1e-15)), ""),
-        ConditionCheck("tau capped", bool(np.max(taus) <= sched.tau_cap * (1 + 1e-12)), ""),
-        ConditionCheck("gamma0 below mu", bool(gammas[0] < cp.C.beta),
-                       "gamma0=%.6g mu=%.6g" % (gammas[0], cp.C.beta)),
-        ConditionCheck("gamma positive", bool(np.min(gammas) > 0.0),
-                       "all step sizes must be strictly positive"),
-    ]
-    if regime == "almost-sure":
-        checks.append(ConditionCheck("inf gamma positive", bool(np.min(gammas) > 0.0), ""))
-
+    cert = validate_hypotheses(stack(cp), sched, horizon, regime=regime, margin=margin)
     tau_margin = margin if regime == "almost-sure" else 0.0
-    block_ok = True
+    full = OrthoProjector.full(cp.base_dim)
+    checks = list(cert.checks)
     for i, blk in enumerate(cp.blocks):
         u_i = SpdOperator.scalar_op(blk.sigma, blk.A.dim)
-        full = OrthoProjector.full(cp.base_dim)
-        cert = validate_tau(u_i, blk.L, full, sched.tau_cap, margin=tau_margin)
-        block_ok = block_ok and cert.ok
+        bcert = validate_tau(u_i, blk.L, full, sched.tau_cap, margin=tau_margin)
         checks.append(ConditionCheck(
-            "block %d spectral condition" % i, cert.ok,
-            "tau*lambda_max=%.6g (status %s)" % (cert.tau * cert.spectral_estimate, cert.status)))
-
-    lp = lift(cp)
-    lifted_cert = validate_tau(lp.spec.U, lp.spec.L, lp.spec.P_V, sched.tau_cap,
-                               margin=tau_margin)
-    checks.append(ConditionCheck(
-        "lifted spectral condition", lifted_cert.ok,
-        "tau*lambda_max=%.6g (status %s)" % (lifted_cert.tau * lifted_cert.spectral_estimate,
-                                             lifted_cert.status)))
-    if block_ok != lifted_cert.ok:
-        checks.append(ConditionCheck(
-            "blockwise/lifted agreement", False,
-            "blockwise and lifted spectral gates disagree; the stricter one gates the run"))
-
-    return HypothesisCertificate(
-        ok=all(c.ok for c in checks),
-        regime=regime,
-        horizon=horizon,
-        checks=tuple(checks),
-        tau_certificate=lifted_cert,
-    )
+            "block %d spectral condition" % i, bcert.ok,
+            "tau*lambda_max=%.6g (status %s)" % (bcert.tau * bcert.spectral_estimate,
+                                                 bcert.status)))
+    return dataclasses.replace(cert, ok=all(c.ok for c in checks), checks=tuple(checks))
 
 
 def lift_flat_equivalence(cp, sched, seed, steps, noise=None, x0=None, vs0=None):
-    """Run the flat and lifted iterations in lockstep from the same seed and
-    return the largest relative coordinate deviation over all steps.
+    """Step papc_step on the stacked spec and on the lifted spec in lockstep
+    from the same seed and return the largest relative coordinate deviation
+    over all steps.
 
     The lifted oracle replicates the base-space sample across copies, so with
     exact arithmetic the trajectories coincide; deviations beyond float
-    round-off indicate a broken lifting.
+    round-off indicate a broken stacking or lifting.
     """
     if noise is None:
         flat_oracle = DeterministicOracle(cp.C)
@@ -430,6 +312,7 @@ def lift_flat_equivalence(cp, sched, seed, steps, noise=None, x0=None, vs0=None)
         flat_oracle = GaussianOracle(cp.C, noise, seed)
         base_for_lift = GaussianOracle(cp.C, noise, seed)
 
+    spec = stack(cp)
     lp = lift(cp)
     lifted_oracle = ReplicatedOracle(base_for_lift, cp.m, cp.base_dim)
 
@@ -440,7 +323,7 @@ def lift_flat_equivalence(cp, sched, seed, steps, noise=None, x0=None, vs0=None)
 
     worst = 0.0
     for _ in range(int(steps)):
-        flat = composite_step(flat, cp, sched, flat_oracle)
+        flat = papc_step(flat, spec, sched, flat_oracle)
         bold = papc_step(bold, lp.spec, sched, lifted_oracle)
         mag = max(float(np.max(np.abs(flat.x))), float(np.max(np.abs(flat.v))), 0.0)
         dev_v = float(np.max(np.abs(bold.v - flat.v)))

@@ -14,12 +14,12 @@ Sections and keys::
     [schedules] gamma_kind = constant | harmonic_floor | harmonic
                 gamma0     = <float> | auto        (auto = 0.9 * beta)
                 tau_kind   = constant | ramp
-                tau_cap    = <float> | auto        (auto = certified cap)
+                tau_cap    = <float> > 0 | auto    (auto = certified cap)
     [noise]     kind    = none | gaussian | minibatch
-                sigma0  = <float>   (per-coordinate variance sigma_0^2)
+                sigma0  = <float> >= 0   (per-coordinate variance sigma_0^2)
                 epsilon = <float>   (polynomial decay exponent)
                 regime  = almost-sure | ergodic
-                batch_schedule = <int>   (minibatch size, minibatch only)
+                batch_schedule = <int> >= 1   (minibatch size, minibatch only)
     [run]       horizon     = <int>
                 seeds       = <int> <int> ...
                 checkpoints = log | none | <int> <int> ...
@@ -88,6 +88,12 @@ class ExperimentConfig:
             raise ConfigError("unknown noise kind %r" % self.noise_kind)
         if self.regime not in ("almost-sure", "ergodic"):
             raise ConfigError("unknown regime %r" % self.regime)
+        if not self.sigma0_sq >= 0:
+            raise ConfigError("sigma0 must be nonnegative")
+        if self.tau_cap is not None and not self.tau_cap > 0:
+            raise ConfigError("tau_cap must be positive (or auto)")
+        if self.batch_schedule is not None and self.batch_schedule < 1:
+            raise ConfigError("batch_schedule must be at least 1")
         return self
 
 

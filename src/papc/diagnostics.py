@@ -124,23 +124,20 @@ class GapRow:
     finite: bool
 
 
-def gap_and_bound(record, K, reference, gapc, embed_x=None):
+def gap_and_bound(record, K, reference, gapc):
     """Per-checkpoint table of the ergodic duality gap against its bound.
 
     gap_N = K(x~_N, v) - K(x, v~_N) at the reference (x, v), and
     bound_N = c(x, v) / (2 sum_{n<=N} gamma_n).  Rows with infinite or
     indeterminate K are flagged (``finite=False``) and excluded from fits.
-    ``embed_x`` maps recorded primal averages into K's space when the run was
-    executed in flat composite coordinates.
     """
     x_ref, v_ref = reference
     cval = gapc.c_of(np.asarray(x_ref, dtype=float), np.asarray(v_ref, dtype=float))
     rows = []
     for cp in record.checkpoints:
         bound = cval / (2.0 * cp.sum_gamma)
-        x_avg = cp.x_avg if embed_x is None else embed_x(cp.x_avg)
         try:
-            k1 = saddle_value(K, x_avg, v_ref)
+            k1 = saddle_value(K, cp.x_avg, v_ref)
             k2 = saddle_value(K, x_ref, cp.v_avg)
             gap = k1 - k2
             finite = math.isfinite(gap)

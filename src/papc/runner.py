@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composite import (CompositeBlock, CompositeProblem, composite_dual_residuals, lift,
-                        run_composite, validate_composite)
+from .composite import CompositeBlock, CompositeProblem, stack, validate_composite
 from .config import (ExperimentConfig, parse_config, parse_projector_spec, parse_prox_spec,
                      parse_smooth_spec, serialize_config)
 from .diagnostics import GapConstant, gap_and_bound, kkt_residual, rate_fit
@@ -139,9 +138,8 @@ def _build_custom_composite(cfg):
         caps.append(0.9 / max(est.value, 1e-12))
     sched = Schedules.constant(0.9 * cp.C.beta, min(caps), cp.C.beta)
     return zoo_mod.ZooInstance("custom_composite", "composite", sched,
-                               tuple(sorted(params.items())), composite=cp,
-                               lifted=lift(cp),
-                               description="config-assembled composite problem")
+                               tuple(sorted(params.items())), spec=stack(cp),
+                               composite=cp, description="config-assembled composite problem")
 
 
 def bind(cfg):
@@ -178,7 +176,7 @@ def bind(cfg):
 
 
 def _make_oracle(bound, seed):
-    base_map = bound.instance.spec.B if bound.kind == "single" else bound.instance.composite.C
+    base_map = bound.instance.spec.B
     if bound.noise is None:
         return DeterministicOracle(base_map)
     if bound.noise == "minibatch":
@@ -216,42 +214,22 @@ def _trace_rows(bound, record, oracle_xv):
     """Diagnostic columns for every stored trace row.  Oracle-relative
     columns are left empty when no reference solution exists."""
     x_ref, v_ref = oracle_xv if oracle_xv is not None else (None, None)
-    inst = bound.instance
+    spec = bound.instance.spec
     rows = []
-    if bound.kind == "single":
-        spec = inst.spec
-        for k in range(len(record.ns)):
-            x, v = record.xs[k], record.vs[k]
-            pres, dres = kkt_residual(x, v, spec)
-            phi = dist_x = dist_v = None
-            if x_ref is not None:
-                phi = inner(x - x_ref, x - x_ref, spec.primal_weights) + weighted_norm_sq(
-                    v - v_ref, spec.U, record.taus[k], record.gammas[k], spec.L, spec.P_V)
-                dist_x = norm(x - x_ref, spec.primal_weights)
-                dist_v = norm(v - v_ref, spec.dual_weights)
-            gg = record.grad_gap_partial[k] if record.grad_gap_partial is not None else None
-            rows.append((
-                str(int(record.ns[k])), _fmt(record.gammas[k]), _fmt(record.taus[k]),
-                _fmt(pres), _fmt(dres), _fmt(phi), _fmt(dist_x), _fmt(dist_v), _fmt(gg),
-            ))
-    else:
-        cp = inst.composite
-        spec = inst.lifted.spec
-        for k in range(len(record.ns)):
-            x, v = record.xs[k], record.vs[k]
-            combined, per_block = composite_dual_residuals(cp, x, v)
-            phi = dist_x = dist_v = None
-            if x_ref is not None:
-                phi = float(np.dot(x - x_ref, x - x_ref)) + weighted_norm_sq(
-                    v - v_ref, spec.U, record.taus[k], record.gammas[k], spec.L, spec.P_V)
-                dist_x = float(np.linalg.norm(x - x_ref))
-                dist_v = norm(v - v_ref, spec.dual_weights)
-            gg = record.grad_gap_partial[k] if record.grad_gap_partial is not None else None
-            rows.append((
-                str(int(record.ns[k])), _fmt(record.gammas[k]), _fmt(record.taus[k]),
-                _fmt(combined), _fmt(max(per_block)), _fmt(phi), _fmt(dist_x),
-                _fmt(dist_v), _fmt(gg),
-            ))
+    for k in range(len(record.ns)):
+        x, v = record.xs[k], record.vs[k]
+        pres, dres = kkt_residual(x, v, spec)
+        phi = dist_x = dist_v = None
+        if x_ref is not None:
+            phi = inner(x - x_ref, x - x_ref, spec.primal_weights) + weighted_norm_sq(
+                v - v_ref, spec.U, record.taus[k], record.gammas[k], spec.L, spec.P_V)
+            dist_x = norm(x - x_ref, spec.primal_weights)
+            dist_v = norm(v - v_ref, spec.dual_weights)
+        gg = record.grad_gap_partial[k] if record.grad_gap_partial is not None else None
+        rows.append((
+            str(int(record.ns[k])), _fmt(record.gammas[k]), _fmt(record.taus[k]),
+            _fmt(pres), _fmt(dres), _fmt(phi), _fmt(dist_x), _fmt(dist_v), _fmt(gg),
+        ))
     return rows
 
 
@@ -268,30 +246,15 @@ def _noise_c0(bound):
     per_coord = report.partial_gamma_sigma_sq
     if report.tail_gamma_sigma_sq is not None:
         per_coord += report.tail_gamma_sigma_sq
-    dim = bound.instance.spec.B.dim if bound.kind == "single" else bound.instance.composite.C.dim
-    return dim * per_coord
+    return bound.instance.spec.B.dim * per_coord
 
 
 def _gap_rows(bound, record, oracle_xv):
-    inst = bound.instance
-    if bound.kind == "single":
-        spec = inst.spec
-        K = zoo_mod.saddle_function(inst)
-        reference = oracle_xv
-        x0 = np.zeros(spec.B.dim)
-        v0 = np.zeros(spec.A.dim)
-        embed = None
-    else:
-        lp = inst.lifted
-        spec = lp.spec
-        K = zoo_mod.saddle_function(inst)
-        x_ref, v_ref = oracle_xv
-        reference = (lp.embed_primal(x_ref), v_ref)
-        x0 = np.zeros(spec.B.dim)
-        v0 = np.zeros(spec.A.dim)
-        embed = lp.embed_primal
-    gapc = GapConstant(spec=spec, sched=bound.schedules, x0=x0, v0=v0, c0=_noise_c0(bound))
-    return gap_and_bound(record, K, reference, gapc, embed_x=embed)
+    spec = bound.instance.spec
+    K = zoo_mod.saddle_function(bound.instance)
+    gapc = GapConstant(spec=spec, sched=bound.schedules, x0=np.zeros(spec.B.dim),
+                       v0=np.zeros(spec.A.dim), c0=_noise_c0(bound))
+    return gap_and_bound(record, K, oracle_xv, gapc)
 
 
 def _gap_csv_rows(rows):
@@ -313,7 +276,7 @@ def _run_seed(bound, seed, out_dir, oracle_xv):
     """One seed: run, write its trace CSV (and gap CSV when K is available),
     return the summary fragment."""
     cfg = bound.cfg
-    inst = bound.instance
+    spec = bound.instance.spec
     checkpoints = _resolve_checkpoints(cfg)
     oracle = _make_oracle(bound, seed)
     x_ref, v_ref = oracle_xv if oracle_xv is not None else (None, None)
@@ -321,16 +284,9 @@ def _run_seed(bound, seed, out_dir, oracle_xv):
     error = None
     t0 = time.perf_counter()
     try:
-        if bound.kind == "single":
-            record = run(inst.spec, bound.schedules, oracle,
-                         np.zeros(inst.spec.B.dim), np.zeros(inst.spec.A.dim),
-                         cfg.horizon, checkpoints=checkpoints, grad_gap_reference=x_ref)
-        else:
-            record = run_composite(inst.composite, bound.schedules, oracle,
-                                   np.zeros(inst.composite.base_dim),
-                                   np.zeros(sum(inst.composite.dual_dims)),
-                                   cfg.horizon, checkpoints=checkpoints,
-                                   grad_gap_reference=x_ref)
+        record = run(spec, bound.schedules, oracle, np.zeros(spec.B.dim),
+                     np.zeros(spec.A.dim), cfg.horizon, checkpoints=checkpoints,
+                     grad_gap_reference=x_ref)
     except DivergenceError as exc:
         record = exc.record
         status = "diverged"
@@ -354,12 +310,8 @@ def _run_seed(bound, seed, out_dir, oracle_xv):
 
     dist_x = dist_v = None
     if x_ref is not None:
-        if bound.kind == "single":
-            dist_x = norm(record.terminal_x - x_ref, inst.spec.primal_weights)
-            dist_v = norm(record.terminal_v - v_ref, inst.spec.dual_weights)
-        else:
-            dist_x = float(np.linalg.norm(record.terminal_x - x_ref))
-            dist_v = norm(record.terminal_v - v_ref, inst.lifted.spec.dual_weights)
+        dist_x = norm(record.terminal_x - x_ref, spec.primal_weights)
+        dist_v = norm(record.terminal_v - v_ref, spec.dual_weights)
     return {
         "seed": seed,
         "status": status,

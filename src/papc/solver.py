@@ -164,8 +164,8 @@ def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6)
     """Check the step-size hypotheses over the run horizon.
 
     Almost-sure regime: gamma non-increasing, tau non-decreasing and capped,
-    gamma_0 < beta, inf gamma > 0, and (tau_cap U)^{-1} - L P_V L* positive
-    definite (strict margin).  Ergodic regime: the same monotonicity and
+    gamma_0 < beta (the smaller of the schedule's and B's), inf gamma > 0,
+    and (tau_cap U)^{-1} - L P_V L* positive definite (strict margin).  Ergodic regime: the same monotonicity and
     gamma_0 < beta, with positive semidefiniteness (margin 0) and no floor on
     gamma.  Each violated condition is reported by name.
     """
@@ -189,10 +189,11 @@ def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6)
         "tau capped",
         bool(np.max(taus) <= sched.tau_cap * (1.0 + 1e-12)),
         "max tau %.6g vs cap %.6g" % (float(np.max(taus)), sched.tau_cap)))
+    beta = min(sched.beta, spec.B.beta)
     checks.append(ConditionCheck(
         "gamma0 below beta",
-        bool(gammas[0] < sched.beta),
-        "gamma0=%.6g beta=%.6g" % (gammas[0], sched.beta)))
+        bool(gammas[0] < beta),
+        "gamma0=%.6g beta=%.6g" % (gammas[0], beta)))
     checks.append(ConditionCheck(
         "gamma positive",
         bool(np.min(gammas) > 0.0),
@@ -217,8 +218,9 @@ def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6)
     )
 
 
-def dual_resolvent(A, U, lam, w):
+def dual_resolvent(spec, lam, w):
     """J_{lam * U * A^{-1}}(w) under the scalar or block-scalar reduction of U."""
+    A, U = spec.A, spec.U
     if U.scalar is not None:
         return inverse_resolvent(A, lam * U.scalar, w)
     if U.blocks is not None and isinstance(A, ProductMonotoneBlock):
@@ -232,10 +234,10 @@ def dual_resolvent(A, U, lam, w):
         "dual resolvent needs a scalar or aligned block-scalar preconditioner")
 
 
-def dual_conjugate_prox(g, U, lam, w):
+def dual_conjugate_prox(spec, lam, w):
     """prox^{U^{-1}}_{lam g*}(w) under the scalar reduction of U."""
-    if U.scalar is not None:
-        return conjugate_prox_via_moreau(g, lam * U.scalar, w)
+    if spec.U.scalar is not None:
+        return conjugate_prox_via_moreau(spec.g, lam * spec.U.scalar, w)
     raise UnsupportedMetricError(
         "conjugate prox in a non-scalar metric needs a user-supplied metric prox")
 
@@ -245,9 +247,11 @@ def _check_finite(arr, label, n, record=None):
         raise DivergenceError(label, n, record)
 
 
-def papc_step(state, spec, sched, oracle):
+def papc_step(state, spec, sched, oracle, dual_update=dual_resolvent):
     """One iteration of the inclusion algorithm.  Draws exactly one oracle
-    sample and reuses it in the predictor and the correction line."""
+    sample and reuses it in the predictor and the correction line.
+    ``dual_update(spec, lam, w)`` is the dual line's map, by default the
+    resolvent of lam U A^{-1}."""
     n = state.n
     gam = float(sched.gamma(n))
     tau = float(sched.tau(n))
@@ -257,7 +261,7 @@ def papc_step(state, spec, sched, oracle):
     _check_finite(p, "p_n", n)
     lam = tau / gam
     w = state.v + lam * spec.U.apply(spec.L(p))
-    v1 = dual_resolvent(spec.A, spec.U, lam, w)
+    v1 = dual_update(spec, lam, w)
     _check_finite(v1, "v_{n+1}", n)
     x1 = spec.P_V(state.x - gam * (spec.L.adjoint(v1) + r))
     _check_finite(x1, "x_{n+1}", n)
@@ -265,25 +269,12 @@ def papc_step(state, spec, sched, oracle):
 
 
 def saddle_step(state, spec, sched, oracle):
-    """One iteration of the saddle-point variant: the dual line is the
-    conjugate prox of g in the U^{-1} metric.  Identical to :func:`papc_step`
-    when A is the subdifferential block of g."""
+    """One iteration of the saddle-point variant: :func:`papc_step` whose
+    dual line is the conjugate prox of g in the U^{-1} metric, the same map
+    as the dual resolvent when A is the subdifferential block of g."""
     if spec.g is None:
         raise ValueError("saddle_step needs spec.g (a ProxFunction)")
-    n = state.n
-    gam = float(sched.gamma(n))
-    tau = float(sched.tau(n))
-    r = oracle.sample(state.x, n)
-    _check_finite(r, "r_n", n)
-    p = spec.P_V(state.x - gam * (spec.L.adjoint(state.v) + r))
-    _check_finite(p, "p_n", n)
-    lam = tau / gam
-    w = state.v + lam * spec.U.apply(spec.L(p))
-    v1 = dual_conjugate_prox(spec.g, spec.U, lam, w)
-    _check_finite(v1, "v_{n+1}", n)
-    x1 = spec.P_V(state.x - gam * (spec.L.adjoint(v1) + r))
-    _check_finite(x1, "x_{n+1}", n)
-    return PapcState(n + 1, x1, v1, p, r)
+    return papc_step(state, spec, sched, oracle, dual_update=dual_conjugate_prox)
 
 
 @dataclass(frozen=True)

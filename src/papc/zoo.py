@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .composite import CompositeBlock, CompositeProblem, LiftedProblem, lift
+from .composite import CompositeBlock, CompositeProblem, LiftedProblem, lift, stack
 from .diagnostics import SaddleFunction, kkt_residual
 from .errors import ConfigError, OracleError
 from .linop import LinearMap, OrthoProjector, SpdOperator
@@ -42,6 +42,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ZooInstance:
+    """A built problem.  ``spec`` is what the solver runs: the problem itself,
+    or the stacked spec of ``composite``; ``lifted`` is a composite's
+    independent reference, where its oracle needs one."""
+
     name: str
     kind: str  # "single" | "composite"
     schedules: Schedules
@@ -323,7 +327,7 @@ def _build_multi(params):
     lp = lift(cp)
     sched = Schedules.constant(0.9 * mu, 0.9, mu)
     inst = ZooInstance("multi", "composite", sched, tuple(sorted(params.items())),
-                       composite=cp, lifted=lp,
+                       spec=stack(cp), composite=cp, lifted=lp,
                        components=_quadratic_components(D, a),
                        description="three composite blocks (l1, box support, quadratic); "
                                    "oracle: long-horizon run on the lifted problem")
@@ -392,11 +396,6 @@ def oracle_solution(inst):
 
 
 def saddle_function(inst):
-    """The saddle function K of the instance (lifted K for composites)."""
-    if inst.kind == "single":
-        return SaddleFunction(h=inst.spec.h, g=inst.spec.g, L=inst.spec.L,
-                              P_V=inst.spec.P_V, name=inst.name)
-    spec = inst.lifted.spec
-    if spec.g is None or spec.h is None:
-        raise ValueError("composite instance lacks value oracles for K")
-    return SaddleFunction(h=spec.h, g=spec.g, L=spec.L, P_V=spec.P_V, name=inst.name)
+    """The saddle function K of the instance's spec."""
+    return SaddleFunction(h=inst.spec.h, g=inst.spec.g, L=inst.spec.L,
+                          P_V=inst.spec.P_V, name=inst.name)

@@ -9,8 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from papc.composite import ReplicatedOracle, composite_dual_residuals, run_composite, \
-    validate_composite, lift_flat_equivalence
+from papc.composite import composite_dual_residuals, lift_flat_equivalence
 from papc.config import parse_config
 from papc.diagnostics import (GapConstant, fejer_tracker, gap_and_bound, kkt_residual,
                               rate_fit)
@@ -35,40 +34,25 @@ def _report(num, title, ok, detail=""):
     assert ok, "criterion %d failed: %s %s" % (num, title, detail)
 
 
-def _single_view(inst):
-    """(spec, schedules) of the run to diagnose: the lifted problem for
-    composites, the problem itself otherwise."""
-    if inst.kind == "single":
-        return inst.spec, inst.schedules
-    return inst.lifted.spec, inst.schedules
-
-
 @pytest.fixture(scope="module")
 def det_runs():
     """Certified deterministic runs with checkpoints on every zoo problem
-    (composites run through their lifting so the Fejer and gap theory applies
-    verbatim), plus wall times for the timed criteria."""
+    (composites run as their stacked spec, a single-block instance, so the
+    Fejer and gap theory applies verbatim), plus wall times for the timed
+    criteria."""
     out = {}
     cps = default_checkpoints(HORIZON)
     for name in ZOO_NAMES:
         inst = build_instance(name, {})
         x_ref, v_ref = oracle_solution(inst)
-        spec, sched = _single_view(inst)
-        if inst.kind == "composite":
-            x_ref_run = inst.lifted.embed_primal(x_ref)
-            oracle = ReplicatedOracle(DeterministicOracle(inst.composite.C),
-                                      inst.lifted.m, inst.lifted.base_dim)
-            cert = validate_hypotheses(spec, sched, HORIZON)
-        else:
-            x_ref_run = x_ref
-            oracle = DeterministicOracle(spec.B)
-            cert = validate_hypotheses(spec, sched, HORIZON)
+        spec, sched = inst.spec, inst.schedules
+        cert = validate_hypotheses(spec, sched, HORIZON)
         t0 = time.perf_counter()
-        rec = run(spec, sched, oracle, np.zeros(spec.B.dim), np.zeros(spec.A.dim),
-                  HORIZON, checkpoints=cps, grad_gap_reference=x_ref_run)
+        rec = run(spec, sched, DeterministicOracle(spec.B), np.zeros(spec.B.dim),
+                  np.zeros(spec.A.dim), HORIZON, checkpoints=cps, grad_gap_reference=x_ref)
         wall = time.perf_counter() - t0
         out[name] = dict(inst=inst, spec=spec, sched=sched, record=rec, cert=cert,
-                         x_ref=x_ref_run, v_ref=v_ref, wall=wall)
+                         x_ref=x_ref, v_ref=v_ref, wall=wall)
     return out
 
 
@@ -304,8 +288,8 @@ def test_c08_product_space_equivalence(det_runs):
                                     noise=VarianceSchedule.polynomial(1.0, 1.0))
         devs.append(dev)
         ok &= dev <= 1e-12
-    rec = run_composite(cp, inst.schedules, DeterministicOracle(cp.C),
-                        np.zeros(cp.base_dim), np.zeros(sum(cp.dual_dims)), HORIZON)
+    rec = run(inst.spec, inst.schedules, DeterministicOracle(cp.C),
+              np.zeros(cp.base_dim), np.zeros(sum(cp.dual_dims)), HORIZON)
     combined, per_block = composite_dual_residuals(cp, rec.terminal_x, rec.terminal_v)
     ok &= combined <= 1e-6 and max(per_block) <= 1e-6
     _report(8, "product-space equivalence and dual structure", ok,
@@ -319,7 +303,7 @@ def test_c09_gradient_finite_differences():
     details = []
     for name in ZOO_NAMES:
         inst = build_instance(name, {})
-        h = inst.spec.h if inst.kind == "single" else inst.composite.h
+        h = inst.spec.h
         worst = 0.0
         for _ in range(10):
             x = 2.0 * rng.standard_normal(h.dim)

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from papc.composite import (CompositeBlock, CompositeProblem, ReplicatedOracle,
-                            composite_dual_residuals, composite_step, lift,
-                            lift_flat_equivalence, run_composite, structured_min_step,
+                            composite_dual_residuals, lift, lift_flat_equivalence, stack,
                             validate_composite)
 from papc.errors import DimensionMismatchError
-from papc.linop import LinearMap, norm
+from papc.linop import LinearMap, adjoint_consistency_check, norm
 from papc.monotone import (MonotoneBlock, cocoercivity_check, gradient_map, l1,
                            quadratic_lipschitz, quadratic_ls, sq_dist, zero_prox)
-from papc.solver import PapcState, Schedules, papc_step, run
+from papc.solver import PapcState, Schedules, papc_step, run, saddle_step
 from papc.stochastic import DeterministicOracle, GaussianOracle, VarianceSchedule
 from papc.zoo import build_instance, oracle_solution
 
@@ -72,9 +71,16 @@ class TestLift:
             CompositeProblem(weights=np.array([1.0]), C=cp.C, blocks=(bad,))
 
 
+class TestStack:
+    def test_stacked_adjoint_consistent(self):
+        cp = build_instance("multi", {}).composite
+        assert adjoint_consistency_check(stack(cp).L, 100, rng=3)
+
+
 class TestCompositeStep:
     def test_m1_bitwise_equals_papc_step(self):
         cp, sched = single_block_problem()
+        spec = stack(cp)
         lp = lift(cp)
         oracle = GaussianOracle(cp.C, VarianceSchedule.polynomial(1.0, 1.0), seed=3)
         lifted_oracle = ReplicatedOracle(GaussianOracle(
@@ -82,7 +88,7 @@ class TestCompositeStep:
         a = PapcState(0, np.zeros(3), np.zeros(3))
         b = PapcState(0, np.zeros(3), np.zeros(3))
         for _ in range(50):
-            a = composite_step(a, cp, sched, oracle)
+            a = papc_step(a, spec, sched, oracle)
             b = papc_step(b, lp.spec, sched, lifted_oracle)
             assert np.array_equal(a.x, b.x)
             assert np.array_equal(a.v, b.v)
@@ -97,16 +103,15 @@ class TestCompositeStep:
                               C=gradient_map(h, 1.0), blocks=(blk,), h=h)
         sched = Schedules.constant(0.5, 0.5, 1.0)
         st = PapcState(0, np.array([0.4, -0.1]), np.zeros(dim))
-        out = composite_step(st, cp, sched, DeterministicOracle(cp.C))
+        out = papc_step(st, stack(cp), sched, DeterministicOracle(cp.C))
         np.testing.assert_array_equal(out.x, st.x)
         np.testing.assert_array_equal(out.v, st.v)
 
     def test_multi_one_step_matches_lifted(self):
         inst = build_instance("multi", {})
         cp = inst.composite
-        flat = composite_step(PapcState(0, np.zeros(cp.base_dim),
-                                        np.zeros(sum(cp.dual_dims))),
-                              cp, inst.schedules, DeterministicOracle(cp.C))
+        flat = papc_step(PapcState(0, np.zeros(cp.base_dim), np.zeros(sum(cp.dual_dims))),
+                         inst.spec, inst.schedules, DeterministicOracle(cp.C))
         lp = inst.lifted
         bold = papc_step(PapcState(0, np.zeros(lp.spec.B.dim), np.zeros(lp.spec.A.dim)),
                          lp.spec, inst.schedules,
@@ -138,8 +143,9 @@ class TestEquivalence:
         rep = ReplicatedOracle(DeterministicOracle(cp.C), cp.m, cp.base_dim)
         flat = PapcState(0, np.zeros(cp.base_dim), np.zeros(sum(cp.dual_dims)))
         bold = PapcState(0, np.zeros(lp_right.spec.B.dim), np.zeros(lp_right.spec.A.dim))
+        wrong_spec = stack(wrong)
         for _ in range(20):
-            flat = composite_step(flat, wrong, inst.schedules, oracle)
+            flat = papc_step(flat, wrong_spec, inst.schedules, oracle)
             bold = papc_step(bold, lp_right.spec, inst.schedules, rep)
         dev = np.max(np.abs(bold.x[:cp.base_dim] - flat.x))
         assert dev > 1e-6
@@ -160,35 +166,25 @@ class TestStructuredMin:
                               blocks=blocks, h=h)
         sched = Schedules.constant(0.9 * cp.C.beta, 0.5, cp.C.beta)
         st = PapcState(0, rng.standard_normal(dim), np.zeros(2 * dim))
-        out = structured_min_step(st, cp, sched, DeterministicOracle(cp.C))
+        out = saddle_step(st, stack(cp), sched, DeterministicOracle(cp.C))
         gamma = sched.gamma0
         np.testing.assert_allclose(out.x, st.x - gamma * cp.C.apply(st.x), atol=1e-14)
         np.testing.assert_array_equal(out.v, np.zeros(2 * dim))
 
-    def test_bitwise_equals_composite_step_with_prox_blocks(self):
-        inst = build_instance("multi", {})
-        cp = inst.composite
-        oracle = GaussianOracle(cp.C, VarianceSchedule.polynomial(1.0, 1.0), seed=11)
-        a = PapcState(0, np.zeros(cp.base_dim), np.zeros(sum(cp.dual_dims)))
-        b = PapcState(0, np.zeros(cp.base_dim), np.zeros(sum(cp.dual_dims)))
-        for _ in range(60):
-            a = composite_step(a, cp, inst.schedules, oracle)
-            b = structured_min_step(b, cp, inst.schedules, oracle)
-            assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
-
     def test_m1_l1_matches_saddle_step(self):
-        from papc.solver import ProblemSpec, saddle_step
+        from papc.solver import ProblemSpec
         from papc.linop import OrthoProjector, SpdOperator
         cp, sched = single_block_problem()
         spec = ProblemSpec(B=cp.C, A=cp.blocks[0].A, L=cp.blocks[0].L,
                            P_V=OrthoProjector.full(cp.base_dim),
                            U=SpdOperator.scalar_op(1.0, cp.base_dim),
                            g=cp.blocks[0].g, h=cp.h)
+        stacked = stack(cp)
         oracle = DeterministicOracle(cp.C)
         a = PapcState(0, np.zeros(3), np.zeros(3))
         b = PapcState(0, np.zeros(3), np.zeros(3))
         for _ in range(30):
-            a = structured_min_step(a, cp, sched, oracle)
+            a = saddle_step(a, stacked, sched, oracle)
             b = saddle_step(b, spec, sched, oracle)
             assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
 
@@ -203,7 +199,7 @@ class TestValidateComposite:
         inst = build_instance("multi", {})
         bad = Schedules.constant(2.0 * inst.composite.C.beta, 0.9, inst.composite.C.beta)
         cert = validate_composite(inst.composite, bad, 50)
-        assert any("mu" in c.name for c in cert.failed())
+        assert any("beta" in c.name for c in cert.failed())
 
     def test_oversized_tau_fails_blockwise(self):
         inst = build_instance("multi", {})
@@ -211,6 +207,17 @@ class TestValidateComposite:
                                  inst.composite.C.beta)
         cert = validate_composite(inst.composite, bad, 50)
         assert any("block" in c.name for c in cert.failed())
+
+    def test_block_checks_reject_what_the_stacked_check_passes(self):
+        # The stacked estimate (0.86 on multi) lies below the per-block ones (1
+        # each, since sigma_i normalizes every block), so tau = 1.05 passes the
+        # stacked spectral check and must fail on the blocks.
+        inst = build_instance("multi", {})
+        beta = inst.composite.C.beta
+        cert = validate_composite(inst.composite, Schedules.constant(0.9 * beta, 1.05, beta), 50)
+        failed = [c.name for c in cert.failed()]
+        assert "tau spectral condition" not in failed
+        assert any(name.startswith("block") for name in failed)
 
 
 class TestDualStructure:
@@ -222,10 +229,10 @@ class TestDualStructure:
         assert combined <= 1e-6
         assert max(per_block) <= 1e-6
 
-    def test_run_composite_reaches_structure(self):
+    def test_stacked_run_reaches_structure(self):
         inst = build_instance("multi", {})
         cp = inst.composite
-        rec = run_composite(cp, inst.schedules, DeterministicOracle(cp.C),
-                            np.zeros(cp.base_dim), np.zeros(sum(cp.dual_dims)), 5000)
+        rec = run(inst.spec, inst.schedules, DeterministicOracle(cp.C),
+                  np.zeros(cp.base_dim), np.zeros(sum(cp.dual_dims)), 5000)
         combined, per_block = composite_dual_residuals(cp, rec.terminal_x, rec.terminal_v)
         assert combined <= 1e-6 and max(per_block) <= 1e-6

@@ -321,6 +321,21 @@ class TestCli:
         with open(out / "summary.json", encoding="utf-8") as fh:
             assert json.load(fh)["status"] == "rejected"
 
+    @pytest.mark.parametrize("section,entries", [
+        ("noise", "kind = gaussian\nsigma0 = -1"),
+        ("schedules", "tau_cap = -1"),
+        ("schedules", "tau_cap = 0"),
+        ("noise", "kind = minibatch\nbatch_schedule = -1"),
+    ])
+    def test_out_of_range_value_exit_2(self, tmp_path, capsys, section, entries):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("[problem]\nname = lasso\n\n[%s]\n%s\n\n"
+                            "[run]\nhorizon = 20\nseeds = 0\n" % (section, entries))
+        assert cli_main(["validate", "--config", str(cfg_path)]) == 2
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text("[problem]\nname = unknown-problem\n")

@@ -45,6 +45,14 @@ class TestValidateHypotheses:
         assert not cert.ok
         assert any("gamma0" in c.name for c in cert.failed())
 
+    def test_schedule_beta_above_operator_beta_rejected(self):
+        # gamma0 lies below the schedule's beta but not below B's.
+        inst = build_instance("lasso", {})
+        beta = inst.spec.B.beta
+        bad = Schedules.constant(1.2 * beta, 0.9, 2.0 * beta)
+        cert = validate_hypotheses(inst.spec, bad, 50)
+        assert [c.name for c in cert.failed()] == ["gamma0 below beta"]
+
     def test_monotone_varying_schedules_pass(self):
         # Decreasing gamma with a positive floor, increasing capped tau.
         inst = build_instance("lasso", {})

@@ -164,8 +164,6 @@ class TestSaddleFunctions:
         inst = build_instance(name, {})
         K = saddle_function(inst)
         x, v = oracle_solution(inst)
-        if inst.kind == "composite":
-            x = inst.lifted.embed_primal(x)
         k_star = saddle_value(K, x, v)
         rng = np.random.default_rng(1)
         for _ in range(10):
