@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 
-from papc.composite import validate_composite
 from papc.diagnostics import GapConstant, gap_and_bound, kkt_residual, rate_fit
 from papc.runner import default_checkpoints
 from papc.solver import run, validate_hypotheses
@@ -23,10 +22,7 @@ def run_problem(name, horizon):
     inst = build_instance(name, {})
     x_ref, v_ref = oracle_solution(inst)
     spec = inst.spec
-    if inst.kind == "composite":
-        cert = validate_composite(inst.composite, inst.schedules, horizon)
-    else:
-        cert = validate_hypotheses(spec, inst.schedules, horizon)
+    cert = validate_hypotheses(spec, inst.schedules, horizon)
     if not cert.ok:
         raise SystemExit("schedule certificate failed for %s: %s"
                          % (name, [c.name for c in cert.failed()]))

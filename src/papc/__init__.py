@@ -13,7 +13,7 @@ from .monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, ProxF
                        conjugate_prox_via_moreau, inverse_resolvent, prox_in_metric,
                        resolvent)
 from .solver import (ErgodicAccumulator, PapcState, ProblemSpec, RunRecord, Schedules,
-                     ergodic_update, papc_step, run, saddle_step, validate_hypotheses)
+                     ergodic_update, papc_step, run, validate_hypotheses)
 from .composite import CompositeBlock, CompositeProblem, lift, lift_flat_equivalence, stack
 from .diagnostics import (GapConstant, SaddleFunction, epsilon_saddle_check, fejer_tracker,
                           gap_and_bound, kkt_residual, rate_fit, saddle_value)

@@ -12,17 +12,16 @@ replicates one base-space sample across the m copies.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linop import LinearMap, OrthoProjector, SpdOperator, validate_tau
+from .linop import LinearMap, OrthoProjector, SpdOperator
 from .monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, ProxFunction,
                        inverse_resolvent)
-from .solver import ConditionCheck, PapcState, ProblemSpec, papc_step, validate_hypotheses
+from .solver import PapcState, ProblemSpec, papc_step
 from .stochastic import DeterministicOracle, GaussianOracle
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "LiftedProblem",
     "stack",
     "lift",
-    "validate_composite",
     "lift_flat_equivalence",
     "composite_dual_residuals",
     "ReplicatedOracle",
@@ -80,8 +78,8 @@ class CompositeProblem:
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or len(self.blocks) != w.size:
             raise DimensionMismatchError("one weight per block required")
-        if np.any(w < 0) or np.any(w > 1) or abs(float(w.sum()) - 1.0) > 1e-12:
-            raise DimensionMismatchError("weights must lie in [0,1] and sum to 1")
+        if np.any(w <= 0) or np.any(w > 1) or abs(float(w.sum()) - 1.0) > 1e-12:
+            raise DimensionMismatchError("weights must lie in (0,1] and sum to 1")
         for blk in self.blocks:
             if blk.L.domain_dim != self.C.dim:
                 raise DimensionMismatchError("block L domain must match the base space")
@@ -273,27 +271,6 @@ class ReplicatedOracle:
 
     def error_second_moment(self, n):
         return self.inner.error_second_moment(n)
-
-
-def validate_composite(cp, sched, horizon, regime="almost-sure", margin=1e-6):
-    """The hypothesis gate of the stacked spec plus the blockwise spectral
-    conditions tau sigma_i lambda_max(L_i L_i*) < 1 - margin.
-
-    The blockwise checks stay because the stacked spectral estimate can lie
-    below the per-block ones: the run is gated on their conjunction.
-    """
-    cert = validate_hypotheses(stack(cp), sched, horizon, regime=regime, margin=margin)
-    tau_margin = margin if regime == "almost-sure" else 0.0
-    full = OrthoProjector.full(cp.base_dim)
-    checks = list(cert.checks)
-    for i, blk in enumerate(cp.blocks):
-        u_i = SpdOperator.scalar_op(blk.sigma, blk.A.dim)
-        bcert = validate_tau(u_i, blk.L, full, sched.tau_cap, margin=tau_margin)
-        checks.append(ConditionCheck(
-            "block %d spectral condition" % i, bcert.ok,
-            "tau*lambda_max=%.6g (status %s)" % (bcert.tau * bcert.spectral_estimate,
-                                                 bcert.status)))
-    return dataclasses.replace(cert, ok=all(c.ok for c in checks), checks=tuple(checks))
 
 
 def lift_flat_equivalence(cp, sched, seed, steps, noise=None, x0=None, vs0=None):

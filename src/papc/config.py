@@ -17,7 +17,7 @@ Sections and keys::
                 tau_cap    = <float> > 0 | auto    (auto = certified cap)
     [noise]     kind    = none | gaussian | minibatch
                 sigma0  = <float> >= 0   (per-coordinate variance sigma_0^2)
-                epsilon = <float>   (polynomial decay exponent)
+                epsilon = <float> >= 0   (polynomial decay exponent, 0 = constant)
                 regime  = almost-sure | ergodic
                 batch_schedule = <int> >= 1   (minibatch size, minibatch only)
     [run]       horizon     = <int>
@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError("unknown regime %r" % self.regime)
         if not self.sigma0_sq >= 0:
             raise ConfigError("sigma0 must be nonnegative")
+        if not self.epsilon >= 0:
+            raise ConfigError("epsilon must be nonnegative (0 = constant variance)")
         if self.tau_cap is not None and not self.tau_cap > 0:
             raise ConfigError("tau_cap must be positive (or auto)")
         if self.batch_schedule is not None and self.batch_schedule < 1:

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composite import CompositeBlock, CompositeProblem, stack, validate_composite
+from .composite import CompositeBlock, CompositeProblem, stack
 from .config import (ExperimentConfig, parse_config, parse_projector_spec, parse_prox_spec,
                      parse_smooth_spec, serialize_config)
-from .diagnostics import GapConstant, gap_and_bound, kkt_residual, rate_fit
-from .errors import ConfigError, DivergenceError
-from .linop import (LinearMap, OrthoProjector, SpdOperator, coupling_spectral_estimate,
-                    inner, norm, read_matrix, weighted_norm_sq)
+from .diagnostics import GapConstant, GapRow, fejer_tracker, gap_and_bound, kkt_residual, rate_fit
+from .errors import ConfigError, DimensionMismatchError, DivergenceError, PapcError
+from .linop import (LinearMap, OrthoProjector, SpdOperator, coupling_spectral_estimate, norm,
+                    read_matrix)
 from .monotone import MonotoneBlock, gradient_map
 from .solver import ProblemSpec, Schedules, run, validate_hypotheses
 from .stochastic import (DeterministicOracle, GaussianOracle, MinibatchOracle,
@@ -66,9 +66,17 @@ class _Bound:
     cfg: ExperimentConfig
     instance: object
     schedules: Schedules
-    kind: str  # "single" | "composite"
     noise: object  # VarianceSchedule or None
-    oracle_available: bool = True
+
+
+def _custom_coupling(params, key, dim, base, label):
+    """The coupling tagged ``identity`` (default) or ``matrix:<path>``."""
+    tag = params.get(key, "identity")
+    if tag == "identity":
+        return LinearMap.identity(dim)
+    if tag.startswith("matrix:"):
+        return LinearMap.from_matrix(read_matrix(os.path.join(base, tag.split(":", 1)[1])))
+    raise ConfigError("%s must be 'identity' or 'matrix:<path>'" % label)
 
 
 def _build_custom_single(cfg):
@@ -78,14 +86,7 @@ def _build_custom_single(cfg):
     h, lipschitz = parse_smooth_spec(params.get("h", "zero"), dim, base)
     if lipschitz <= 0:
         raise ConfigError("custom problems need a smooth term with positive curvature")
-    L_spec = params.get("L", "identity")
-    if L_spec == "identity":
-        L = LinearMap.identity(dim)
-    elif L_spec.startswith("matrix:"):
-        L = LinearMap.from_matrix(read_matrix(
-            os.path.join(base, L_spec.split(":", 1)[1])))
-    else:
-        raise ConfigError("custom L must be 'identity' or 'matrix:<path>'")
+    L = _custom_coupling(params, "L", dim, base, "custom L")
     g = parse_prox_spec(params.get("g", "zero"), L.codomain_dim, base)
     P = parse_projector_spec(params.get("projector", "full"), dim, base)
     U = SpdOperator.scalar_op(float(params.get("sigma", 1.0)), L.codomain_dim)
@@ -96,8 +97,7 @@ def _build_custom_single(cfg):
         raise ConfigError("could not estimate the coupling spectrum for tau")
     tau = 0.9 / max(est.value, 1e-12)
     sched = Schedules.constant(0.9 * spec.B.beta, tau, spec.B.beta)
-    return zoo_mod.ZooInstance("custom", "single", sched,
-                               tuple(sorted(params.items())), spec=spec,
+    return zoo_mod.ZooInstance("custom", sched, tuple(sorted(params.items())), spec,
                                description="config-assembled problem")
 
 
@@ -112,14 +112,7 @@ def _build_custom_composite(cfg):
     i = 1
     while ("block%d.g" % i) in params or ("block%d.L" % i) in params:
         prefix = "block%d." % i
-        L_spec = params.get(prefix + "L", "identity")
-        if L_spec == "identity":
-            L = LinearMap.identity(dim)
-        elif L_spec.startswith("matrix:"):
-            L = LinearMap.from_matrix(read_matrix(
-                os.path.join(base, L_spec.split(":", 1)[1])))
-        else:
-            raise ConfigError("%sL must be 'identity' or 'matrix:<path>'" % prefix)
+        L = _custom_coupling(params, prefix + "L", dim, base, prefix + "L")
         g = parse_prox_spec(params.get(prefix + "g", "zero"), L.codomain_dim, base)
         sigma = float(params.get(prefix + "sigma", 1.0))
         blocks.append(CompositeBlock(L=L, A=MonotoneBlock.from_prox(g), sigma=sigma, g=g))
@@ -127,8 +120,11 @@ def _build_custom_composite(cfg):
         i += 1
     if not blocks:
         raise ConfigError("custom_composite needs block1.g/block1.L/... entries")
-    cp = CompositeProblem(weights=np.array(weights), C=gradient_map(h, lipschitz),
-                          blocks=tuple(blocks), h=h, name="custom_composite")
+    try:
+        cp = CompositeProblem(weights=np.array(weights), C=gradient_map(h, lipschitz),
+                              blocks=tuple(blocks), h=h, name="custom_composite")
+    except DimensionMismatchError as exc:
+        raise ConfigError("custom_composite: %s" % exc) from exc
     caps = []
     for blk in cp.blocks:
         est = coupling_spectral_estimate(SpdOperator.scalar_op(blk.sigma, blk.A.dim),
@@ -137,21 +133,18 @@ def _build_custom_composite(cfg):
             raise ConfigError("could not estimate a block coupling spectrum for tau")
         caps.append(0.9 / max(est.value, 1e-12))
     sched = Schedules.constant(0.9 * cp.C.beta, min(caps), cp.C.beta)
-    return zoo_mod.ZooInstance("custom_composite", "composite", sched,
-                               tuple(sorted(params.items())), spec=stack(cp),
-                               composite=cp, description="config-assembled composite problem")
+    return zoo_mod.ZooInstance("custom_composite", sched, tuple(sorted(params.items())),
+                               stack(cp), composite=cp,
+                               description="config-assembled composite problem")
 
 
 def bind(cfg):
     """Materialize problem, schedules and noise model from a config."""
     cfg.validate()
-    oracle_available = True
     if cfg.problem == "custom":
         inst = _build_custom_single(cfg)
-        oracle_available = False
     elif cfg.problem == "custom_composite":
         inst = _build_custom_composite(cfg)
-        oracle_available = False
     else:
         inst = zoo_mod.build_instance(cfg.problem, cfg.problem_params)
     base = inst.schedules
@@ -172,7 +165,7 @@ def bind(cfg):
                               "(the zoo quadratics); custom problems must drive "
                               "stochastic.MinibatchOracle through the API")
         noise = "minibatch"
-    return _Bound(cfg, inst, sched, inst.kind, noise, oracle_available)
+    return _Bound(cfg, inst, sched, noise)
 
 
 def _make_oracle(bound, seed):
@@ -187,14 +180,13 @@ def _make_oracle(bound, seed):
     return GaussianOracle(base_map, bound.noise, seed)
 
 
+def _gate(bound, horizon):
+    return validate_hypotheses(bound.instance.spec, bound.schedules, horizon,
+                               regime=bound.cfg.regime)
+
+
 def validate_only(cfg, horizon=None):
-    bound = bind(cfg)
-    horizon = cfg.horizon if horizon is None else horizon
-    if bound.kind == "single":
-        return validate_hypotheses(bound.instance.spec, bound.schedules, horizon,
-                                   regime=cfg.regime)
-    return validate_composite(bound.instance.composite, bound.schedules, horizon,
-                              regime=cfg.regime)
+    return _gate(bind(cfg), cfg.horizon if horizon is None else horizon)
 
 
 def _fmt(x):
@@ -215,14 +207,16 @@ def _trace_rows(bound, record, oracle_xv):
     columns are left empty when no reference solution exists."""
     x_ref, v_ref = oracle_xv if oracle_xv is not None else (None, None)
     spec = bound.instance.spec
+    phis = None
+    if x_ref is not None:
+        phis = fejer_tracker(record, oracle_xv, bound.schedules, spec, check_monotone=False)
     rows = []
     for k in range(len(record.ns)):
         x, v = record.xs[k], record.vs[k]
         pres, dres = kkt_residual(x, v, spec)
         phi = dist_x = dist_v = None
         if x_ref is not None:
-            phi = inner(x - x_ref, x - x_ref, spec.primal_weights) + weighted_norm_sq(
-                v - v_ref, spec.U, record.taus[k], record.gammas[k], spec.L, spec.P_V)
+            phi = phis[k]
             dist_x = norm(x - x_ref, spec.primal_weights)
             dist_v = norm(v - v_ref, spec.dual_weights)
         gg = record.grad_gap_partial[k] if record.grad_gap_partial is not None else None
@@ -274,7 +268,17 @@ def _gap_csv_rows(rows):
 
 def _run_seed(bound, seed, out_dir, oracle_xv):
     """One seed: run, write its trace CSV (and gap CSV when K is available),
-    return the summary fragment."""
+    return the summary fragment.  A failure other than divergence ends the
+    seed with status ``error`` and its message instead of ending the
+    experiment."""
+    try:
+        return _seed_artifacts(bound, seed, out_dir, oracle_xv)
+    except PapcError as exc:
+        return {"seed": seed, "status": "error", "error": str(exc), "terminal_dist_x": None,
+                "terminal_dist_v": None, "gap": None}
+
+
+def _seed_artifacts(bound, seed, out_dir, oracle_xv):
     cfg = bound.cfg
     spec = bound.instance.spec
     checkpoints = _resolve_checkpoints(cfg)
@@ -342,8 +346,8 @@ class ExperimentResult:
 def run_experiment(cfg, out_dir=None, jobs=1, force=False, seed_override=None):
     """Execute a full experiment: validate, run every seed, write artifacts.
 
-    Exit code semantics: 0 success, 1 any seed diverged, 2 config/hypothesis
-    rejection (unless ``force``).
+    Exit code semantics: 0 success, 1 any seed diverged or failed, 2
+    config/hypothesis rejection (unless ``force``).
     """
     if isinstance(cfg, str):
         cfg = parse_config(cfg)
@@ -355,7 +359,7 @@ def run_experiment(cfg, out_dir=None, jobs=1, force=False, seed_override=None):
 
     t0 = time.perf_counter()
     bound = bind(cfg)
-    cert = validate_only(cfg)
+    cert = _gate(bound, cfg.horizon)
     cert_summary = {
         "ok": cert.ok,
         "regime": cert.regime,
@@ -370,7 +374,8 @@ def run_experiment(cfg, out_dir=None, jobs=1, force=False, seed_override=None):
     with open(os.path.join(out_dir, "config.cfg"), "w", encoding="utf-8") as fh:
         fh.write(serialize_config(cfg))
 
-    oracle_xv = zoo_mod.oracle_solution(bound.instance) if bound.oracle_available else None
+    oracle_xv = (zoo_mod.oracle_solution(bound.instance)
+                 if bound.instance.oracle is not None else None)
     seeds = sorted(set(int(s) for s in cfg.seeds))
     if jobs > 1 and len(seeds) > 1:
         cfg_text = serialize_config(cfg)
@@ -384,6 +389,8 @@ def run_experiment(cfg, out_dir=None, jobs=1, force=False, seed_override=None):
         per_seed = [_run_seed(bound, s, out_dir, oracle_xv) for s in seeds]
     per_seed.sort(key=lambda d: d["seed"])
 
+    dists = [d["terminal_dist_x"] for d in per_seed if d["terminal_dist_x"] is not None]
+    statuses = {d["status"] for d in per_seed}
     gap_mean_rows = _mean_gap(per_seed)
     if gap_mean_rows:
         _write_csv(os.path.join(out_dir, "gap_mean.csv"), GAP_COLUMNS, gap_mean_rows)
@@ -397,9 +404,9 @@ def run_experiment(cfg, out_dir=None, jobs=1, force=False, seed_override=None):
         "seeds": {str(d["seed"]): {k: d[k] for k in
                                    ("status", "error", "terminal_dist_x", "terminal_dist_v")}
                   for d in per_seed},
-        "max_terminal_dist_x": (max(d["terminal_dist_x"] for d in per_seed)
-                                if per_seed[0]["terminal_dist_x"] is not None else None),
-        "status": "ok" if all(d["status"] == "ok" for d in per_seed) else "diverged",
+        "max_terminal_dist_x": max(dists) if dists else None,
+        "status": ("ok" if statuses == {"ok"} else
+                   "error" if "error" in statuses else "diverged"),
         "wall_time_s": time.perf_counter() - t0,
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
@@ -409,25 +416,16 @@ def run_experiment(cfg, out_dir=None, jobs=1, force=False, seed_override=None):
 
 
 def _mean_gap(per_seed):
+    """The seed-averaged gap table, as CSV rows; empty unless every gap table
+    shares its checkpoints."""
     tables = [d["gap"]["rows"] for d in per_seed if d.get("gap")]
     if not tables or any(len(t) != len(tables[0]) for t in tables):
         return []
-    out = []
-    rows_by_k = list(zip(*tables))
-    means = []
-    for k, group in enumerate(rows_by_k):
-        ns = {g[0] for g in group}
-        if len(ns) != 1:
+    rows = []
+    for group in zip(*tables):
+        if len({g[0] for g in group}) != 1:
             return []
         gaps = [g[1] for g in group if math.isfinite(g[1])]
         mean = sum(gaps) / len(gaps) if gaps else math.nan
-        means.append((group[0][0], mean, group[0][2], group[0][3]))
-    for k, (n, mean, bnd, sg) in enumerate(means):
-        pairs = [(m[0], m[1]) for m in means[: k + 1] if math.isfinite(m[1])]
-        try:
-            slope = _fmt(rate_fit(pairs, (max(1.0, n / 100.0), max(n, 1))))
-        except ValueError:
-            slope = ""
-        out.append((str(n), _fmt(mean) if math.isfinite(mean) else "",
-                    _fmt(bnd), _fmt(sg), slope))
-    return out
+        rows.append(GapRow(group[0][0], mean, group[0][2], group[0][3], math.isfinite(mean)))
+    return _gap_csv_rows(rows)

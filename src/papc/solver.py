@@ -9,9 +9,9 @@ dual preconditioner and r_n one stochastic sample of the cocoercive operator
     x_{n+1} = P_V(x_n - gamma_n (L* v_{n+1} + r_n))
 
 The dual resolvent is synthesized from A's resolvent through the inversion
-identity, with the scalar (or per-block-scalar) reduction of U.  The saddle
-variant replaces it by the conjugate prox of g in the U^{-1} metric, which is
-the same map when A is the subdifferential of g.
+identity, with the scalar (or per-block-scalar) reduction of U.  A saddle
+problem min_x h(x) + g(Lx) is the case A = the subdifferential of g
+(``MonotoneBlock.from_prox(g)``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DimensionMismatchError, DivergenceError, UnsupportedMetricError
 from .linop import LinearMap, OrthoProjector, SpdOperator, TauCertificate, inner, validate_tau
 from .monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, ProxFunction,
-                       conjugate_prox_via_moreau, inverse_resolvent)
+                       inverse_resolvent)
 
 __all__ = [
     "ProblemSpec",
@@ -38,9 +38,7 @@ __all__ = [
     "ConditionCheck",
     "validate_hypotheses",
     "papc_step",
-    "saddle_step",
     "dual_resolvent",
-    "dual_conjugate_prox",
     "ergodic_update",
     "run",
 ]
@@ -51,7 +49,7 @@ class ProblemSpec:
     """The full inclusion datum: cocoercive B (or grad h), monotone dual block
     A (or g), coupling L, projector onto the constraint subspace, and the dual
     preconditioner U.  ``g``/``h`` are optional proxable/value oracles used by
-    the saddle variant and the gap diagnostics."""
+    the gap diagnostics."""
 
     B: CocoerciveMap
     A: MonotoneBlock | ProductMonotoneBlock
@@ -160,6 +158,28 @@ class HypothesisCertificate:
         return [c for c in self.checks if not c.ok]
 
 
+def _tau_detail(tcert):
+    return "tau*lambda_max=%.6g (status %s)" % (tcert.tau * tcert.spectral_estimate, tcert.status)
+
+
+def _dual_block(L, start, stop):
+    """L followed by the restriction to the dual coordinates [start, stop).
+    Its adjoint zero-pads, so L_i P L_i* is the compression of L P L* to
+    that block."""
+    wG = L.codomain_weights
+
+    def apply(x):
+        return L(x)[start:stop]
+
+    def adjoint(y):
+        padded = np.zeros(L.codomain_dim)
+        padded[start:stop] = y
+        return L.adjoint(padded)
+
+    return LinearMap(apply, adjoint, L.domain_dim, stop - start, L.domain_weights,
+                     None if wG is None else wG[start:stop], name="dual-block")
+
+
 def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6):
     """Check the step-size hypotheses over the run horizon.
 
@@ -167,7 +187,12 @@ def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6)
     gamma_0 < beta (the smaller of the schedule's and B's), inf gamma > 0,
     and (tau_cap U)^{-1} - L P_V L* positive definite (strict margin).  Ergodic regime: the same monotonicity and
     gamma_0 < beta, with positive semidefiniteness (margin 0) and no floor on
-    gamma.  Each violated condition is reported by name.
+    gamma.  When U is block-scalar, every block i is also checked on its own:
+    tau_cap sigma_i lambda_max(block i of L P_V L*) / w_i < 1 - margin, with
+    w_i the block's dual weight (on a stacked composite this is
+    tau_cap sigma_i lambda_max(L_i L_i*)), since the whole-space estimate can
+    lie below the per-block ones; a block whose weight is not positive fails.
+    Each violated condition is reported by name.
     """
     if regime not in ("almost-sure", "ergodic"):
         raise ValueError("unknown regime %r" % regime)
@@ -206,8 +231,21 @@ def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6)
 
     tau_margin = margin if regime == "almost-sure" else 0.0
     tcert = validate_tau(spec.U, spec.L, spec.P_V, sched.tau_cap, margin=tau_margin)
-    detail = "tau*lambda_max=%.6g (status %s)" % (tcert.tau * tcert.spectral_estimate, tcert.status)
-    checks.append(ConditionCheck("tau spectral condition", tcert.ok, detail))
+    checks.append(ConditionCheck("tau spectral condition", tcert.ok, _tau_detail(tcert)))
+    if spec.U.blocks is not None:
+        wG = spec.dual_weights
+        for i, (start, stop, sigma) in enumerate(spec.U.blocks):
+            name = "block %d spectral condition" % i
+            w_i = 1.0 if wG is None else float(wG[start])
+            if not w_i > 0.0:
+                # L* scales the block by w_i, so L_i* is lost and the block
+                # does not act on x: not a composite weight in (0, 1].
+                checks.append(ConditionCheck(name, False, "dual weight %.6g not positive" % w_i))
+                continue
+            bcert = validate_tau(SpdOperator.scalar_op(sigma / w_i, stop - start),
+                                 _dual_block(spec.L, start, stop), spec.P_V, sched.tau_cap,
+                                 margin=tau_margin)
+            checks.append(ConditionCheck(name, bcert.ok, _tau_detail(bcert)))
 
     return HypothesisCertificate(
         ok=all(c.ok for c in checks),
@@ -234,24 +272,14 @@ def dual_resolvent(spec, lam, w):
         "dual resolvent needs a scalar or aligned block-scalar preconditioner")
 
 
-def dual_conjugate_prox(spec, lam, w):
-    """prox^{U^{-1}}_{lam g*}(w) under the scalar reduction of U."""
-    if spec.U.scalar is not None:
-        return conjugate_prox_via_moreau(spec.g, lam * spec.U.scalar, w)
-    raise UnsupportedMetricError(
-        "conjugate prox in a non-scalar metric needs a user-supplied metric prox")
-
-
 def _check_finite(arr, label, n, record=None):
     if not np.all(np.isfinite(arr)):
         raise DivergenceError(label, n, record)
 
 
-def papc_step(state, spec, sched, oracle, dual_update=dual_resolvent):
+def papc_step(state, spec, sched, oracle):
     """One iteration of the inclusion algorithm.  Draws exactly one oracle
-    sample and reuses it in the predictor and the correction line.
-    ``dual_update(spec, lam, w)`` is the dual line's map, by default the
-    resolvent of lam U A^{-1}."""
+    sample and reuses it in the predictor and the correction line."""
     n = state.n
     gam = float(sched.gamma(n))
     tau = float(sched.tau(n))
@@ -261,20 +289,11 @@ def papc_step(state, spec, sched, oracle, dual_update=dual_resolvent):
     _check_finite(p, "p_n", n)
     lam = tau / gam
     w = state.v + lam * spec.U.apply(spec.L(p))
-    v1 = dual_update(spec, lam, w)
+    v1 = dual_resolvent(spec, lam, w)
     _check_finite(v1, "v_{n+1}", n)
     x1 = spec.P_V(state.x - gam * (spec.L.adjoint(v1) + r))
     _check_finite(x1, "x_{n+1}", n)
     return PapcState(n + 1, x1, v1, p, r)
-
-
-def saddle_step(state, spec, sched, oracle):
-    """One iteration of the saddle-point variant: :func:`papc_step` whose
-    dual line is the conjugate prox of g in the U^{-1} metric, the same map
-    as the dual resolvent when A is the subdifferential block of g."""
-    if spec.g is None:
-        raise ValueError("saddle_step needs spec.g (a ProxFunction)")
-    return papc_step(state, spec, sched, oracle, dual_update=dual_conjugate_prox)
 
 
 @dataclass(frozen=True)
@@ -380,7 +399,7 @@ class TraceBuffer:
 
 
 def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
-        grad_gap_reference=None, step=papc_step):
+        grad_gap_reference=None):
     """Iterate the algorithm for ``horizon`` steps and record the trace.
 
     The initial point is projected onto V (the update projects anyway, so
@@ -422,7 +441,7 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
             _store(n, state)
         gam = float(sched.gamma(n))
         try:
-            state = step(state, spec, sched, oracle)
+            state = papc_step(state, spec, sched, oracle)
         except DivergenceError as exc:
             exc.record = trace.record(snaps, stochastic, str(exc))
             raise

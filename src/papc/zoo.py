@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -44,13 +44,14 @@ __all__ = [
 class ZooInstance:
     """A built problem.  ``spec`` is what the solver runs: the problem itself,
     or the stacked spec of ``composite``; ``lifted`` is a composite's
-    independent reference, where its oracle needs one."""
+    independent reference, where its oracle needs one.  ``oracle`` computes
+    the reference pair (x, v) on ``spec`` (None when there is none)."""
 
     name: str
-    kind: str  # "single" | "composite"
     schedules: Schedules
     params: tuple
-    spec: Optional[ProblemSpec] = None
+    spec: ProblemSpec
+    oracle: Optional[Callable] = None
     composite: Optional[CompositeProblem] = None
     lifted: Optional[LiftedProblem] = None
     components: Optional[tuple] = None  # maps whose mean is the smooth operator
@@ -226,12 +227,11 @@ def _build_cls(params):
     )
     lmax = _coupling_lambda_max(spec.L, spec.P_V)
     sched = Schedules.constant(0.9 * spec.B.beta, 0.9 / lmax, spec.B.beta)
-    inst = ZooInstance("cls", "single", sched, tuple(sorted(params.items())), spec=spec,
+    return ZooInstance("cls", sched, tuple(sorted(params.items())), spec,
+                       oracle=lambda: cls_kkt_oracle(D, a, Lmat, b, basis),
                        components=_quadratic_components(D, a),
                        description="constrained least squares on a proper subspace; "
                                    "oracle: dense KKT solve")
-    _ORACLES[_key(inst)] = lambda: cls_kkt_oracle(D, a, Lmat, b, basis)
-    return inst
 
 
 def _build_lasso(params):
@@ -255,12 +255,11 @@ def _build_lasso(params):
         g=g, h=h, name="lasso",
     )
     sched = Schedules.constant(0.9 * spec.B.beta, 0.9, spec.B.beta)
-    inst = ZooInstance("lasso", "single", sched, tuple(sorted(params.items())), spec=spec,
+    return ZooInstance("lasso", sched, tuple(sorted(params.items())), spec,
+                       oracle=lambda: lasso_sign_oracle(D, a, weight),
                        components=_quadratic_components(D, a),
                        description="l1-regularized quadratic, identity coupling; "
                                    "oracle: sign-pattern enumeration")
-    _ORACLES[_key(inst)] = lambda: lasso_sign_oracle(D, a, weight)
-    return inst
 
 
 def _build_fused(params):
@@ -287,12 +286,11 @@ def _build_fused(params):
     # lambda_max(L L*) = ||L||^2, which the difference operator knows in closed form.
     lmax = spec.L.norm_bound() ** 2
     sched = Schedules.constant(0.9, 0.9 / lmax, 1.0)
-    inst = ZooInstance("fused", "single", sched, tuple(sorted(params.items())), spec=spec,
+    return ZooInstance("fused", sched, tuple(sorted(params.items())), spec,
+                       oracle=lambda: long_run_oracle(spec, 1.0, 0.5 / lmax),
                        components=_coordinate_components(a),
                        description="1-d total variation via the matrix-free difference "
                                    "operator; oracle: cached conservative long-horizon run")
-    _ORACLES[_key(inst)] = lambda: long_run_oracle(spec, 1.0, 0.5 / lmax)
-    return inst
 
 
 def _build_multi(params):
@@ -326,15 +324,20 @@ def _build_multi(params):
                           blocks=tuple(blocks), h=h, name="multi")
     lp = lift(cp)
     sched = Schedules.constant(0.9 * mu, 0.9, mu)
-    inst = ZooInstance("multi", "composite", sched, tuple(sorted(params.items())),
-                       spec=stack(cp), composite=cp, lifted=lp,
+
+    def oracle():
+        # sigma_i = 1/lambda_max(L_i L_i*) normalizes every block's coupling, so
+        # the symmetrized lifted spectrum is at most 1 and tau = 0.5 is
+        # conservative.  The lifted run is accepted under its own KKT check;
+        # the base-space primal is its first diagonal copy.
+        bold_x, v = long_run_oracle(lp.spec, mu, 0.5)
+        return lp.extract_primal(bold_x), v
+
+    return ZooInstance("multi", sched, tuple(sorted(params.items())), stack(cp),
+                       oracle=oracle, composite=cp, lifted=lp,
                        components=_quadratic_components(D, a),
                        description="three composite blocks (l1, box support, quadratic); "
                                    "oracle: long-horizon run on the lifted problem")
-    # sigma_i = 1/lambda_max(L_i L_i*) normalizes every block's coupling, so the
-    # symmetrized lifted spectrum is at most 1 and tau = 0.5 is conservative.
-    _ORACLES[_key(inst)] = lambda: long_run_oracle(lp.spec, mu, 0.5)
-    return inst
 
 
 _ENTRIES = {
@@ -346,17 +349,12 @@ _ENTRIES = {
 }
 
 _INSTANCES = {}
-_ORACLES = {}
 _SOLUTIONS = {}
 
 
 def zoo():
     """The problem registry."""
     return dict(_ENTRIES)
-
-
-def _key(inst):
-    return (inst.name, inst.params)
 
 
 def build_instance(name, params=None):
@@ -372,22 +370,13 @@ def build_instance(name, params=None):
 
 
 def oracle_solution(inst):
-    """The instance's independent reference pair (x, v), memoized, with the
-    KKT self-check (<= 1e-8) enforced before anything consumes it.
-
-    For composite instances the primal is returned in base coordinates and
-    the dual stacked blockwise (the lifted layout).
-    """
-    key = _key(inst)
+    """The instance's independent reference pair (x, v) on ``inst.spec``,
+    memoized, with the KKT self-check (<= 1e-8) enforced before anything
+    consumes it."""
+    key = (inst.name, inst.params)
     if key not in _SOLUTIONS:
-        x, v = _ORACLES[key]()
-        if inst.kind == "single":
-            pres, dres = kkt_residual(x, v, inst.spec)
-        else:
-            lp = inst.lifted
-            bold_x = x if x.size == lp.m * lp.base_dim else lp.embed_primal(x)
-            pres, dres = kkt_residual(bold_x, v, lp.spec)
-            x = lp.extract_primal(bold_x)
+        x, v = inst.oracle()
+        pres, dres = kkt_residual(x, v, inst.spec)
         if max(pres, dres) > 1e-8:
             raise OracleError("oracle self-check failed for %s: kkt=(%.3e, %.3e)"
                               % (inst.name, pres, dres))

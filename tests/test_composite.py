@@ -1,14 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from papc.composite import (CompositeBlock, CompositeProblem, ReplicatedOracle,
-                            composite_dual_residuals, lift, lift_flat_equivalence, stack,
-                            validate_composite)
+                            composite_dual_residuals, lift, lift_flat_equivalence, stack)
 from papc.errors import DimensionMismatchError
 from papc.linop import LinearMap, adjoint_consistency_check, norm
 from papc.monotone import (MonotoneBlock, cocoercivity_check, gradient_map, l1,
                            quadratic_lipschitz, quadratic_ls, sq_dist, zero_prox)
-from papc.solver import PapcState, Schedules, papc_step, run, saddle_step
+from papc.solver import PapcState, Schedules, papc_step, run, validate_hypotheses
 from papc.stochastic import DeterministicOracle, GaussianOracle, VarianceSchedule
 from papc.zoo import build_instance, oracle_solution
 
@@ -61,6 +62,12 @@ class TestLift:
         cp, _ = single_block_problem()
         with pytest.raises(DimensionMismatchError):
             CompositeProblem(weights=np.array([0.5, 0.4]), C=cp.C,
+                             blocks=cp.blocks * 2, h=cp.h)
+
+    def test_zero_weight_rejected(self):
+        cp, _ = single_block_problem()
+        with pytest.raises(DimensionMismatchError):
+            CompositeProblem(weights=np.array([1.0, 0.0]), C=cp.C,
                              blocks=cp.blocks * 2, h=cp.h)
 
     def test_zero_coupling_rejected(self):
@@ -157,21 +164,22 @@ class TestStructuredMin:
         rng = np.random.default_rng(4)
         D = np.eye(dim) + 0.1 * rng.standard_normal((dim, dim))
         h = quadratic_ls(D, rng.standard_normal(dim))
+        g = zero_prox(dim)
         blocks = tuple(
-            CompositeBlock(L=LinearMap.identity(dim), A=MonotoneBlock.zero(dim),
-                           sigma=1.0, g=zero_prox(dim))
+            CompositeBlock(L=LinearMap.identity(dim), A=MonotoneBlock.from_prox(g),
+                           sigma=1.0, g=g)
             for _ in range(2))
         cp = CompositeProblem(weights=np.array([0.6, 0.4]),
                               C=gradient_map(h, quadratic_lipschitz(D)),
                               blocks=blocks, h=h)
         sched = Schedules.constant(0.9 * cp.C.beta, 0.5, cp.C.beta)
         st = PapcState(0, rng.standard_normal(dim), np.zeros(2 * dim))
-        out = saddle_step(st, stack(cp), sched, DeterministicOracle(cp.C))
+        out = papc_step(st, stack(cp), sched, DeterministicOracle(cp.C))
         gamma = sched.gamma0
         np.testing.assert_allclose(out.x, st.x - gamma * cp.C.apply(st.x), atol=1e-14)
         np.testing.assert_array_equal(out.v, np.zeros(2 * dim))
 
-    def test_m1_l1_matches_saddle_step(self):
+    def test_m1_l1_matches_single_block(self):
         from papc.solver import ProblemSpec
         from papc.linop import OrthoProjector, SpdOperator
         cp, sched = single_block_problem()
@@ -184,28 +192,28 @@ class TestStructuredMin:
         a = PapcState(0, np.zeros(3), np.zeros(3))
         b = PapcState(0, np.zeros(3), np.zeros(3))
         for _ in range(30):
-            a = saddle_step(a, stacked, sched, oracle)
-            b = saddle_step(b, spec, sched, oracle)
+            a = papc_step(a, stacked, sched, oracle)
+            b = papc_step(b, spec, sched, oracle)
             assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
 
 
 class TestValidateComposite:
     def test_multi_passes(self):
         inst = build_instance("multi", {})
-        cert = validate_composite(inst.composite, inst.schedules, 200)
+        cert = validate_hypotheses(inst.spec, inst.schedules, 200)
         assert cert.ok, cert.failed()
 
     def test_gamma_above_mu_fails(self):
         inst = build_instance("multi", {})
         bad = Schedules.constant(2.0 * inst.composite.C.beta, 0.9, inst.composite.C.beta)
-        cert = validate_composite(inst.composite, bad, 50)
+        cert = validate_hypotheses(inst.spec, bad, 50)
         assert any("beta" in c.name for c in cert.failed())
 
     def test_oversized_tau_fails_blockwise(self):
         inst = build_instance("multi", {})
         bad = Schedules.constant(0.5 * inst.composite.C.beta, 5.0,
                                  inst.composite.C.beta)
-        cert = validate_composite(inst.composite, bad, 50)
+        cert = validate_hypotheses(inst.spec, bad, 50)
         assert any("block" in c.name for c in cert.failed())
 
     def test_block_checks_reject_what_the_stacked_check_passes(self):
@@ -214,10 +222,26 @@ class TestValidateComposite:
         # stacked spectral check and must fail on the blocks.
         inst = build_instance("multi", {})
         beta = inst.composite.C.beta
-        cert = validate_composite(inst.composite, Schedules.constant(0.9 * beta, 1.05, beta), 50)
+        cert = validate_hypotheses(inst.spec, Schedules.constant(0.9 * beta, 1.05, beta), 50)
         failed = [c.name for c in cert.failed()]
         assert "tau spectral condition" not in failed
         assert any(name.startswith("block") for name in failed)
+
+
+    def test_zero_dual_weight_fails_its_block(self):
+        # A hand-built spec can carry a block whose dual weight is 0; its
+        # check fails by name instead of dividing by the weight.
+        inst = build_instance("multi", {})
+        spec = inst.spec
+        start, stop, _ = spec.U.blocks[1]
+        w = np.array(spec.dual_weights)
+        w[start:stop] = 0.0
+        L = LinearMap(spec.L, spec.L.adjoint, spec.L.domain_dim, spec.L.codomain_dim,
+                      spec.L.domain_weights, w)
+        cert = validate_hypotheses(dataclasses.replace(spec, L=L), inst.schedules, 50)
+        failed = [c.name for c in cert.failed()]
+        assert "block 1 spectral condition" in failed
+        assert "block 0 spectral condition" not in failed
 
 
 class TestDualStructure:

@@ -326,6 +326,7 @@ class TestCli:
         ("schedules", "tau_cap = -1"),
         ("schedules", "tau_cap = 0"),
         ("noise", "kind = minibatch\nbatch_schedule = -1"),
+        ("noise", "kind = gaussian\nepsilon = -1"),
     ])
     def test_out_of_range_value_exit_2(self, tmp_path, capsys, section, entries):
         cfg_path = tmp_path / "c.cfg"
@@ -335,6 +336,37 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+
+    def test_composite_block_without_omega_exit_2(self, tmp_path, capsys):
+        # A block with no omega has weight 0, which is not a composite weight.
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("[problem]\nname = custom_composite\ndim = 3\nh = sq_dist(b=0.0)\n"
+                            "block1.g = l1(weight=0.3)\nblock1.omega = 1\n"
+                            "block2.g = box_support(lo=-0.5, hi=0.5)\n\n"
+                            "[run]\nhorizon = 20\nseeds = 0\n")
+        assert cli_main(["validate", "--config", str(cfg_path)]) == 2
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "(0,1]" in err and "Traceback" not in err
+
+    def test_seed_error_is_recorded_per_seed(self, tmp_path, capsys):
+        # tau_cap = 5 violates the step-size condition on lasso; under --force
+        # the trace's weighted norm turns negative.  That ended the whole
+        # experiment with no summary; each seed now records the error.
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("[problem]\nname = lasso\n\n[schedules]\ntau_cap = 5.0\n\n"
+                            "[noise]\nkind = none\n\n[run]\nhorizon = 50\nseeds = 0 1\n")
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--force"]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        with open(out / "summary.json", encoding="utf-8") as fh:
+            summary = json.load(fh)
+        assert summary["status"] == "error"
+        assert set(summary["seeds"]) == {"0", "1"}
+        for seed in summary["seeds"].values():
+            assert seed["status"] == "error"
+            assert "weighted norm is negative" in seed["error"]
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"

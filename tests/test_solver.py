@@ -6,8 +6,8 @@ from papc.linop import LinearMap, OrthoProjector, SpdOperator, norm
 from papc.monotone import (CocoerciveMap, MonotoneBlock, l1, sq_dist, zero_prox,
                            gradient_map, quadratic_lipschitz, quadratic_ls, singleton)
 from papc.solver import (ErgodicAccumulator, PapcState, ProblemSpec, Schedules,
-                         ergodic_update, papc_step, run, saddle_step, validate_hypotheses)
-from papc.stochastic import DeterministicOracle, GaussianOracle, VarianceSchedule
+                         ergodic_update, papc_step, run, validate_hypotheses)
+from papc.stochastic import DeterministicOracle
 from papc.zoo import build_instance, oracle_solution
 
 
@@ -155,48 +155,41 @@ class TestPapcStep:
                       DeterministicOracle(spec.B))
 
 
+def saddle_spec(g):
+    """The one-dimensional saddle problem of g: A is the subdifferential of g."""
+    return one_dim_spec(A=MonotoneBlock.from_prox(g), g=g)
+
+
 class TestSaddleStep:
+    # papc_step on A = the subdifferential of g: the dual line is the
+    # conjugate prox of g.
     def test_zero_g_pins_dual_to_zero(self):
         # g = 0 has g* = indicator of {0}, so v_{n+1} = 0 regardless of input.
-        spec = one_dim_spec(g=zero_prox(1))
+        spec = saddle_spec(zero_prox(1))
         sched = Schedules.constant(0.5, 0.5, 1.0)
         state = PapcState(0, np.array([2.0]), np.array([5.0]))
-        out = saddle_step(state, spec, sched, DeterministicOracle(spec.B))
+        out = papc_step(state, spec, sched, DeterministicOracle(spec.B))
         assert out.v[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_singleton_g_gives_free_update(self):
         # Negative control: g = indicator of {0} has g* = 0, so the dual
         # update is the unclipped w = v + (tau/gamma) U L p.
-        g = singleton(0.0, dim=1)
-        spec = one_dim_spec(g=g)
+        spec = saddle_spec(singleton(0.0, dim=1))
         sched = Schedules.constant(0.5, 0.5, 1.0)
         state = PapcState(0, np.array([2.0]), np.array([5.0]))
-        out = saddle_step(state, spec, sched, DeterministicOracle(spec.B))
+        out = papc_step(state, spec, sched, DeterministicOracle(spec.B))
         expected_p = 2.0 - 0.5 * (5.0 + 2.0)
         assert out.v[0] == pytest.approx(5.0 + 1.0 * expected_p)
 
     def test_quadratic_g_closed_form(self):
         # g = 0.5|.|^2: g* = g, dual update is w / (1 + lam).
-        g = sq_dist(0.0, dim=1)
-        spec = one_dim_spec(g=g)
+        spec = saddle_spec(sq_dist(0.0, dim=1))
         sched = Schedules.constant(0.5, 0.5, 1.0)
         state = PapcState(0, np.array([2.0]), np.array([1.0]))
-        out = saddle_step(state, spec, sched, DeterministicOracle(spec.B))
+        out = papc_step(state, spec, sched, DeterministicOracle(spec.B))
         p = 2.0 - 0.5 * (1.0 + 2.0)
         w = 1.0 + 1.0 * p
         assert out.v[0] == pytest.approx(w / 2.0)
-
-    def test_bitwise_equal_to_papc_step_on_lasso(self):
-        inst = build_instance("lasso", {})
-        spec = inst.spec
-        sched = inst.schedules
-        oracle = GaussianOracle(spec.B, VarianceSchedule.polynomial(1.0, 1.0), seed=5)
-        a = PapcState(0, np.zeros(5), np.zeros(5))
-        b = PapcState(0, np.zeros(5), np.zeros(5))
-        for _ in range(100):
-            a = papc_step(a, spec, sched, oracle)
-            b = saddle_step(b, spec, sched, oracle)
-            assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
 
     def test_lasso_first_step_by_hand(self):
         # One step from zeros on a 2-d lasso: p0 = -gamma*grad h(0),
@@ -209,8 +202,8 @@ class TestSaddleStep:
                            L=LinearMap.identity(2), P_V=OrthoProjector.full(2),
                            U=SpdOperator.scalar_op(1.0, 2), g=g, h=h)
         sched = Schedules.constant(0.5, 0.8, 1.0)
-        out = saddle_step(PapcState(0, np.zeros(2), np.zeros(2)), spec, sched,
-                          DeterministicOracle(spec.B))
+        out = papc_step(PapcState(0, np.zeros(2), np.zeros(2)), spec, sched,
+                        DeterministicOracle(spec.B))
         p0 = -0.5 * (-a)
         w = (0.8 / 0.5) * p0
         v1 = np.clip(w, -1.0, 1.0)
@@ -218,12 +211,6 @@ class TestSaddleStep:
         np.testing.assert_allclose(out.p, p0, atol=1e-15)
         np.testing.assert_allclose(out.v, v1, atol=1e-15)
         np.testing.assert_allclose(out.x, x1, atol=1e-15)
-
-    def test_requires_g(self):
-        spec = one_dim_spec()
-        with pytest.raises(ValueError):
-            saddle_step(PapcState(0, np.zeros(1), np.zeros(1)), spec,
-                        Schedules.constant(0.5, 0.5, 1.0), DeterministicOracle(spec.B))
 
 
 class TestErgodic:
@@ -322,12 +309,3 @@ class TestRun:
                   np.zeros(2), np.zeros(2), 200001)
         assert rec.stride == 3
         assert rec.ns[-1] == 200001
-
-    def test_run_with_saddle_step_matches_default(self):
-        inst = build_instance("lasso", {})
-        args = (inst.spec, inst.schedules, DeterministicOracle(inst.spec.B),
-                np.zeros(5), np.zeros(5), 50)
-        r1 = run(*args)
-        from papc.solver import saddle_step as sstep
-        r2 = run(*args, step=sstep)
-        assert np.array_equal(r1.xs, r2.xs) and np.array_equal(r1.vs, r2.vs)
