@@ -140,7 +140,7 @@ def _stacked_dual(cp):
     """A, U and g on the stacked dual space G_1 x ... x G_m with the
     w-weighted inner product: the product block, the per-block scalar
     preconditioner, and the weighted sum of the g_i (when every block has
-    one), whose prox acts blockwise in that geometry."""
+    one) for the saddle value; the dual step goes through A."""
     omega = cp.weights
     offsets = cp.dual_offsets
     A = ProductMonotoneBlock(tuple(b.A for b in cp.blocks), cp.dual_dims)
@@ -153,17 +153,14 @@ def _stacked_dual(cp):
         def g_value(y):
             return float(sum(w * g.value(y[s:e]) for w, g, (s, e) in zip(omega, gs, offsets)))
 
-        def g_prox(lam, y):
-            return np.concatenate([g.prox(lam, y[s:e]) for g, (s, e) in zip(gs, offsets)])
-
         conj = None
         if all(g.conjugate_value is not None for g in gs):
             def conj(v):
                 return float(sum(w * g.conjugate_value(v[s:e])
                                  for w, g, (s, e) in zip(omega, gs, offsets)))
 
-        g = ProxFunction(sum(cp.dual_dims), value=g_value, prox=g_prox,
-                         conjugate_value=conj, name="stacked-g")
+        g = ProxFunction(sum(cp.dual_dims), value=g_value, conjugate_value=conj,
+                         name="stacked-g")
     return A, U, g
 
 
@@ -265,12 +262,9 @@ class ReplicatedOracle:
         self.dim = self.m * self.base_dim
         self.is_deterministic = getattr(base_oracle, "is_deterministic", False)
 
-    def sample(self, bold_x, n):
-        r = self.inner.sample(bold_x[: self.base_dim], n)
+    def sample(self, bold_x, n, t=0):
+        r = self.inner.sample(bold_x[: self.base_dim], n, t)
         return np.tile(r, self.m)
-
-    def error_second_moment(self, n):
-        return self.inner.error_second_moment(n)
 
 
 def lift_flat_equivalence(cp, sched, seed, steps, noise=None, x0=None, vs0=None):

@@ -33,6 +33,7 @@ Parsing then serializing then parsing is the identity.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass, field
@@ -52,6 +53,7 @@ __all__ = [
     "parse_prox_spec",
     "parse_projector_spec",
     "parse_smooth_spec",
+    "reads_input",
 ]
 
 _SECTIONS = ("problem", "schedules", "noise", "run", "output")
@@ -99,6 +101,21 @@ class ExperimentConfig:
         return self
 
 
+def reads_input(func):
+    """Mark ``func`` as a boundary where outside input is read: a ValueError
+    (a malformed value) or an OSError (an unreadable file) raised inside it
+    becomes a :class:`ConfigError` carrying the same message."""
+    @functools.wraps(func)
+    def boundary(*args, **kwargs):
+        try:
+            return func(*args, **kwargs)
+        except ConfigError:
+            raise
+        except (ValueError, OSError) as exc:
+            raise ConfigError(str(exc)) from exc
+    return boundary
+
+
 def _parse_sections(text):
     sections = {}
     current = None
@@ -123,6 +140,7 @@ def _opt_float(value):
     return None if value == "auto" else float(value)
 
 
+@reads_input
 def parse_config(text, base_dir="."):
     sec = _parse_sections(text)
     problem = dict(sec.get("problem", {}))
@@ -160,6 +178,7 @@ def parse_config(text, base_dir="."):
     return cfg.validate()
 
 
+@reads_input
 def parse_config_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))

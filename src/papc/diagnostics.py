@@ -96,13 +96,6 @@ class GapConstant:
     v0: np.ndarray
     c0: float = 0.0
 
-    def sigma_n(self, n):
-        g = float(self.sched.gamma(n))
-        t = float(self.sched.tau(n))
-        u_norm = self.spec.U.operator_norm_bound
-        l_norm = self.spec.L.norm_bound()
-        return g * (math.sqrt(t * g * u_norm) * l_norm ** 2 + 1.0)
-
     def c_of(self, x, v):
         wH = self.spec.primal_weights
         d0 = inner(self.x0 - x, self.x0 - x, wH)

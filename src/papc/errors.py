@@ -12,8 +12,9 @@ class DimensionMismatchError(PapcError, ValueError):
 class UnsupportedMetricError(PapcError, ValueError):
     """A metric prox/resolvent was requested for a metric with no closed form.
 
-    Shipped reductions cover scalar and per-block-scalar preconditioners;
-    anything else needs a user-supplied metric prox.
+    The closed forms cover a scalar metric and a per-block-scalar one aligned
+    with a product of blocks.  A ``ProblemSpec`` with any other dual
+    preconditioner is rejected when it is constructed.
     """
 
 

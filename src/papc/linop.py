@@ -400,7 +400,7 @@ def validate_tau(U, L, P, tau, margin=1e-6, tol=1e-10, max_iter=20000, rng=None)
         raise ValueError("tau must be positive")
     if L.domain_dim != P.dim or L.codomain_dim != U.dim:
         raise DimensionMismatchError("U/L/P dimensions are inconsistent")
-    res = power_iteration(_symmetrized_coupling(U, L, P), tol=tol, max_iter=max_iter, rng=rng)
+    res = coupling_spectral_estimate(U, L, P, tol=tol, max_iter=max_iter, rng=rng)
     if not res.converged:
         return TauCertificate(False, "indeterminate", res.value, float(tau), margin,
                               res.iterations, res.residual)

@@ -10,7 +10,7 @@ explicit infinite variant so domain violations stay detectable downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,7 +54,6 @@ class ProxFunction:
     ``prox(lam, x)`` returns prox_{lam*f}(x); ``value`` may return ``inf``
     outside the domain.  ``conjugate_value`` and ``gradient`` are optional
     oracles needed only by saddle-value evaluation and smooth terms.
-    ``metric_prox(U, x)``, when supplied, handles non-scalar metrics.
     """
 
     dim: int
@@ -62,7 +61,6 @@ class ProxFunction:
     prox: Optional[Callable] = None
     conjugate_value: Optional[Callable] = None
     gradient: Optional[Callable] = None
-    metric_prox: Optional[Callable] = None
     name: str = ""
 
 
@@ -104,29 +102,27 @@ class MonotoneBlock:
 
 @dataclass(frozen=True)
 class ProductMonotoneBlock:
-    """Blockwise product of monotone operators on stacked coordinates."""
+    """Blockwise product of monotone operators on stacked coordinates.
+    ``offsets`` holds the (start, stop) pair of every block."""
 
     blocks: tuple
     dims: tuple
+    offsets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.blocks) != len(self.dims):
             raise DimensionMismatchError("one dim per block required")
+        out, start = [], 0
         for b, d in zip(self.blocks, self.dims):
             if b.dim != d:
                 raise DimensionMismatchError("block dim mismatch")
+            out.append((start, start + d))
+            start += d
+        object.__setattr__(self, "offsets", tuple(out))
 
     @property
     def dim(self):
         return sum(self.dims)
-
-    @property
-    def offsets(self):
-        out, start = [], 0
-        for d in self.dims:
-            out.append((start, start + d))
-            start += d
-        return out
 
     def resolvent(self, lam, x):
         parts = [b.resolvent(lam, x[s:e]) for b, (s, e) in zip(self.blocks, self.offsets)]
@@ -167,13 +163,11 @@ def inverse_resolvent(A, lam, x):
 def prox_in_metric(f, metric, x):
     """argmin_y f(y) + (1/2) ||x - y||^2_metric for a diagonal SPD metric.
 
-    A scalar metric u*Id reduces to prox_{f/u}(x).  Non-scalar metrics
-    require the function to supply its own ``metric_prox``.
+    A scalar metric u*Id reduces to prox_{f/u}(x); no other metric has a
+    closed form here.
     """
     if metric.scalar is not None:
         return f.prox(1.0 / metric.scalar, x)
-    if f.metric_prox is not None:
-        return f.metric_prox(metric, x)
     raise UnsupportedMetricError(
         "unsupported metric: %s has no closed-form prox for a non-scalar metric" % (f.name or "f"))
 

@@ -3,8 +3,8 @@ CSVs, gap tables, and a summary JSON.
 
 Trace and gap CSVs are byte-stable for a fixed config and seed (floats are
 written with shortest round-trip repr and all randomness is keyed by (seed,
-iteration)); the summary JSON additionally records wall time, which is the
-one intentionally non-stable field.
+iteration)); the summary JSON additionally records the wall time of the
+experiment and of each seed, the intentionally non-stable fields.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import numpy as np
 
 from .composite import CompositeBlock, CompositeProblem, stack
 from .config import (ExperimentConfig, parse_config, parse_projector_spec, parse_prox_spec,
-                     parse_smooth_spec, serialize_config)
+                     parse_smooth_spec, reads_input, serialize_config)
 from .diagnostics import GapConstant, GapRow, fejer_tracker, gap_and_bound, kkt_residual, rate_fit
-from .errors import ConfigError, DimensionMismatchError, DivergenceError, PapcError
+from .errors import ConfigError, DivergenceError
 from .linop import (LinearMap, OrthoProjector, SpdOperator, coupling_spectral_estimate, norm,
                     read_matrix)
 from .monotone import MonotoneBlock, gradient_map
@@ -120,11 +120,8 @@ def _build_custom_composite(cfg):
         i += 1
     if not blocks:
         raise ConfigError("custom_composite needs block1.g/block1.L/... entries")
-    try:
-        cp = CompositeProblem(weights=np.array(weights), C=gradient_map(h, lipschitz),
-                              blocks=tuple(blocks), h=h, name="custom_composite")
-    except DimensionMismatchError as exc:
-        raise ConfigError("custom_composite: %s" % exc) from exc
+    cp = CompositeProblem(weights=np.array(weights), C=gradient_map(h, lipschitz),
+                          blocks=tuple(blocks), h=h, name="custom_composite")
     caps = []
     for blk in cp.blocks:
         est = coupling_spectral_estimate(SpdOperator.scalar_op(blk.sigma, blk.A.dim),
@@ -138,8 +135,11 @@ def _build_custom_composite(cfg):
                                description="config-assembled composite problem")
 
 
+@reads_input
 def bind(cfg):
-    """Materialize problem, schedules and noise model from a config."""
+    """Materialize problem, schedules and noise model from a config.  Values
+    that do not parse or build (a bad number, an unknown kind, an unreadable
+    matrix file, a dimension the problem cannot take) are config errors."""
     cfg.validate()
     if cfg.problem == "custom":
         inst = _build_custom_single(cfg)
@@ -243,11 +243,11 @@ def _noise_c0(bound):
     return bound.instance.spec.B.dim * per_coord
 
 
-def _gap_rows(bound, record, oracle_xv):
+def _gap_rows(bound, record, oracle_xv, c0):
     spec = bound.instance.spec
     K = zoo_mod.saddle_function(bound.instance)
     gapc = GapConstant(spec=spec, sched=bound.schedules, x0=np.zeros(spec.B.dim),
-                       v0=np.zeros(spec.A.dim), c0=_noise_c0(bound))
+                       v0=np.zeros(spec.A.dim), c0=c0)
     return gap_and_bound(record, K, oracle_xv, gapc)
 
 
@@ -266,19 +266,21 @@ def _gap_csv_rows(rows):
     return out
 
 
-def _run_seed(bound, seed, out_dir, oracle_xv):
+def _run_seed(bound, seed, out_dir, oracle_xv, c0):
     """One seed: run, write its trace CSV (and gap CSV when K is available),
-    return the summary fragment.  A failure other than divergence ends the
-    seed with status ``error`` and its message instead of ending the
-    experiment."""
+    return the summary fragment.  ``c0`` is the experiment's noise constant
+    (:func:`_noise_c0`).  Any failure other than divergence ends the seed
+    with status ``error`` and the message ``"<type>: <message>"`` instead of
+    ending the experiment."""
     try:
-        return _seed_artifacts(bound, seed, out_dir, oracle_xv)
-    except PapcError as exc:
-        return {"seed": seed, "status": "error", "error": str(exc), "terminal_dist_x": None,
-                "terminal_dist_v": None, "gap": None}
+        return _seed_artifacts(bound, seed, out_dir, oracle_xv, c0)
+    except Exception as exc:  # one seed's failure must not cost the others
+        return {"seed": seed, "status": "error", "error": "%s: %s" % (type(exc).__name__, exc),
+                "terminal_dist_x": None, "terminal_dist_v": None, "wall_time_s": None,
+                "gap": None}
 
 
-def _seed_artifacts(bound, seed, out_dir, oracle_xv):
+def _seed_artifacts(bound, seed, out_dir, oracle_xv, c0):
     cfg = bound.cfg
     spec = bound.instance.spec
     checkpoints = _resolve_checkpoints(cfg)
@@ -301,9 +303,8 @@ def _seed_artifacts(bound, seed, out_dir, oracle_xv):
     _write_csv(trace_path, TRACE_COLUMNS, _trace_rows(bound, record, oracle_xv))
 
     gap_summary = None
-    if status == "ok" and record.checkpoints and oracle_xv is not None \
-            and _noise_c0(bound) is not None:
-        rows = _gap_rows(bound, record, oracle_xv)
+    if status == "ok" and record.checkpoints and oracle_xv is not None and c0 is not None:
+        rows = _gap_rows(bound, record, oracle_xv, c0)
         _write_csv(os.path.join(out_dir, "seed_%d_gap.csv" % seed), GAP_COLUMNS,
                    _gap_csv_rows(rows))
         finite = [r for r in rows if r.finite]
@@ -327,13 +328,10 @@ def _seed_artifacts(bound, seed, out_dir, oracle_xv):
     }
 
 
-def _seed_worker(cfg_text, base_dir, seed, out_dir, oracle_x, oracle_v):
-    # Workers rebuild everything from the config text: nothing with lambdas
-    # crosses the process boundary, and determinism is inherited.
-    cfg = parse_config(cfg_text, base_dir=base_dir)
-    bound = bind(cfg)
-    xv = None if oracle_x is None else (np.asarray(oracle_x), np.asarray(oracle_v))
-    return _run_seed(bound, seed, out_dir, xv)
+def _seed_worker(cfg, seed, out_dir, oracle_xv, c0):
+    # The bound problem holds lambdas, which do not pickle, so the worker
+    # binds the config again; determinism is inherited.
+    return _run_seed(bind(cfg), seed, out_dir, oracle_xv, c0)
 
 
 @dataclass
@@ -376,17 +374,15 @@ def run_experiment(cfg, out_dir=None, jobs=1, force=False, seed_override=None):
 
     oracle_xv = (zoo_mod.oracle_solution(bound.instance)
                  if bound.instance.oracle is not None else None)
+    c0 = _noise_c0(bound)
     seeds = sorted(set(int(s) for s in cfg.seeds))
     if jobs > 1 and len(seeds) > 1:
-        cfg_text = serialize_config(cfg)
-        ox = np.asarray(oracle_xv[0]) if oracle_xv is not None else None
-        ov = np.asarray(oracle_xv[1]) if oracle_xv is not None else None
         with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
-            futures = [pool.submit(_seed_worker, cfg_text, cfg.base_dir, s, out_dir, ox, ov)
+            futures = [pool.submit(_seed_worker, cfg, s, out_dir, oracle_xv, c0)
                        for s in seeds]
             per_seed = [f.result() for f in futures]
     else:
-        per_seed = [_run_seed(bound, s, out_dir, oracle_xv) for s in seeds]
+        per_seed = [_run_seed(bound, s, out_dir, oracle_xv, c0) for s in seeds]
     per_seed.sort(key=lambda d: d["seed"])
 
     dists = [d["terminal_dist_x"] for d in per_seed if d["terminal_dist_x"] is not None]
@@ -401,8 +397,8 @@ def run_experiment(cfg, out_dir=None, jobs=1, force=False, seed_override=None):
         "horizon": cfg.horizon,
         "noise": cfg.noise_kind,
         "certificate": cert_summary,
-        "seeds": {str(d["seed"]): {k: d[k] for k in
-                                   ("status", "error", "terminal_dist_x", "terminal_dist_v")}
+        "seeds": {str(d["seed"]): {k: d[k] for k in ("status", "error", "terminal_dist_x",
+                                                     "terminal_dist_v", "wall_time_s")}
                   for d in per_seed},
         "max_terminal_dist_x": max(dists) if dists else None,
         "status": ("ok" if statuses == {"ok"} else

@@ -49,7 +49,11 @@ class ProblemSpec:
     """The full inclusion datum: cocoercive B (or grad h), monotone dual block
     A (or g), coupling L, projector onto the constraint subspace, and the dual
     preconditioner U.  ``g``/``h`` are optional proxable/value oracles used by
-    the gap diagnostics."""
+    the gap diagnostics.
+
+    The dual resolvent has a closed form only for a scalar U, or for a
+    block-scalar U whose blocks are those of a product A; any other U raises
+    :class:`UnsupportedMetricError` here."""
 
     B: CocoerciveMap
     A: MonotoneBlock | ProductMonotoneBlock
@@ -65,6 +69,13 @@ class ProblemSpec:
             raise DimensionMismatchError("primal dims disagree (B, L domain, P_V)")
         if not (self.A.dim == self.L.codomain_dim == self.U.dim):
             raise DimensionMismatchError("dual dims disagree (A, L codomain, U)")
+        U, A = self.U, self.A
+        if U.scalar is None and not (
+                isinstance(A, ProductMonotoneBlock) and U.blocks is not None
+                and A.offsets == tuple((s, e) for s, e, _ in U.blocks)):
+            raise UnsupportedMetricError(
+                "the dual resolvent needs a scalar U or a block-scalar U aligned with "
+                "the blocks of a product A")
 
     @property
     def primal_weights(self):
@@ -136,7 +147,6 @@ class PapcState:
     x: np.ndarray
     v: np.ndarray
     p: Optional[np.ndarray] = None
-    last_r: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -257,19 +267,13 @@ def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6)
 
 
 def dual_resolvent(spec, lam, w):
-    """J_{lam * U * A^{-1}}(w) under the scalar or block-scalar reduction of U."""
+    """J_{lam * U * A^{-1}}(w) under the scalar or block-scalar reduction of U
+    (the two layouts a ProblemSpec admits)."""
     A, U = spec.A, spec.U
     if U.scalar is not None:
         return inverse_resolvent(A, lam * U.scalar, w)
-    if U.blocks is not None and isinstance(A, ProductMonotoneBlock):
-        offsets = A.offsets
-        if len(offsets) == len(U.blocks) and all(
-                (s, e) == (bs, be) for (s, e), (bs, be, _) in zip(offsets, U.blocks)):
-            parts = [inverse_resolvent(blk, lam * sigma, w[s:e])
-                     for blk, (s, e, sigma) in zip(A.blocks, U.blocks)]
-            return np.concatenate(parts)
-    raise UnsupportedMetricError(
-        "dual resolvent needs a scalar or aligned block-scalar preconditioner")
+    return np.concatenate([inverse_resolvent(blk, lam * sigma, w[s:e])
+                           for blk, (s, e, sigma) in zip(A.blocks, U.blocks)])
 
 
 def _check_finite(arr, label, n, record=None):
@@ -293,7 +297,7 @@ def papc_step(state, spec, sched, oracle):
     _check_finite(v1, "v_{n+1}", n)
     x1 = spec.P_V(state.x - gam * (spec.L.adjoint(v1) + r))
     _check_finite(x1, "x_{n+1}", n)
-    return PapcState(n + 1, x1, v1, p, r)
+    return PapcState(n + 1, x1, v1, p)
 
 
 @dataclass(frozen=True)

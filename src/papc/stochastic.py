@@ -1,10 +1,12 @@
 """Stochastic oracles for the cocoercive operator: unbiased noise models,
 variance schedules, and summability certificates.
 
-Conditional expectations are realized by construction: the noise at step n is
-drawn from a fresh RNG substream keyed by (seed, n), so given the iterate the
-sample is unbiased and independent of the noise history.  Identical seed and
-iterate history therefore reproduce the sample stream bit for bit.
+Every oracle answers ``sample(x, n, t=0)``.  Conditional expectations are
+realized by construction: the noise at step n is drawn from a fresh RNG
+substream keyed by (seed, n, t), so given the iterate the sample is unbiased
+and independent of the noise history.  A run draws t = 0; other t give
+independent replicates at the same step.  Identical seed and iterate history
+therefore reproduce the sample stream bit for bit.
 """
 
 from __future__ import annotations
@@ -83,14 +85,8 @@ class DeterministicOracle:
         self.base = B
         self.dim = B.dim
 
-    def sample(self, x, n):
+    def sample(self, x, n, t=0):
         return self.base.apply(x)
-
-    def replicate(self, x, n, t):
-        return self.base.apply(x)
-
-    def error_second_moment(self, n):
-        return 0.0
 
 
 class GaussianOracle:
@@ -108,19 +104,13 @@ class GaussianOracle:
         self.seed = int(seed)
         self.dim = B.dim
 
-    def sample(self, x, n):
-        return self.replicate(x, n, 0)
-
-    def replicate(self, x, n, t):
+    def sample(self, x, n, t=0):
         mean = self.base.apply(x)
         s2 = self.schedule.sigma_sq(n)
         if s2 == 0.0:
             return mean
         rng = np.random.default_rng((self.seed, int(n), int(t)))
         return mean + math.sqrt(s2) * rng.standard_normal(self.dim)
-
-    def error_second_moment(self, n):
-        return self.dim * self.schedule.sigma_sq(n)
 
 
 class MinibatchOracle:
@@ -154,10 +144,7 @@ class MinibatchOracle:
 
         self.base = CocoerciveMap(self.dim, mean_apply, beta=beta, name="minibatch-mean")
 
-    def sample(self, x, n):
-        return self.replicate(x, n, 0)
-
-    def replicate(self, x, n, t):
+    def sample(self, x, n, t=0):
         k = int(self.batch_schedule(n))
         if not 1 <= k <= self.m:
             raise ValueError("batch size %d out of range" % k)
@@ -169,9 +156,6 @@ class MinibatchOracle:
         for i in idx:
             acc += self.components[i](x)
         return acc / k
-
-    def error_second_moment(self, n):
-        return None  # depends on the point; estimate empirically
 
 
 def empirical_variance(oracle, x, n, trials):
@@ -186,7 +170,7 @@ def empirical_variance(oracle, x, n, trials):
     mean = oracle.base.apply(x)
     errs = np.empty((trials, oracle.dim))
     for t in range(trials):
-        errs[t] = oracle.replicate(x, n, t) - mean
+        errs[t] = oracle.sample(x, n, t) - mean
     return float(np.var(errs.ravel(), ddof=1))
 
 
@@ -272,10 +256,6 @@ def summability_certificate(schedule, gammas, horizon):
     else:
         status = "finite-horizon"
         messages.append("table schedule: no analytic tail; finite-horizon sums only")
-
-    if schedule.intended_regime == "almost-sure" and status == "certified" and not zero_noise \
-            and schedule.kind != "polynomial":
-        status = "finite-horizon"
 
     return SummabilityReport(
         regime=schedule.intended_regime,

@@ -1,9 +1,12 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from papc import runner
 from papc.cli import main as cli_main
 from papc.config import (ExperimentConfig, parse_config, parse_prox_spec,
                          parse_projector_spec, serialize_config)
@@ -327,15 +330,39 @@ class TestCli:
         ("schedules", "tau_cap = 0"),
         ("noise", "kind = minibatch\nbatch_schedule = -1"),
         ("noise", "kind = gaussian\nepsilon = -1"),
+        ("run", "horizon = abc"),
+        ("noise", "kind = gaussian\nsigma0 = abc"),
+        ("schedules", "gamma_kind = bogus"),
+        ("schedules", "tau_kind = bogus"),
+        ("problem", "dim = x"),
+        ("problem", "name = fused\ndim = 1"),
+        ("problem", "name = custom\nh = sq_dist(b=0.0)\ng = l1(weight=abc)"),
     ])
     def test_out_of_range_value_exit_2(self, tmp_path, capsys, section, entries):
         cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text("[problem]\nname = lasso\n\n[%s]\n%s\n\n"
-                            "[run]\nhorizon = 20\nseeds = 0\n" % (section, entries))
+        # The entries come last, so they override the [run] defaults too.
+        cfg_path.write_text("[problem]\nname = lasso\n\n[run]\nhorizon = 20\nseeds = 0\n\n"
+                            "[%s]\n%s\n" % (section, entries))
         assert cli_main(["validate", "--config", str(cfg_path)]) == 2
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("matrix,cause", [
+        (None, "No such file"),  # the --config file itself is missing
+        ("absent.txt", "absent.txt"),
+        ("headerless.txt", "expected 0 entries, found 7"),
+    ])
+    def test_unreadable_input_exit_2(self, tmp_path, capsys, matrix, cause):
+        cfg_path = tmp_path / "c.cfg"
+        (tmp_path / "headerless.txt").write_text("1 0 0\n0 1 0\n0 0 1\n")
+        if matrix is not None:
+            cfg_path.write_text("[problem]\nname = custom\ndim = 3\nh = sq_dist(b=0.0)\n"
+                                "L = matrix:%s\n\n[run]\nhorizon = 20\nseeds = 0\n" % matrix)
+        assert cli_main(["validate", "--config", str(cfg_path)]) == 2
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 2 and cause in err and "Traceback" not in err
 
     def test_composite_block_without_omega_exit_2(self, tmp_path, capsys):
         # A block with no omega has weight 0, which is not a composite weight.
@@ -367,6 +394,68 @@ class TestCli:
         for seed in summary["seeds"].values():
             assert seed["status"] == "error"
             assert "weighted norm is negative" in seed["error"]
+
+    def test_foreign_seed_error_is_recorded_per_seed(self, tmp_path, capsys, monkeypatch):
+        # An exception from outside the package in one seed ended the whole
+        # experiment with a traceback and no summary.
+        real_run = runner.run
+
+        def flaky_run(spec, sched, oracle, *args, **kwargs):
+            if oracle.seed == 1:
+                raise np.linalg.LinAlgError("singular matrix")
+            return real_run(spec, sched, oracle, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run", flaky_run)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(BASIC.replace("horizon = 500", "horizon = 50"))
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        with open(out / "summary.json", encoding="utf-8") as fh:
+            summary = json.load(fh)
+        assert summary["status"] == "error"
+        assert summary["seeds"]["0"]["status"] == "ok"
+        assert summary["seeds"]["0"]["wall_time_s"] > 0
+        assert summary["seeds"]["1"] == {
+            "status": "error", "error": "LinAlgError: singular matrix",
+            "terminal_dist_x": None, "terminal_dist_v": None, "wall_time_s": None}
+        assert os.path.exists(out / "seed_0_trace.csv")
+
+    @settings(max_examples=40)
+    @given(problem=st.sampled_from(["cls", "lasso", "fused", "multi"]),
+           gamma_kind=st.sampled_from(["constant", "harmonic_floor", "harmonic"]),
+           gamma0=st.one_of(st.just("auto"), st.floats(1e-3, 3.0)),
+           tau_kind=st.sampled_from(["constant", "ramp"]),
+           tau_cap=st.one_of(st.just("auto"), st.floats(1e-3, 3.0)),
+           noise=st.sampled_from(["none", "gaussian", "minibatch"]),
+           sigma0=st.floats(0.0, 4.0), epsilon=st.floats(0.0, 2.0),
+           regime=st.sampled_from(["almost-sure", "ergodic"]))
+    def test_validate_pass_means_run_decides(self, problem, gamma_kind, gamma0, tau_kind,
+                                             tau_cap, noise, sigma0, epsilon, regime):
+        # If validate passes, run converges or reports divergence; if it
+        # rejects, run rejects too.  Neither ever raises.
+        text = ("[problem]\nname = %s\n\n[schedules]\ngamma_kind = %s\ngamma0 = %s\n"
+                "tau_kind = %s\ntau_cap = %s\n\n[noise]\nkind = %s\nsigma0 = %r\n"
+                "epsilon = %r\nregime = %s\nbatch_schedule = 2\n\n"
+                "[run]\nhorizon = 30\nseeds = 0 1\n"
+                % (problem, gamma_kind, gamma0, tau_kind, tau_cap, noise, sigma0, epsilon,
+                   regime))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = os.path.join(tmp, "c.cfg")
+            with open(cfg_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out = os.path.join(tmp, "o")
+            validated = cli_main(["validate", "--config", cfg_path])
+            ran = cli_main(["run", "--config", cfg_path, "--out", out])
+            assert validated in (0, 2)
+            with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+                summary = json.load(fh)
+        if validated == 2:
+            assert ran == 2 and summary["status"] == "rejected"
+        else:
+            assert ran in (0, 1)
+            assert {d["status"] for d in summary["seeds"].values()} <= {"ok", "diverged"}
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"

@@ -84,12 +84,6 @@ class TestProxInMetric:
         with pytest.raises(UnsupportedMetricError):
             prox_in_metric(l1(1.0, 2), SpdOperator.diagonal([1.0, 2.0]), ARR(1.0, 1.0))
 
-    def test_user_supplied_metric_prox(self):
-        f = ProxFunction(2, value=lambda x: 0.0, prox=lambda lam, x: x,
-                         metric_prox=lambda U, x: x)
-        U = SpdOperator.diagonal([1.0, 2.0])
-        np.testing.assert_array_equal(prox_in_metric(f, U, ARR(1.0, 2.0)), ARR(1.0, 2.0))
-
 
 class TestConjugateProx:
     def test_l1_conjugate_clamps(self):

@@ -3,8 +3,9 @@ import pytest
 
 from papc.errors import DivergenceError, UnsupportedMetricError
 from papc.linop import LinearMap, OrthoProjector, SpdOperator, norm
-from papc.monotone import (CocoerciveMap, MonotoneBlock, l1, sq_dist, zero_prox,
-                           gradient_map, quadratic_lipschitz, quadratic_ls, singleton)
+from papc.monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, l1, sq_dist,
+                           zero_prox, gradient_map, quadratic_lipschitz, quadratic_ls,
+                           singleton)
 from papc.solver import (ErgodicAccumulator, PapcState, ProblemSpec, Schedules,
                          ergodic_update, papc_step, run, validate_hypotheses)
 from papc.stochastic import DeterministicOracle
@@ -142,17 +143,26 @@ class TestPapcStep:
                 state = papc_step(state, spec, sched, oracle)
 
     def test_nonscalar_metric_rejected(self):
-        spec = ProblemSpec(
-            B=CocoerciveMap(2, lambda x: x, beta=1.0),
-            A=MonotoneBlock.zero(2),
-            L=LinearMap.identity(2),
-            P_V=OrthoProjector.full(2),
-            U=SpdOperator.diagonal([1.0, 2.0]),
-        )
-        sched = Schedules.constant(0.1, 0.1, 1.0)
         with pytest.raises(UnsupportedMetricError):
-            papc_step(PapcState(0, np.zeros(2), np.zeros(2)), spec, sched,
-                      DeterministicOracle(spec.B))
+            ProblemSpec(
+                B=CocoerciveMap(2, lambda x: x, beta=1.0),
+                A=MonotoneBlock.zero(2),
+                L=LinearMap.identity(2),
+                P_V=OrthoProjector.full(2),
+                U=SpdOperator.diagonal([1.0, 2.0]),
+            )
+
+    def test_misaligned_block_metric_rejected(self):
+        # U's blocks (1 | 2) do not match A's product layout (2 | 1).
+        A = ProductMonotoneBlock((MonotoneBlock.zero(2), MonotoneBlock.zero(1)), (2, 1))
+        with pytest.raises(UnsupportedMetricError):
+            ProblemSpec(
+                B=CocoerciveMap(2, lambda x: x, beta=1.0),
+                A=A,
+                L=LinearMap.from_matrix(np.ones((3, 2))),
+                P_V=OrthoProjector.full(2),
+                U=SpdOperator.block_scalar([1.0, 2.0], [1, 2]),
+            )
 
 
 def saddle_spec(g):

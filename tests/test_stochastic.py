@@ -32,7 +32,7 @@ class TestSample:
         oracle = GaussianOracle(linear_map(1), sched, seed=42)
         x = np.array([0.7])
         trials = 10 ** 5
-        vals = np.array([oracle.replicate(x, 3, t)[0] for t in range(trials)])
+        vals = np.array([oracle.sample(x, 3, t)[0] for t in range(trials)])
         se = 0.25 / math.sqrt(trials)
         assert abs(vals.mean() - x[0]) <= 3 * se
 
@@ -43,7 +43,7 @@ class TestSample:
         x = np.array([1.0])
         mean = oracle.base.apply(x)
         trials = 10 ** 5
-        vals = np.array([oracle.replicate(x, 0, t)[0] for t in range(trials)])
+        vals = np.array([oracle.sample(x, 0, t)[0] for t in range(trials)])
         se = vals.std(ddof=1) / math.sqrt(trials)
         assert abs(vals.mean() - mean[0]) <= 3 * se
 
