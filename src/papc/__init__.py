@@ -12,8 +12,8 @@ from .linop import (LinearMap, OrthoProjector, SpdOperator, adjoint_consistency_
 from .monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, ProxFunction,
                        conjugate_prox_via_moreau, inverse_resolvent, prox_in_metric,
                        resolvent)
-from .solver import (ErgodicAccumulator, PapcState, ProblemSpec, RunRecord, Schedules,
-                     ergodic_update, papc_step, run, validate_hypotheses)
+from .solver import (BatchRecord, ErgodicAccumulator, PapcState, ProblemSpec, RunRecord,
+                     Schedules, ergodic_update, papc_step, run, validate_hypotheses)
 from .composite import CompositeBlock, CompositeProblem, lift, lift_flat_equivalence, stack
 from .diagnostics import (GapConstant, SaddleFunction, epsilon_saddle_check, fejer_tracker,
                           gap_and_bound, kkt_residual, rate_fit, saddle_value)

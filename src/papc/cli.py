@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    papc run --config FILE [--seed-override S] [--jobs K] [--out DIR] [--force]
+    papc run --config FILE [--seed-override S] [--out DIR] [--force]
     papc validate --config FILE
     papc zoo --list
 
@@ -21,8 +21,8 @@ from .zoo import zoo
 
 def _cmd_run(args):
     cfg = parse_config_file(args.config)
-    result = run_experiment(cfg, out_dir=args.out, jobs=args.jobs,
-                            force=args.force, seed_override=args.seed_override)
+    result = run_experiment(cfg, out_dir=args.out, force=args.force,
+                            seed_override=args.seed_override)
     status = result.summary.get("status", "unknown")
     print("run %s: %s (artifacts in %s)" % (cfg.problem, status, result.out_dir))
     if status == "rejected":
@@ -54,7 +54,6 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed-override", type=int, default=None)
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--force", action="store_true",
                        help="run even when the hypothesis certificate fails")

@@ -179,12 +179,12 @@ def stack(cp):
     slices = [slice(s, e) for s, e in cp.dual_offsets]
 
     def apply(x):
-        return np.concatenate([L(x) for L in maps])
+        return np.concatenate([L(x) for L in maps], axis=-1)
 
     def adjoint(v):
-        out = np.zeros(d)
+        out = np.zeros(v.shape[:-1] + (d,))
         for w, L, sl in zip(weights, maps, slices):
-            out += w * L.adjoint(v[sl])
+            out += w * L.adjoint(v[..., sl])
         return out
 
     L = LinearMap(apply, adjoint, d, sum(cp.dual_dims),
@@ -209,13 +209,13 @@ def lift(cp):
     offsets = cp.dual_offsets
 
     def bold_apply(x):
-        parts = [blk.L(x[i * d:(i + 1) * d]) for i, blk in enumerate(cp.blocks)]
-        return np.concatenate(parts)
+        parts = [blk.L(x[..., i * d:(i + 1) * d]) for i, blk in enumerate(cp.blocks)]
+        return np.concatenate(parts, axis=-1)
 
     def bold_adjoint(v):
         # Blockwise adjoints: identical block weights cancel in W^{-1} M^T W.
-        parts = [blk.L.adjoint(v[s:e]) for blk, (s, e) in zip(cp.blocks, offsets)]
-        return np.concatenate(parts)
+        parts = [blk.L.adjoint(v[..., s:e]) for blk, (s, e) in zip(cp.blocks, offsets)]
+        return np.concatenate(parts, axis=-1)
 
     bold_L = LinearMap(bold_apply, bold_adjoint, m * d, sum(cp.dual_dims),
                        wH, wG, name="lifted-L")
@@ -223,9 +223,9 @@ def lift(cp):
     P = OrthoProjector.averaging(m, d, block_weights=omega)
 
     def bold_C_apply(x):
-        out = np.empty(m * d)
+        out = np.empty(x.shape)
         for i in range(m):
-            out[i * d:(i + 1) * d] = cp.C.apply(x[i * d:(i + 1) * d])
+            out[..., i * d:(i + 1) * d] = cp.C.apply(x[..., i * d:(i + 1) * d])
         return out
 
     bold_B = CocoerciveMap(m * d, bold_C_apply, beta=cp.C.beta, weights=wH,
@@ -263,8 +263,11 @@ class ReplicatedOracle:
         self.is_deterministic = getattr(base_oracle, "is_deterministic", False)
 
     def sample(self, bold_x, n, t=0):
-        r = self.inner.sample(bold_x[: self.base_dim], n, t)
-        return np.tile(r, self.m)
+        r = self.inner.sample(bold_x[..., : self.base_dim], n, t)
+        return np.tile(r, (1,) * (r.ndim - 1) + (self.m,))
+
+    def select(self, rows):
+        return ReplicatedOracle(self.inner.select(rows), self.m, self.base_dim)
 
 
 def lift_flat_equivalence(cp, sched, seed, steps, noise=None, x0=None, vs0=None):

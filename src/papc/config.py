@@ -136,8 +136,22 @@ def _parse_sections(text):
     return sections
 
 
+def _number(convert, sec, section, key, default):
+    """``convert`` applied to a key's value (or the default); a value that
+    does not convert is a config error naming its section and key."""
+    text = sec.get(section, {}).get(key, default)
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError("[%s] %s: %s" % (section, key, exc)) from exc
+
+
 def _opt_float(value):
     return None if value == "auto" else float(value)
+
+
+def _ints(value):
+    return tuple(int(v) for v in value.split())
 
 
 @reads_input
@@ -150,27 +164,27 @@ def parse_config(text, base_dir="."):
     run = sec.get("run", {})
     out = sec.get("output", {})
 
-    seeds = tuple(int(s) for s in run.get("seeds", "0").split())
     cps_raw = run.get("checkpoints", "log")
     if cps_raw in ("log", "none"):
         checkpoints = cps_raw
     else:
-        checkpoints = tuple(int(c) for c in cps_raw.split())
+        checkpoints = _number(_ints, sec, "run", "checkpoints", None)
 
     cfg = ExperimentConfig(
         problem=name,
         problem_params=problem,
         gamma_kind=sch.get("gamma_kind", "constant"),
-        gamma0=_opt_float(sch.get("gamma0", "auto")),
+        gamma0=_number(_opt_float, sec, "schedules", "gamma0", "auto"),
         tau_kind=sch.get("tau_kind", "constant"),
-        tau_cap=_opt_float(sch.get("tau_cap", "auto")),
+        tau_cap=_number(_opt_float, sec, "schedules", "tau_cap", "auto"),
         noise_kind=noi.get("kind", "none"),
-        sigma0_sq=float(noi.get("sigma0", "1.0")),
-        epsilon=float(noi.get("epsilon", "1.0")),
+        sigma0_sq=_number(float, sec, "noise", "sigma0", "1.0"),
+        epsilon=_number(float, sec, "noise", "epsilon", "1.0"),
         regime=noi.get("regime", "almost-sure"),
-        batch_schedule=int(noi["batch_schedule"]) if "batch_schedule" in noi else None,
-        horizon=int(run.get("horizon", "10000")),
-        seeds=seeds,
+        batch_schedule=(_number(int, sec, "noise", "batch_schedule", None)
+                        if "batch_schedule" in noi else None),
+        horizon=_number(int, sec, "run", "horizon", "10000"),
+        seeds=_number(_ints, sec, "run", "seeds", "0"),
         checkpoints=checkpoints,
         out_dir=out.get("dir", "out"),
         base_dir=base_dir,

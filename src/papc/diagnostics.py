@@ -70,7 +70,8 @@ def kkt_residual(x, v, spec):
     primal: distance of x to V plus the norm of the V-component of Bx + L*v
     (stationarity along V, using that the normal cone to V is its orthogonal
     complement).  dual: the fixed-point residual ||v - J_{A^{-1}}(v + Lx)||
-    at unit resolvent parameter.  Both vanish exactly at solutions.
+    at unit resolvent parameter.  Both vanish exactly at solutions.  For
+    (S, d) arrays both are per-row arrays.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -171,16 +172,10 @@ def fejer_tracker(record, reference, sched, spec, certificate=None, check_monoto
     assertion, since noise terms enter the descent inequality.
     """
     x_ref, v_ref = reference
-    x_ref = np.asarray(x_ref, dtype=float)
-    v_ref = np.asarray(v_ref, dtype=float)
-    wH = spec.primal_weights
-    phis = np.empty(len(record.ns))
-    for k in range(len(record.ns)):
-        dx = record.xs[k] - x_ref
-        phi = inner(dx, dx, wH)
-        phi += weighted_norm_sq(record.vs[k] - v_ref, spec.U, record.taus[k],
-                                record.gammas[k], spec.L, spec.P_V)
-        phis[k] = phi
+    dx = record.xs - np.asarray(x_ref, dtype=float)
+    phis = inner(dx, dx, spec.primal_weights) + weighted_norm_sq(
+        record.vs - np.asarray(v_ref, dtype=float), spec.U, record.taus, record.gammas,
+        spec.L, spec.P_V)
     if check_monotone and not record.stochastic:
         if certificate is None or not certificate.ok:
             raise CertificateError(

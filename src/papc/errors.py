@@ -23,13 +23,15 @@ class StepSizeViolationError(PapcError, ArithmeticError):
 
 
 class DivergenceError(PapcError, RuntimeError):
-    """An iterate became non-finite.  Carries the partial run record, if any."""
+    """An iterate became non-finite.  Carries the partial run record, if any,
+    and, for an (S, d) iterate, the indices of its non-finite rows."""
 
-    def __init__(self, quantity, iteration, record=None):
+    def __init__(self, quantity, iteration, record=None, rows=None):
         super().__init__("non-finite values in %s at iteration %d" % (quantity, iteration))
         self.quantity = quantity
         self.iteration = iteration
         self.record = record
+        self.rows = rows
 
 
 class CertificateError(PapcError, ValueError):

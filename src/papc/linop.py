@@ -4,6 +4,14 @@ power-iteration spectral estimates, and the dual step-size admissibility check.
 All spaces are finite-dimensional real coordinate spaces.  A space may carry a
 diagonal inner-product weight vector (this is how the weighted product-space
 geometry enters); ``weights=None`` means the standard dot product.
+
+Every operator, and ``inner``/``norm``/``weighted_norm_sq``, acts on the last
+axis: a vector gives what it always gave, and an ``(S, d)`` array gives S
+rows that never mix, each bitwise equal to the call on that row alone.  Dense
+products therefore use the stacked matrix-vector form of :func:`matvec` and
+reductions the stacked row-times-column product of :func:`inner`, which run
+the same kernel per row as the 1-d call; a matrix-matrix product, ``sum`` or
+``einsum`` would round differently.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ __all__ = [
     "TauCertificate",
     "inner",
     "norm",
+    "matvec",
     "as_rng",
     "adjoint_consistency_check",
     "power_iteration",
@@ -45,14 +54,28 @@ def as_rng(rng):
     return np.random.default_rng(rng)
 
 
+def matvec(mat, x):
+    """``mat @ x`` on the last axis of x, row by row for an (S, d) array."""
+    if x.ndim == 1:
+        return mat @ x
+    return np.matmul(mat, x[..., None])[..., 0]
+
+
 def inner(x, y, weights=None):
-    if weights is None:
+    """<x, y> over the last axis: a float for vectors, one value per row
+    otherwise."""
+    if weights is not None:
+        x = x * weights
+    if x.ndim == 1:
         return float(np.dot(x, y))
-    return float(np.dot(x * weights, y))
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def norm(x, weights=None):
-    return math.sqrt(max(inner(x, x, weights), 0.0))
+    sq = inner(x, x, weights)
+    if isinstance(sq, float):
+        return math.sqrt(max(sq, 0.0))
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def _frozen(arr):
@@ -89,17 +112,17 @@ class LinearMap:
             raise DimensionMismatchError("expected a 2-d matrix, got shape %r" % (mat.shape,))
 
         def apply(x):
-            return mat @ x
+            return matvec(mat, x)
 
         if domain_weights is None and codomain_weights is None:
             def adjoint(y):
-                return mat.T @ y
+                return matvec(mat.T, y)
         else:
             wd = np.ones(mat.shape[1]) if domain_weights is None else np.asarray(domain_weights, dtype=float)
             wc = np.ones(mat.shape[0]) if codomain_weights is None else np.asarray(codomain_weights, dtype=float)
 
             def adjoint(y):
-                return (mat.T @ (wc * y)) / wd
+                return matvec(mat.T, wc * y) / wd
 
         return cls(apply, adjoint, mat.shape[1], mat.shape[0],
                    domain_weights, codomain_weights, matrix=mat, name=name)
@@ -111,9 +134,9 @@ class LinearMap:
     @classmethod
     def zero(cls, domain_dim, codomain_dim=None, name="zero"):
         codomain_dim = domain_dim if codomain_dim is None else codomain_dim
-        zd = np.zeros(domain_dim)
-        zc = np.zeros(codomain_dim)
-        return cls(lambda x: zc.copy(), lambda y: zd.copy(), domain_dim, codomain_dim, name=name)
+        return cls(lambda x: np.zeros(x.shape[:-1] + (codomain_dim,)),
+                   lambda y: np.zeros(y.shape[:-1] + (domain_dim,)),
+                   domain_dim, codomain_dim, name=name)
 
     @classmethod
     def difference(cls, dim, name="diff"):
@@ -130,13 +153,17 @@ class LinearMap:
             raise DimensionMismatchError("difference operator needs dim >= 2")
 
         def apply(x):
-            return x[1:] - x[:-1]
+            return x[..., 1:] - x[..., :-1]
 
         def adjoint(y):
-            out = np.empty(dim)
-            out[0] = -y[0]
-            out[1:-1] = y[:-1] - y[1:]
-            out[-1] = y[-1]
+            # Written through transposed views, whose first axis is the
+            # last axis of y: numpy indexes a leading axis much faster than
+            # it indexes after an Ellipsis.
+            out = np.empty(y.shape[:-1] + (dim,))
+            yt, ot = y.T, out.T
+            ot[0] = -yt[0]
+            ot[1:-1] = yt[:-1] - yt[1:]
+            ot[-1] = yt[-1]
             return out
 
         op = cls(apply, adjoint, dim, dim - 1, name=name)
@@ -193,7 +220,7 @@ class OrthoProjector:
         mat = np.array(matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError("projector matrix must be square")
-        return cls(lambda x: mat @ x, mat.shape[0], weights, kind="matrix", matrix=mat)
+        return cls(lambda x: matvec(mat, x), mat.shape[0], weights, kind="matrix", matrix=mat)
 
     @classmethod
     def from_basis(cls, basis):
@@ -204,7 +231,7 @@ class OrthoProjector:
         q, _ = np.linalg.qr(b)
 
         def apply(x):
-            return q @ (q.T @ x)
+            return matvec(q, matvec(q.T, x))
 
         return cls(apply, b.shape[0], kind="basis")
 
@@ -227,9 +254,9 @@ class OrthoProjector:
         weights = np.repeat(omega, block_dim)
 
         def apply(x):
-            blocks = x.reshape(m, block_dim)
-            avg = omega @ blocks
-            return np.tile(avg, m)
+            blocks = x.reshape(x.shape[:-1] + (m, block_dim))
+            avg = np.matmul(omega, blocks)
+            return np.tile(avg, (1,) * (avg.ndim - 1) + (m,))
 
         return cls(apply, dim, weights, kind="averaging")
 
@@ -414,20 +441,33 @@ def weighted_norm_sq(v, U, tau_n, gamma_n, L, P):
 
     Nonnegative whenever the step-size certificate holds for tau >= tau_n; a
     negative value beyond -1e-12 * ||v||^2 signals a violated condition and
-    raises.  Tiny negative round-off inside the band is clamped to zero.
+    raises (naming the first such row of an (S, d) array, whose tau_n and
+    gamma_n may be per-row arrays).  Tiny negative round-off inside the band
+    is clamped to zero.
     """
     wg = L.codomain_weights
     t1 = inner(U.apply_inverse(v), v, wg) / tau_n
     u = L.adjoint(v)
     t2 = inner(P(u), u, L.domain_weights)
     val = gamma_n * gamma_n * (t1 - t2)
-    if val < 0.0:
-        vn = inner(v, v, wg)
-        if val < -1e-12 * max(vn, 1e-300):
-            raise StepSizeViolationError(
-                "weighted norm is negative (%.3e): step-size condition violated" % val)
-        return 0.0
+    if v.ndim == 1:
+        if val < 0.0:
+            if val < -1e-12 * max(inner(v, v, wg), 1e-300):
+                raise _negative_norm(val)
+            return 0.0
+        return val
+    neg = val < 0.0
+    if neg.any():
+        bad = np.flatnonzero(val < -1e-12 * np.maximum(inner(v, v, wg), 1e-300))
+        if bad.size:
+            raise _negative_norm(val[bad[0]])
+        val = np.where(neg, 0.0, val)
     return val
+
+
+def _negative_norm(val):
+    return StepSizeViolationError(
+        "weighted norm is negative (%.3e): step-size condition violated" % val)
 
 
 def read_matrix(path):

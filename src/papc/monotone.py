@@ -5,6 +5,11 @@ conjugate (Moreau) identities, and a library of standard prox functions.
 Set-valuedness never crosses a module boundary: everything is exchanged as a
 resolvent or prox callable.  Indicator values use IEEE ``inf`` as the
 explicit infinite variant so domain violations stay detectable downstream.
+
+Resolvents, proxes and gradients act on the last axis like the operators of
+:mod:`papc.linop`: the rows of an (S, d) array never mix, and each row is
+bitwise the result for that row alone.  Values (``value``,
+``conjugate_value``) take one vector.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedMetricError
-from .linop import as_rng, inner
+from .linop import as_rng, inner, matvec
 
 __all__ = [
     "MonotoneBlock",
@@ -95,7 +100,7 @@ class MonotoneBlock:
         eye = np.eye(s.shape[0])
 
         def res(lam, x):
-            return np.linalg.solve(eye + lam * s, x)
+            return _solve(eye + lam * s, x)
 
         return cls(s.shape[0], res, name=name)
 
@@ -125,8 +130,8 @@ class ProductMonotoneBlock:
         return sum(self.dims)
 
     def resolvent(self, lam, x):
-        parts = [b.resolvent(lam, x[s:e]) for b, (s, e) in zip(self.blocks, self.offsets)]
-        return np.concatenate(parts)
+        parts = [b.resolvent(lam, x[..., s:e]) for b, (s, e) in zip(self.blocks, self.offsets)]
+        return np.concatenate(parts, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -329,7 +334,7 @@ def singleton(c, dim=None):
     return ProxFunction(
         c.size,
         value=_singleton_value(c),
-        prox=lambda lam, x: c.copy(),
+        prox=lambda lam, x: np.broadcast_to(c, x.shape).copy(),
         conjugate_value=lambda a: float(np.dot(a, c)),
         name="singleton",
     )
@@ -384,10 +389,17 @@ def quadratic_ls(D, a):
     return ProxFunction(
         D.shape[1],
         value=value,
-        prox=lambda lam, x: np.linalg.solve(eye + lam * gram, x + lam * dta),
-        gradient=lambda x: gram @ x - dta,
+        prox=lambda lam, x: _solve(eye + lam * gram, x + lam * dta),
+        gradient=lambda x: matvec(gram, x) - dta,
         name="quadratic_ls",
     )
+
+
+def _solve(mat, x):
+    """mat^{-1} x on the last axis of x, one solve per row of an (S, d) array."""
+    if x.ndim == 1:
+        return np.linalg.solve(mat, x)
+    return np.linalg.solve(mat, x[..., None])[..., 0]
 
 
 def quadratic_lipschitz(D):

@@ -1,19 +1,22 @@
 """Config-driven experiment runner: multi-seed orchestration, per-seed trace
 CSVs, gap tables, and a summary JSON.
 
-Trace and gap CSVs are byte-stable for a fixed config and seed (floats are
-written with shortest round-trip repr and all randomness is keyed by (seed,
-iteration)); the summary JSON additionally records the wall time of the
-experiment and of each seed, the intentionally non-stable fields.
+The seeds of an experiment advance together, a group at a time, in one
+batched :func:`papc.solver.run`; rows never mix, so each seed's outputs are
+those of a run of that seed alone.  Trace and gap CSVs are byte-stable for a
+fixed config and seed (floats are written with shortest round-trip repr and
+all randomness is keyed by (seed, iteration)); the summary JSON additionally
+records the wall time of the experiment and of each seed's group, the
+intentionally non-stable fields.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +25,11 @@ from .composite import CompositeBlock, CompositeProblem, stack
 from .config import (ExperimentConfig, parse_config, parse_projector_spec, parse_prox_spec,
                      parse_smooth_spec, reads_input, serialize_config)
 from .diagnostics import GapConstant, GapRow, fejer_tracker, gap_and_bound, kkt_residual, rate_fit
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError
 from .linop import (LinearMap, OrthoProjector, SpdOperator, coupling_spectral_estimate, norm,
                     read_matrix)
 from .monotone import MonotoneBlock, gradient_map
-from .solver import ProblemSpec, Schedules, run, validate_hypotheses
+from .solver import ProblemSpec, Schedules, run, trace_rows, validate_hypotheses
 from .stochastic import (DeterministicOracle, GaussianOracle, MinibatchOracle,
                          VarianceSchedule, summability_certificate)
 from . import zoo as zoo_mod
@@ -168,16 +171,16 @@ def bind(cfg):
     return _Bound(cfg, inst, sched, noise)
 
 
-def _make_oracle(bound, seed):
+def _make_oracle(bound, seeds):
     base_map = bound.instance.spec.B
     if bound.noise is None:
         return DeterministicOracle(base_map)
     if bound.noise == "minibatch":
         comps = bound.instance.components
         k = bound.cfg.batch_schedule or len(comps)
-        return MinibatchOracle(comps, beta=base_map.beta, seed=seed, dim=base_map.dim,
+        return MinibatchOracle(comps, beta=base_map.beta, seeds=seeds, dim=base_map.dim,
                                batch_schedule=lambda n: min(k, len(comps)))
-    return GaussianOracle(base_map, bound.noise, seed)
+    return GaussianOracle(base_map, bound.noise, seeds)
 
 
 def _gate(bound, horizon):
@@ -202,29 +205,37 @@ def _write_csv(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
-def _trace_rows(bound, record, oracle_xv):
-    """Diagnostic columns for every stored trace row.  Oracle-relative
-    columns are left empty when no reference solution exists."""
-    x_ref, v_ref = oracle_xv if oracle_xv is not None else (None, None)
+# Rows formatted at a time, so a long trace never holds all its strings.
+_CSV_CHUNK = 256
+
+
+def _write_trace(path, columns):
+    """The trace CSV of one seed from its columns: the integer ``n`` column,
+    then float arrays, or None for a column left empty."""
+    rows = len(columns[0])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        for lo in range(0, rows, _CSV_CHUNK):
+            cells = [map(str, columns[0][lo:lo + _CSV_CHUNK].tolist())]
+            cells += [itertools.repeat("") if col is None
+                      else map(repr, col[lo:lo + _CSV_CHUNK].tolist()) for col in columns[1:]]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _trace_columns(bound, record, oracle_xv):
+    """Diagnostic columns over all stored trace rows of one seed at once.
+    Oracle-relative columns are left empty when no reference solution
+    exists."""
     spec = bound.instance.spec
-    phis = None
-    if x_ref is not None:
+    pres, dres = kkt_residual(record.xs, record.vs, spec)
+    phis = dist_x = dist_v = None
+    if oracle_xv is not None:
+        x_ref, v_ref = oracle_xv
         phis = fejer_tracker(record, oracle_xv, bound.schedules, spec, check_monotone=False)
-    rows = []
-    for k in range(len(record.ns)):
-        x, v = record.xs[k], record.vs[k]
-        pres, dres = kkt_residual(x, v, spec)
-        phi = dist_x = dist_v = None
-        if x_ref is not None:
-            phi = phis[k]
-            dist_x = norm(x - x_ref, spec.primal_weights)
-            dist_v = norm(v - v_ref, spec.dual_weights)
-        gg = record.grad_gap_partial[k] if record.grad_gap_partial is not None else None
-        rows.append((
-            str(int(record.ns[k])), _fmt(record.gammas[k]), _fmt(record.taus[k]),
-            _fmt(pres), _fmt(dres), _fmt(phi), _fmt(dist_x), _fmt(dist_v), _fmt(gg),
-        ))
-    return rows
+        dist_x = norm(record.xs - x_ref, spec.primal_weights)
+        dist_v = norm(record.vs - v_ref, spec.dual_weights)
+    return (record.ns, record.gammas, record.taus, pres, dres, phis, dist_x, dist_v,
+            record.grad_gap_partial)
 
 
 def _noise_c0(bound):
@@ -266,41 +277,59 @@ def _gap_csv_rows(rows):
     return out
 
 
-def _run_seed(bound, seed, out_dir, oracle_xv, c0):
-    """One seed: run, write its trace CSV (and gap CSV when K is available),
-    return the summary fragment.  ``c0`` is the experiment's noise constant
-    (:func:`_noise_c0`).  Any failure other than divergence ends the seed
-    with status ``error`` and the message ``"<type>: <message>"`` instead of
-    ending the experiment."""
-    try:
-        return _seed_artifacts(bound, seed, out_dir, oracle_xv, c0)
-    except Exception as exc:  # one seed's failure must not cost the others
-        return {"seed": seed, "status": "error", "error": "%s: %s" % (type(exc).__name__, exc),
-                "terminal_dist_x": None, "terminal_dist_v": None, "wall_time_s": None,
-                "gap": None}
+# Trace buffer bytes of one group of seeds advanced together.
+_GROUP_BYTES = 64 * 2 ** 20
 
 
-def _seed_artifacts(bound, seed, out_dir, oracle_xv, c0):
-    cfg = bound.cfg
+def _seed_groups(bound, seeds):
+    """The seeds in groups whose trace buffers stay within _GROUP_BYTES."""
     spec = bound.instance.spec
-    checkpoints = _resolve_checkpoints(cfg)
-    oracle = _make_oracle(bound, seed)
-    x_ref, v_ref = oracle_xv if oracle_xv is not None else (None, None)
-    status = "ok"
-    error = None
-    t0 = time.perf_counter()
-    try:
-        record = run(spec, bound.schedules, oracle, np.zeros(spec.B.dim),
-                     np.zeros(spec.A.dim), cfg.horizon, checkpoints=checkpoints,
-                     grad_gap_reference=x_ref)
-    except DivergenceError as exc:
-        record = exc.record
-        status = "diverged"
-        error = str(exc)
-    wall = time.perf_counter() - t0
+    per_seed = 8 * trace_rows(bound.cfg.horizon) * (spec.B.dim + spec.A.dim + 1)
+    size = max(1, _GROUP_BYTES // per_seed)
+    return [seeds[i:i + size] for i in range(0, len(seeds), size)]
 
-    trace_path = os.path.join(out_dir, "seed_%d_trace.csv" % seed)
-    _write_csv(trace_path, TRACE_COLUMNS, _trace_rows(bound, record, oracle_xv))
+
+def _error_fragment(seed, exc):
+    return {"seed": seed, "status": "error", "error": "%s: %s" % (type(exc).__name__, exc),
+            "terminal_dist_x": None, "terminal_dist_v": None, "wall_time_s": None,
+            "gap": None}
+
+
+def _run_group(bound, seeds, out_dir, oracle_xv, c0):
+    """Advance a group of seeds in one batched run, then write each seed's
+    trace CSV (and gap CSV when K is available) and return its summary
+    fragment.  ``c0`` is the experiment's noise constant (:func:`_noise_c0`).
+    Any failure other than divergence ends only its seed, with status
+    ``error`` and the message ``"<type>: <message>"``: a batch that raises is
+    retried seed by seed."""
+    spec = bound.instance.spec
+    try:
+        t0 = time.perf_counter()
+        batch = run(spec, bound.schedules, _make_oracle(bound, seeds),
+                    np.zeros((len(seeds), spec.B.dim)), np.zeros((len(seeds), spec.A.dim)),
+                    bound.cfg.horizon, checkpoints=_resolve_checkpoints(bound.cfg),
+                    grad_gap_reference=None if oracle_xv is None else oracle_xv[0])
+        wall = time.perf_counter() - t0
+    except Exception as exc:  # one seed's failure must not cost the others
+        if len(seeds) == 1:
+            return [_error_fragment(seeds[0], exc)]
+        return [frag for seed in seeds
+                for frag in _run_group(bound, [seed], out_dir, oracle_xv, c0)]
+    fragments = []
+    for i, seed in enumerate(seeds):
+        try:
+            fragments.append(_seed_artifacts(bound, seed, batch.seed(i), wall, out_dir,
+                                             oracle_xv, c0))
+        except Exception as exc:
+            fragments.append(_error_fragment(seed, exc))
+    return fragments
+
+
+def _seed_artifacts(bound, seed, record, wall, out_dir, oracle_xv, c0):
+    spec = bound.instance.spec
+    status = "diverged" if record.diverged else "ok"
+    _write_trace(os.path.join(out_dir, "seed_%d_trace.csv" % seed),
+                 _trace_columns(bound, record, oracle_xv))
 
     gap_summary = None
     if status == "ok" and record.checkpoints and oracle_xv is not None and c0 is not None:
@@ -314,24 +343,19 @@ def _seed_artifacts(bound, seed, out_dir, oracle_xv, c0):
         }
 
     dist_x = dist_v = None
-    if x_ref is not None:
+    if oracle_xv is not None:
+        x_ref, v_ref = oracle_xv
         dist_x = norm(record.terminal_x - x_ref, spec.primal_weights)
         dist_v = norm(record.terminal_v - v_ref, spec.dual_weights)
     return {
         "seed": seed,
         "status": status,
-        "error": error,
+        "error": record.error,
         "terminal_dist_x": dist_x,
         "terminal_dist_v": dist_v,
         "wall_time_s": wall,
         "gap": gap_summary,
     }
-
-
-def _seed_worker(cfg, seed, out_dir, oracle_xv, c0):
-    # The bound problem holds lambdas, which do not pickle, so the worker
-    # binds the config again; determinism is inherited.
-    return _run_seed(bind(cfg), seed, out_dir, oracle_xv, c0)
 
 
 @dataclass
@@ -341,7 +365,7 @@ class ExperimentResult:
     exit_code: int
 
 
-def run_experiment(cfg, out_dir=None, jobs=1, force=False, seed_override=None):
+def run_experiment(cfg, out_dir=None, force=False, seed_override=None):
     """Execute a full experiment: validate, run every seed, write artifacts.
 
     Exit code semantics: 0 success, 1 any seed diverged or failed, 2
@@ -376,14 +400,8 @@ def run_experiment(cfg, out_dir=None, jobs=1, force=False, seed_override=None):
                  if bound.instance.oracle is not None else None)
     c0 = _noise_c0(bound)
     seeds = sorted(set(int(s) for s in cfg.seeds))
-    if jobs > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
-            futures = [pool.submit(_seed_worker, cfg, s, out_dir, oracle_xv, c0)
-                       for s in seeds]
-            per_seed = [f.result() for f in futures]
-    else:
-        per_seed = [_run_seed(bound, s, out_dir, oracle_xv, c0) for s in seeds]
-    per_seed.sort(key=lambda d: d["seed"])
+    per_seed = [frag for group in _seed_groups(bound, seeds)
+                for frag in _run_group(bound, group, out_dir, oracle_xv, c0)]
 
     dists = [d["terminal_dist_x"] for d in per_seed if d["terminal_dist_x"] is not None]
     statuses = {d["status"] for d in per_seed}

@@ -12,6 +12,11 @@ The dual resolvent is synthesized from A's resolvent through the inversion
 identity, with the scalar (or per-block-scalar) reduction of U.  A saddle
 problem min_x h(x) + g(Lx) is the case A = the subdifferential of g
 (``MonotoneBlock.from_prox(g)``).
+
+The iterates are vectors, or (S, d) arrays of S independent runs (one per
+seed of the oracle): every operator acts on the last axis and its rows never
+mix, so one step advances all S runs and each row is bitwise the run of its
+seed alone.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ __all__ = [
     "ErgodicAccumulator",
     "ErgodicCheckpoint",
     "RunRecord",
+    "BatchRecord",
     "HypothesisCertificate",
     "ConditionCheck",
     "validate_hypotheses",
@@ -272,18 +278,22 @@ def dual_resolvent(spec, lam, w):
     A, U = spec.A, spec.U
     if U.scalar is not None:
         return inverse_resolvent(A, lam * U.scalar, w)
-    return np.concatenate([inverse_resolvent(blk, lam * sigma, w[s:e])
-                           for blk, (s, e, sigma) in zip(A.blocks, U.blocks)])
+    return np.concatenate([inverse_resolvent(blk, lam * sigma, w[..., s:e])
+                           for blk, (s, e, sigma) in zip(A.blocks, U.blocks)], axis=-1)
 
 
-def _check_finite(arr, label, n, record=None):
-    if not np.all(np.isfinite(arr)):
-        raise DivergenceError(label, n, record)
+def _check_finite(arr, label, n):
+    finite = np.isfinite(arr)
+    if not finite.all():
+        rows = None if arr.ndim == 1 else np.flatnonzero(~finite.all(axis=-1))
+        raise DivergenceError(label, n, rows=rows)
 
 
 def papc_step(state, spec, sched, oracle):
     """One iteration of the inclusion algorithm.  Draws exactly one oracle
-    sample and reuses it in the predictor and the correction line."""
+    sample and reuses it in the predictor and the correction line.  A
+    non-finite quantity raises :class:`DivergenceError`, which names the
+    non-finite rows of (S, d) iterates."""
     n = state.n
     gam = float(sched.gamma(n))
     tau = float(sched.tau(n))
@@ -360,46 +370,108 @@ class RunRecord:
         return self.vs[-1]
 
 
-class TraceBuffer:
-    """The trace rows of one run, allocated once for the horizon: one row
-    every ``stride`` steps plus the terminal row.  The stride keeps very long
-    horizons at about 1e5 rows."""
+def _trace_stride(horizon):
+    """Keeps very long horizons at about 1e5 trace rows."""
+    return 1 if horizon <= 100000 else math.ceil(horizon / 100000)
 
-    def __init__(self, horizon, x_dim, v_dim, grad_gap=False):
-        stride = 1 if horizon <= 100000 else math.ceil(horizon / 100000)
-        rows = len(range(0, horizon, stride)) + 1
+
+def trace_rows(horizon):
+    """Rows of a run's trace: one every stride steps plus the terminal row."""
+    return len(range(0, horizon, _trace_stride(horizon))) + 1
+
+
+@dataclass(frozen=True)
+class BatchRecord:
+    """The traces of a batched run, seed axis first: ``xs``, ``vs`` and
+    ``grad_gap_partial`` hold one trace per row of ``x0``, sharing ``ns``,
+    ``gammas`` and ``taus``; a checkpoint's averages are (S, d), NaN in the
+    rows of seeds retired before it.  Seed i ran until step ``stops[i]``
+    (the horizon, unless it diverged at that step with message
+    ``errors[i]``) and owns the trace rows with n <= stops[i]; :meth:`seed`
+    is its RunRecord."""
+
+    ns: np.ndarray
+    xs: np.ndarray
+    vs: np.ndarray
+    gammas: np.ndarray
+    taus: np.ndarray
+    checkpoints: tuple
+    stochastic: bool
+    horizon: int
+    stride: int
+    stops: tuple
+    errors: tuple
+    grad_gap_partial: Optional[np.ndarray] = None
+
+    def __len__(self):
+        return len(self.stops)
+
+    def seed(self, i):
+        """Row i's record, equal to the record of a run of that seed alone."""
+        stop, err = self.stops[i], self.errors[i]
+        k = int(np.searchsorted(self.ns, stop, side="right"))
+        return RunRecord(
+            ns=self.ns[:k], xs=self.xs[i, :k], vs=self.vs[i, :k],
+            gammas=self.gammas[:k], taus=self.taus[:k],
+            checkpoints=tuple(ErgodicCheckpoint(cp.N, cp.x_avg[i], cp.v_avg[i], cp.sum_gamma)
+                              for cp in self.checkpoints if cp.N < stop),
+            stochastic=self.stochastic, horizon=self.horizon, stride=self.stride,
+            grad_gap_partial=(None if self.grad_gap_partial is None
+                              else self.grad_gap_partial[i, :k]),
+            diverged=err is not None, error=err,
+        )
+
+
+class TraceBuffer:
+    """The trace rows of S runs, allocated once for the horizon: one row
+    every ``stride`` steps plus the terminal row.  ``store`` writes the rows
+    of the runs ``live`` indexes (an int for a vector run)."""
+
+    def __init__(self, horizon, seeds, x_dim, v_dim, grad_gap=False):
+        rows = trace_rows(horizon)
         self.horizon = horizon
-        self.stride = stride
+        self.stride = _trace_stride(horizon)
         self.ns = np.empty(rows, dtype=int)
-        self.xs = np.empty((rows, x_dim))
-        self.vs = np.empty((rows, v_dim))
+        self.xs = np.empty((seeds, rows, x_dim))
+        self.vs = np.empty((seeds, rows, v_dim))
         self.gammas = np.empty(rows)
         self.taus = np.empty(rows)
-        self.grad_gap = np.empty(rows) if grad_gap else None
+        self.grad_gap = np.empty((seeds, rows)) if grad_gap else None
         self.rows = 0
 
-    def store(self, n, x, v, gamma, tau, grad_gap=None):
+    def store(self, n, live, x, v, gamma, tau, grad_gap=None):
         k = self.rows
         self.ns[k] = n
-        self.xs[k] = x
-        self.vs[k] = v
+        self.xs[live, k] = x
+        self.vs[live, k] = v
         self.gammas[k] = gamma
         self.taus[k] = tau
         if self.grad_gap is not None:
-            self.grad_gap[k] = grad_gap
+            self.grad_gap[live, k] = grad_gap
         self.rows = k + 1
 
-    def record(self, checkpoints, stochastic, err=None):
-        """The rows written so far (all of them once the run has finished)."""
+    def batch(self, checkpoints, stochastic, stops, errors):
+        """The rows written so far, as the record of a batched run."""
         k = self.rows
-        return RunRecord(
-            ns=self.ns[:k], xs=self.xs[:k], vs=self.vs[:k],
-            gammas=self.gammas[:k], taus=self.taus[:k],
-            checkpoints=tuple(checkpoints), stochastic=stochastic,
-            horizon=self.horizon, stride=self.stride,
-            grad_gap_partial=None if self.grad_gap is None else self.grad_gap[:k],
-            diverged=err is not None, error=err,
-        )
+        return BatchRecord(self.ns[:k], self.xs[:, :k], self.vs[:, :k], self.gammas[:k],
+                           self.taus[:k], tuple(checkpoints), stochastic, self.horizon,
+                           self.stride, tuple(stops), tuple(errors),
+                           None if self.grad_gap is None else self.grad_gap[:, :k])
+
+    def record(self, checkpoints, stochastic, err=None):
+        """The rows written so far of a vector run (all of them once the run
+        has finished)."""
+        return self.batch(checkpoints, stochastic, (self.horizon,), (err,)).seed(0)
+
+
+def _snapshot(acc, n, live, seeds):
+    """The running averages at checkpoint n as (S, d) arrays, NaN in the rows
+    of retired seeds."""
+    x_avg = np.full((seeds, acc.x_avg.shape[-1]), np.nan)
+    v_avg = np.full((seeds, acc.v_avg.shape[-1]), np.nan)
+    x_avg[live] = acc.x_avg
+    v_avg[live] = acc.v_avg
+    return ErgodicCheckpoint(n, x_avg, v_avg, acc.weight_sum)
 
 
 def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
@@ -411,12 +483,21 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
     which the running weighted averages are snapshotted; when
     ``grad_gap_reference`` is given, the true partial sums of
     ||B x_n - B x_ref||^2 are accumulated online and stored per trace row.
-    Divergence aborts the run and attaches the partial record to the error.
+
+    With vectors ``x0``, ``v0`` this is one run: it returns a RunRecord, and
+    divergence aborts it with the partial record attached to the error.
+    With (S, d) arrays it advances S runs, one per seed of the oracle, by one
+    papc_step per step and returns a BatchRecord.  A row that goes non-finite
+    at step n is retired with that error's message, its trace ending at row
+    n; the other rows repeat step n without it, which changes none of their
+    bits, since rows never mix.
     """
     horizon = int(horizon)
     x0 = spec.P_V(np.array(x0, dtype=float))
     v0 = np.array(v0, dtype=float)
     state = PapcState(0, x0, v0)
+    batched = x0.ndim == 2
+    seeds = len(x0) if batched else 1
 
     cps = sorted(set(int(c) for c in checkpoints))
     cp_iter = iter(cps)
@@ -427,15 +508,19 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
         ref_val = spec.B.apply(np.asarray(grad_gap_reference, dtype=float))
     wH = spec.primal_weights
 
-    trace = TraceBuffer(horizon, x0.size, v0.size, grad_gap=ref_val is not None)
+    trace = TraceBuffer(horizon, seeds, x0.shape[-1], v0.shape[-1],
+                        grad_gap=ref_val is not None)
     stride = trace.stride
     stochastic = not getattr(oracle, "is_deterministic", False)
     snaps = []
     acc = ErgodicAccumulator()
-    gg = 0.0
+    gg = np.zeros(seeds) if batched else 0.0
+    # The trace rows of the runs still going: all of them until one retires.
+    live = slice(None) if batched else 0
+    stops, errors = [horizon] * seeds, [None] * seeds
 
     def _store(n, st):
-        trace.store(n, st.x, st.v, float(sched.gamma(n)), float(sched.tau(n)), gg)
+        trace.store(n, live, st.x, st.v, float(sched.gamma(n)), float(sched.tau(n)), gg)
 
     for n in range(horizon):
         if ref_val is not None:
@@ -444,21 +529,41 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
         if n % stride == 0:
             _store(n, state)
         gam = float(sched.gamma(n))
-        try:
-            state = papc_step(state, spec, sched, oracle)
-        except DivergenceError as exc:
-            exc.record = trace.record(snaps, stochastic, str(exc))
-            raise
+        while True:
+            try:
+                state = papc_step(state, spec, sched, oracle)
+                break
+            except DivergenceError as exc:
+                if not batched:
+                    exc.record = trace.record(snaps, stochastic, str(exc))
+                    raise
+                ids = np.arange(seeds)[live]
+                for i in ids[exc.rows]:
+                    stops[i], errors[i] = n, str(exc)
+                if None not in errors:
+                    break
+                keep = np.setdiff1d(np.arange(len(ids)), exc.rows)
+                live = ids[keep]
+                state = PapcState(n, state.x[keep], state.v[keep])
+                oracle = oracle.select(keep)
+                if ref_val is not None:
+                    gg = gg[keep]
+                if acc.x_avg is not None:
+                    acc = ErgodicAccumulator(acc.weight_sum, acc.x_avg[keep], acc.v_avg[keep])
+        if None not in errors:
+            break
         acc = ergodic_update(acc, gam, state.x, state.v)
         if next_cp is not None and n == next_cp:
-            snaps.append(ErgodicCheckpoint(n, np.array(acc.x_avg), np.array(acc.v_avg),
-                                           acc.weight_sum))
+            snaps.append(_snapshot(acc, n, live, seeds))
             next_cp = next(cp_iter, None)
         for cb in callbacks:
             cb(n, state, gam, float(sched.tau(n)))
+    else:
+        if ref_val is not None:
+            d = spec.B.apply(state.x) - ref_val
+            gg += inner(d, d, wH)
+        _store(horizon, state)
 
-    if ref_val is not None:
-        d = spec.B.apply(state.x) - ref_val
-        gg += inner(d, d, wH)
-    _store(horizon, state)
-    return trace.record(snaps, stochastic)
+    if not batched:
+        return trace.record(snaps, stochastic)
+    return trace.batch(snaps, stochastic, stops, errors)

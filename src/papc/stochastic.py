@@ -7,15 +7,24 @@ substream keyed by (seed, n, t), so given the iterate the sample is unbiased
 and independent of the noise history.  A run draws t = 0; other t give
 independent replicates at the same step.  Identical seed and iterate history
 therefore reproduce the sample stream bit for bit.
+
+A noisy oracle holds a tuple of seeds, one per row: ``x`` may be a vector
+(drawn with the first seed) or an (S, d) array whose row i is drawn with
+``seeds[i]``, so the rows never mix and each is bitwise the sample a
+one-seed oracle gives for that row.  ``select(rows)`` is the oracle of a
+subset of the rows, which a batched run uses when it retires a seed.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from .errors import DimensionMismatchError
 
 __all__ = [
     "VarianceSchedule",
@@ -88,20 +97,41 @@ class DeterministicOracle:
     def sample(self, x, n, t=0):
         return self.base.apply(x)
 
+    def select(self, rows):
+        return self
 
-class GaussianOracle:
+
+class _SeededOracle:
+    """The seeds of a noisy oracle: an int is one row, a sequence one seed
+    per row."""
+
+    is_deterministic = False
+
+    def __init__(self, seeds):
+        self.seeds = (int(seeds),) if np.ndim(seeds) == 0 else tuple(int(s) for s in seeds)
+
+    def select(self, rows):
+        out = copy.copy(self)
+        out.seeds = tuple(self.seeds[i] for i in rows)
+        return out
+
+    def _row_seeds(self, x):
+        if len(x) != len(self.seeds):
+            raise DimensionMismatchError("%d rows for %d seeds" % (len(x), len(self.seeds)))
+        return self.seeds
+
+
+class GaussianOracle(_SeededOracle):
     """r_n = B x_n + sigma_n * z with z standard normal per coordinate.
 
     The per-coordinate error variance is sigma_n^2 from the schedule, so the
     full squared-norm second moment is dim * sigma_n^2.
     """
 
-    is_deterministic = False
-
-    def __init__(self, B, schedule, seed):
+    def __init__(self, B, schedule, seeds):
+        super().__init__(seeds)
         self.base = B
         self.schedule = schedule
-        self.seed = int(seed)
         self.dim = B.dim
 
     def sample(self, x, n, t=0):
@@ -109,20 +139,25 @@ class GaussianOracle:
         s2 = self.schedule.sigma_sq(n)
         if s2 == 0.0:
             return mean
-        rng = np.random.default_rng((self.seed, int(n), int(t)))
-        return mean + math.sqrt(s2) * rng.standard_normal(self.dim)
+        key = (int(n), int(t))
+        if x.ndim == 1:
+            z = np.random.default_rng((self.seeds[0],) + key).standard_normal(self.dim)
+        else:
+            z = np.empty(mean.shape)
+            for row, seed in zip(z, self._row_seeds(x)):
+                np.random.default_rng((seed,) + key).standard_normal(out=row)
+        return mean + math.sqrt(s2) * z
 
 
-class MinibatchOracle:
+class MinibatchOracle(_SeededOracle):
     """r_n = mean over a random batch of component maps whose average is B.
 
     Components are sampled without replacement; a batch covering all
-    components reproduces B exactly.
+    components reproduces B exactly.  The components take one vector, so an
+    (S, d) array is sampled row by row.
     """
 
-    is_deterministic = False
-
-    def __init__(self, components, beta, seed, batch_schedule=None, dim=None):
+    def __init__(self, components, beta, seeds, batch_schedule=None, dim=None):
         from .monotone import CocoerciveMap
 
         self.components = list(components)
@@ -131,9 +166,9 @@ class MinibatchOracle:
         m = len(self.components)
         if dim is None:
             raise ValueError("dim is required")
+        super().__init__(seeds)
         self.dim = int(dim)
         self.m = m
-        self.seed = int(seed)
         self.batch_schedule = batch_schedule or (lambda n: m)
 
         def mean_apply(x):
@@ -148,9 +183,15 @@ class MinibatchOracle:
         k = int(self.batch_schedule(n))
         if not 1 <= k <= self.m:
             raise ValueError("batch size %d out of range" % k)
+        if x.ndim == 1:
+            return self._sample_row(x, n, t, k, self.seeds[0])
+        return np.stack([self._sample_row(row, n, t, k, seed)
+                         for row, seed in zip(x, self._row_seeds(x))])
+
+    def _sample_row(self, x, n, t, k, seed):
         if k == self.m:
             return self.base.apply(x)
-        rng = np.random.default_rng((self.seed, int(n), int(t)))
+        rng = np.random.default_rng((seed, int(n), int(t)))
         idx = rng.choice(self.m, size=k, replace=False)
         acc = np.zeros(self.dim)
         for i in idx:

@@ -175,11 +175,12 @@ def lasso_sign_oracle(D, a, weight, sign_tol=1e-10):
     raise OracleError("sign enumeration found no pattern satisfying the optimality system")
 
 
-def long_run_oracle(spec, beta, tau, total_steps=10 ** 6, segment=50000,
+def long_run_oracle(spec, beta, tau, total_steps=10 ** 6, segment=1000,
                     accept=1e-9, early_exit=1e-10):
     """Conservative long-horizon deterministic run, accepted only under a
-    strict KKT residual.  Runs in segments and stops early once the residual
-    is below ``early_exit`` (strictly tighter than the acceptance level)."""
+    strict KKT residual.  Runs in segments, checking the residual after each,
+    and stops early once it is below ``early_exit`` (strictly tighter than
+    the acceptance level)."""
     sched = Schedules.constant(0.5 * beta, tau, beta)
     oracle = DeterministicOracle(spec.B)
     state = PapcState(0, spec.P_V(np.zeros(spec.B.dim)), np.zeros(spec.A.dim))

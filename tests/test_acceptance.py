@@ -217,7 +217,7 @@ dir = out
 """ % " ".join(str(s) for s in range(20))
     cfg = parse_config(text)
     t0 = time.perf_counter()
-    res = run_experiment(cfg, out_dir=str(tmp_path / "as"), jobs=min(4, os.cpu_count() or 1))
+    res = run_experiment(cfg, out_dir=str(tmp_path / "as"))
     wall = time.perf_counter() - t0
     dists = [res.summary["seeds"][str(s)]["terminal_dist_x"] for s in range(20)]
     ok = res.exit_code == 0 and max(dists) <= 1e-2 and wall < 300.0

@@ -89,9 +89,9 @@ class TestCompositeStep:
         cp, sched = single_block_problem()
         spec = stack(cp)
         lp = lift(cp)
-        oracle = GaussianOracle(cp.C, VarianceSchedule.polynomial(1.0, 1.0), seed=3)
+        oracle = GaussianOracle(cp.C, VarianceSchedule.polynomial(1.0, 1.0), seeds=3)
         lifted_oracle = ReplicatedOracle(GaussianOracle(
-            cp.C, VarianceSchedule.polynomial(1.0, 1.0), seed=3), 1, cp.base_dim)
+            cp.C, VarianceSchedule.polynomial(1.0, 1.0), seeds=3), 1, cp.base_dim)
         a = PapcState(0, np.zeros(3), np.zeros(3))
         b = PapcState(0, np.zeros(3), np.zeros(3))
         for _ in range(50):

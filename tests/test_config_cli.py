@@ -324,21 +324,27 @@ class TestCli:
         with open(out / "summary.json", encoding="utf-8") as fh:
             assert json.load(fh)["status"] == "rejected"
 
-    @pytest.mark.parametrize("section,entries", [
-        ("noise", "kind = gaussian\nsigma0 = -1"),
-        ("schedules", "tau_cap = -1"),
-        ("schedules", "tau_cap = 0"),
-        ("noise", "kind = minibatch\nbatch_schedule = -1"),
-        ("noise", "kind = gaussian\nepsilon = -1"),
-        ("run", "horizon = abc"),
-        ("noise", "kind = gaussian\nsigma0 = abc"),
-        ("schedules", "gamma_kind = bogus"),
-        ("schedules", "tau_kind = bogus"),
-        ("problem", "dim = x"),
-        ("problem", "name = fused\ndim = 1"),
-        ("problem", "name = custom\nh = sq_dist(b=0.0)\ng = l1(weight=abc)"),
-    ])
-    def test_out_of_range_value_exit_2(self, tmp_path, capsys, section, entries):
+    # (section, entries, what the message must say beyond "config error").
+    OUT_OF_RANGE = [
+        ("noise", "kind = gaussian\nsigma0 = -1", ""),
+        ("schedules", "tau_cap = -1", ""),
+        ("schedules", "tau_cap = 0", ""),
+        ("noise", "kind = minibatch\nbatch_schedule = -1", ""),
+        ("noise", "kind = gaussian\nepsilon = -1", ""),
+        ("run", "horizon = abc", "config error: [run] horizon: invalid literal"),
+        ("noise", "kind = gaussian\nsigma0 = abc", "config error: [noise] sigma0: could not"),
+        ("schedules", "gamma_kind = bogus", ""),
+        ("schedules", "tau_kind = bogus", ""),
+        ("problem", "dim = x", ""),
+        ("problem", "name = fused\ndim = 1", ""),
+        ("problem", "name = custom\nh = sq_dist(b=0.0)\ng = l1(weight=abc)", ""),
+        ("schedules", "gamma0 = x", "config error: [schedules] gamma0: could not"),
+        ("run", "seeds = 0 x", "config error: [run] seeds: invalid literal"),
+    ]
+
+    @pytest.mark.parametrize("section,entries,cause", OUT_OF_RANGE,
+                             ids=["%s-%s" % case[:2] for case in OUT_OF_RANGE])
+    def test_out_of_range_value_exit_2(self, tmp_path, capsys, section, entries, cause):
         cfg_path = tmp_path / "c.cfg"
         # The entries come last, so they override the [run] defaults too.
         cfg_path.write_text("[problem]\nname = lasso\n\n[run]\nhorizon = 20\nseeds = 0\n\n"
@@ -347,6 +353,7 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+        assert cause in err
 
     @pytest.mark.parametrize("matrix,cause", [
         (None, "No such file"),  # the --config file itself is missing
@@ -401,7 +408,7 @@ class TestCli:
         real_run = runner.run
 
         def flaky_run(spec, sched, oracle, *args, **kwargs):
-            if oracle.seed == 1:
+            if 1 in oracle.seeds:
                 raise np.linalg.LinAlgError("singular matrix")
             return real_run(spec, sched, oracle, *args, **kwargs)
 

@@ -15,13 +15,13 @@ def linear_map(dim=3, scale=1.0):
 
 class TestSample:
     def test_zero_noise_is_exact(self):
-        oracle = GaussianOracle(linear_map(), VarianceSchedule.polynomial(0.0), seed=1)
+        oracle = GaussianOracle(linear_map(), VarianceSchedule.polynomial(0.0), seeds=1)
         x = np.array([1.0, -2.0, 0.5])
         np.testing.assert_array_equal(oracle.sample(x, 3), x)
 
     def test_full_batch_is_exact(self):
         comps = [lambda x: x + 1.0, lambda x: x - 1.0, lambda x: 2 * x, lambda x: 0 * x]
-        oracle = MinibatchOracle(comps, beta=1.0, seed=0, dim=2)
+        oracle = MinibatchOracle(comps, beta=1.0, seeds=0, dim=2)
         x = np.array([0.3, -0.4])
         np.testing.assert_allclose(oracle.sample(x, 0), oracle.base.apply(x))
 
@@ -29,7 +29,7 @@ class TestSample:
         # sigma_n^2 = 1/(n+1)^2: at n = 3 the per-coordinate std is 1/4.
         sched = VarianceSchedule.polynomial(1.0, 1.0)
         assert math.sqrt(sched.sigma_sq(3)) == pytest.approx(0.25)
-        oracle = GaussianOracle(linear_map(1), sched, seed=42)
+        oracle = GaussianOracle(linear_map(1), sched, seeds=42)
         x = np.array([0.7])
         trials = 10 ** 5
         vals = np.array([oracle.sample(x, 3, t)[0] for t in range(trials)])
@@ -38,7 +38,7 @@ class TestSample:
 
     def test_unbiasedness_minibatch(self):
         comps = [lambda x: x, lambda x: 3 * x, lambda x: -x, lambda x: x + 2.0]
-        oracle = MinibatchOracle(comps, beta=1.0, seed=9, dim=1,
+        oracle = MinibatchOracle(comps, beta=1.0, seeds=9, dim=1,
                                  batch_schedule=lambda n: 2)
         x = np.array([1.0])
         mean = oracle.base.apply(x)
@@ -49,12 +49,12 @@ class TestSample:
 
     def test_bit_reproducible_given_seed_and_history(self):
         sched = VarianceSchedule.polynomial(1.0, 1.0)
-        a = GaussianOracle(linear_map(), sched, seed=7)
-        b = GaussianOracle(linear_map(), sched, seed=7)
+        a = GaussianOracle(linear_map(), sched, seeds=7)
+        b = GaussianOracle(linear_map(), sched, seeds=7)
         x = np.array([0.1, 0.2, 0.3])
         for n in range(5):
             np.testing.assert_array_equal(a.sample(x, n), b.sample(x, n))
-        c = GaussianOracle(linear_map(), sched, seed=8)
+        c = GaussianOracle(linear_map(), sched, seeds=8)
         assert not np.array_equal(a.sample(x, 0), c.sample(x, 0))
 
 
@@ -65,7 +65,7 @@ class TestEmpiricalVariance:
 
     def test_gaussian_quarter(self):
         sched = VarianceSchedule.constant(0.25)
-        oracle = GaussianOracle(linear_map(1), sched, seed=3)
+        oracle = GaussianOracle(linear_map(1), sched, seeds=3)
         trials = 10 ** 5
         est = empirical_variance(oracle, np.array([0.4]), 0, trials)
         rel_se = math.sqrt(2.0 / (trials - 1))  # chi-square moments
@@ -73,7 +73,7 @@ class TestEmpiricalVariance:
 
     def test_identical_components_have_zero_variance(self):
         comps = [lambda x: 2 * x] * 4
-        oracle = MinibatchOracle(comps, beta=0.5, seed=0, dim=2,
+        oracle = MinibatchOracle(comps, beta=0.5, seeds=0, dim=2,
                                  batch_schedule=lambda n: 2)
         assert empirical_variance(oracle, np.ones(2), 0, 32) == 0.0
 
