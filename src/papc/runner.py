@@ -5,7 +5,9 @@ The seeds of an experiment advance together, a group at a time, in one
 batched :func:`papc.solver.run`; rows never mix, so each seed's outputs are
 those of a run of that seed alone.  Trace and gap CSVs are byte-stable for a
 fixed config and seed (floats are written with shortest round-trip repr and
-all randomness is keyed by (seed, iteration)); the summary JSON additionally
+all randomness is keyed by seed and iteration: the gaussian noise by
+(seed, block of NOISE_BLOCK iterations), the minibatch draws by
+(seed, iteration)); the summary JSON additionally
 records the wall time of the experiment and of each seed's group, the
 intentionally non-stable fields.
 """
@@ -84,7 +86,7 @@ def _custom_coupling(params, key, dim, base, label):
 
 def _build_custom_single(cfg):
     params = dict(cfg.problem_params)
-    dim = int(params.get("dim", 4))
+    dim = zoo_mod._geti(params, "dim", 4)
     base = cfg.base_dir
     h, lipschitz = parse_smooth_spec(params.get("h", "zero"), dim, base)
     if lipschitz <= 0:
@@ -92,7 +94,7 @@ def _build_custom_single(cfg):
     L = _custom_coupling(params, "L", dim, base, "custom L")
     g = parse_prox_spec(params.get("g", "zero"), L.codomain_dim, base)
     P = parse_projector_spec(params.get("projector", "full"), dim, base)
-    U = SpdOperator.scalar_op(float(params.get("sigma", 1.0)), L.codomain_dim)
+    U = SpdOperator.scalar_op(zoo_mod._getf(params, "sigma", 1.0), L.codomain_dim)
     spec = ProblemSpec(B=gradient_map(h, lipschitz), A=MonotoneBlock.from_prox(g),
                        L=L, P_V=P, U=U, g=g, h=h, name="custom")
     est = coupling_spectral_estimate(U, L, P)
@@ -106,7 +108,7 @@ def _build_custom_single(cfg):
 
 def _build_custom_composite(cfg):
     params = dict(cfg.problem_params)
-    dim = int(params.get("dim", 4))
+    dim = zoo_mod._geti(params, "dim", 4)
     base = cfg.base_dir
     h, lipschitz = parse_smooth_spec(params.get("h", "zero"), dim, base)
     if lipschitz <= 0:
@@ -117,9 +119,9 @@ def _build_custom_composite(cfg):
         prefix = "block%d." % i
         L = _custom_coupling(params, prefix + "L", dim, base, prefix + "L")
         g = parse_prox_spec(params.get(prefix + "g", "zero"), L.codomain_dim, base)
-        sigma = float(params.get(prefix + "sigma", 1.0))
+        sigma = zoo_mod._getf(params, prefix + "sigma", 1.0)
         blocks.append(CompositeBlock(L=L, A=MonotoneBlock.from_prox(g), sigma=sigma, g=g))
-        weights.append(float(params.get(prefix + "omega", 0.0)))
+        weights.append(zoo_mod._getf(params, prefix + "omega", 0.0))
         i += 1
     if not blocks:
         raise ConfigError("custom_composite needs block1.g/block1.L/... entries")
@@ -400,8 +402,12 @@ def run_experiment(cfg, out_dir=None, force=False, seed_override=None):
                  if bound.instance.oracle is not None else None)
     c0 = _noise_c0(bound)
     seeds = sorted(set(int(s) for s in cfg.seeds))
-    per_seed = [frag for group in _seed_groups(bound, seeds)
-                for frag in _run_group(bound, group, out_dir, oracle_xv, c0)]
+    # A diverging seed overflows before the finiteness checks retire it, and
+    # so do the diagnostics of its last trace rows (they read inf); its status
+    # records the divergence, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_seed = [frag for group in _seed_groups(bound, seeds)
+                    for frag in _run_group(bound, group, out_dir, oracle_xv, c0)]
 
     dists = [d["terminal_dist_x"] for d in per_seed if d["terminal_dist_x"] is not None]
     statuses = {d["status"] for d in per_seed}

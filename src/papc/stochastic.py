@@ -1,12 +1,15 @@
 """Stochastic oracles for the cocoercive operator: unbiased noise models,
 variance schedules, and summability certificates.
 
-Every oracle answers ``sample(x, n, t=0)``.  Conditional expectations are
-realized by construction: the noise at step n is drawn from a fresh RNG
-substream keyed by (seed, n, t), so given the iterate the sample is unbiased
-and independent of the noise history.  A run draws t = 0; other t give
-independent replicates at the same step.  Identical seed and iterate history
-therefore reproduce the sample stream bit for bit.
+Every oracle answers ``sample(x, n, t=0)``, and its noise is a fixed
+function of (seed, n, t): the same key gives the same bits, whatever was
+asked before.  The gaussian oracle draws its standard normals in blocks of
+NOISE_BLOCK steps, block n // NOISE_BLOCK from an RNG keyed by
+(seed, n // NOISE_BLOCK, t); the minibatch oracle draws each step's batch
+from an RNG keyed by (seed, n, t).  Either way the noise at step n is
+independent of x_n, which depends only on the noise of steps before n, so
+given the history the sample is unbiased with the scheduled variance.  A run
+draws t = 0; other t give independent replicates at the same step.
 
 A noisy oracle holds a tuple of seeds, one per row: ``x`` may be a vector
 (drawn with the first seed) or an (S, d) array whose row i is drawn with
@@ -35,6 +38,9 @@ __all__ = [
     "summability_certificate",
     "empirical_variance",
 ]
+
+# Steps of gaussian noise drawn at once per seed: 128 * dim doubles each.
+NOISE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -122,10 +128,14 @@ class _SeededOracle:
 
 
 class GaussianOracle(_SeededOracle):
-    """r_n = B x_n + sigma_n * z with z standard normal per coordinate.
+    """r_n = B x_n + sigma_n * z_n with z_n standard normal per coordinate.
 
     The per-coordinate error variance is sigma_n^2 from the schedule, so the
-    full squared-norm second moment is dim * sigma_n^2.
+    full squared-norm second moment is dim * sigma_n^2.  The z_n of one seed
+    are drawn NOISE_BLOCK steps at a time: block b = n // NOISE_BLOCK is a
+    (NOISE_BLOCK, dim) array from ``default_rng((seed, b, t))`` and z_n is
+    its row n % NOISE_BLOCK.  The oracle keeps the block it drew last for
+    every seed and redraws on a miss, so any n may be asked for in any order.
     """
 
     def __init__(self, B, schedule, seeds):
@@ -133,20 +143,30 @@ class GaussianOracle(_SeededOracle):
         self.base = B
         self.schedule = schedule
         self.dim = B.dim
+        # The block of z drawn last, (NOISE_BLOCK, dim) per seed, and its (b, t).
+        self._block = np.empty((len(self.seeds), NOISE_BLOCK, self.dim))
+        self._key = None
+
+    def select(self, rows):
+        out = super().select(rows)
+        out._block = self._block[np.asarray(rows, dtype=int)]
+        return out
 
     def sample(self, x, n, t=0):
         mean = self.base.apply(x)
         s2 = self.schedule.sigma_sq(n)
         if s2 == 0.0:
             return mean
-        key = (int(n), int(t))
-        if x.ndim == 1:
-            z = np.random.default_rng((self.seeds[0],) + key).standard_normal(self.dim)
-        else:
-            z = np.empty(mean.shape)
-            for row, seed in zip(z, self._row_seeds(x)):
-                np.random.default_rng((seed,) + key).standard_normal(out=row)
-        return mean + math.sqrt(s2) * z
+        if x.ndim > 1:
+            self._row_seeds(x)  # one row per seed
+        b, k = divmod(int(n), NOISE_BLOCK)
+        key = (b, int(t))
+        if self._key != key:
+            for out, seed in zip(self._block, self.seeds):
+                np.random.default_rng((seed,) + key).standard_normal(out=out)
+            self._key = key
+        z = self._block[:, k]
+        return mean + math.sqrt(s2) * (z[0] if x.ndim == 1 else z)
 
 
 class MinibatchOracle(_SeededOracle):

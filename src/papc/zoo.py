@@ -65,12 +65,21 @@ class ZooEntry:
     build: callable
 
 
+def _param(convert, params, key, default):
+    """A [problem] key converted by ``convert``; a value that does not convert
+    is a config error naming the section and key."""
+    try:
+        return convert(params.get(key, default))
+    except ValueError as exc:
+        raise ConfigError("[problem] %s: %s" % (key, exc)) from exc
+
+
 def _geti(params, key, default):
-    return int(params.get(key, default))
+    return _param(int, params, key, default)
 
 
 def _getf(params, key, default):
-    return float(params.get(key, default))
+    return _param(float, params, key, default)
 
 
 def _difference_matrix(dim):

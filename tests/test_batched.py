@@ -17,7 +17,7 @@ from papc.linop import LinearMap, OrthoProjector, SpdOperator, inner, norm, weig
 from papc.monotone import (PROX_LIBRARY, MonotoneBlock, ProductMonotoneBlock,
                            inverse_resolvent, l1, quadratic_ls)
 from papc.solver import run
-from papc.stochastic import GaussianOracle, MinibatchOracle, VarianceSchedule
+from papc.stochastic import NOISE_BLOCK, GaussianOracle, MinibatchOracle, VarianceSchedule
 from papc.zoo import build_instance, oracle_solution
 
 ROWS = 4
@@ -190,11 +190,14 @@ class PoisonedOracle:
 
 class TestBatchedRun:
     def test_rows_equal_solo_runs(self):
+        # The horizon crosses two noise block edges.
+        horizon = 2 * NOISE_BLOCK + 5
         noise = VarianceSchedule.polynomial(1.0, 1.0)
         B = build_instance("lasso", {}).spec.B
-        batched = lasso_run(GaussianOracle(B, noise, (4, 0, 9)), 3)
+        batched = lasso_run(GaussianOracle(B, noise, (4, 0, 9)), 3, horizon)
         for i, seed in enumerate((4, 0, 9)):
-            assert_same_record(batched.seed(i), lasso_run(GaussianOracle(B, noise, seed), 0))
+            assert_same_record(batched.seed(i),
+                               lasso_run(GaussianOracle(B, noise, seed), 0, horizon))
 
     def test_minibatch_rows_equal_solo_runs(self):
         inst = build_instance("lasso", {})
@@ -208,6 +211,9 @@ class TestBatchedRun:
             assert_same_record(batched.seed(i), lasso_run(oracle(seed), 0))
 
     def test_diverged_seed_is_retired(self):
+        # Seed 1 retires inside the first noise block, so the survivors go on
+        # with the rows that select() sliced from the cached block.
+        assert 10 < NOISE_BLOCK
         batched = lasso_run(PoisonedOracle((0, 1, 2), poisoned=1, at=10), 3)
         retired = batched.seed(1)
         assert retired.diverged

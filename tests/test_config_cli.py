@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import papc
 from papc import runner
 from papc.cli import main as cli_main
 from papc.config import (ExperimentConfig, parse_config, parse_prox_spec,
@@ -335,7 +338,7 @@ class TestCli:
         ("noise", "kind = gaussian\nsigma0 = abc", "config error: [noise] sigma0: could not"),
         ("schedules", "gamma_kind = bogus", ""),
         ("schedules", "tau_kind = bogus", ""),
-        ("problem", "dim = x", ""),
+        ("problem", "dim = x", "config error: [problem] dim: invalid literal"),
         ("problem", "name = fused\ndim = 1", ""),
         ("problem", "name = custom\nh = sq_dist(b=0.0)\ng = l1(weight=abc)", ""),
         ("schedules", "gamma0 = x", "config error: [schedules] gamma0: could not"),
@@ -401,6 +404,28 @@ class TestCli:
         for seed in summary["seeds"].values():
             assert seed["status"] == "error"
             assert "weighted norm is negative" in seed["error"]
+
+    def test_divergence_prints_no_numpy_warning(self, tmp_path):
+        # gamma0 = 2.2 is above beta on lasso; under --force the iterates
+        # overflow at step 1115, which numpy reported with RuntimeWarnings
+        # (and their source lines) ahead of the CLI's own status line.
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("[problem]\nname = lasso\n\n[schedules]\ngamma0 = 2.2\n\n"
+                            "[noise]\nkind = none\n\n[run]\nhorizon = 2000\nseeds = 0 1\n")
+        out = tmp_path / "o"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(papc.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "papc.cli", "run", "--config",
+                               str(cfg_path), "--out", str(out), "--force"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert "run lasso: diverged" in proc.stdout + proc.stderr
+        with open(out / "summary.json", encoding="utf-8") as fh:
+            summary = json.load(fh)
+        assert summary["status"] == "diverged"
+        for seed in summary["seeds"].values():
+            assert seed["status"] == "diverged"
+            assert seed["error"] == "non-finite values in p_n at iteration 1115"
 
     def test_foreign_seed_error_is_recorded_per_seed(self, tmp_path, capsys, monkeypatch):
         # An exception from outside the package in one seed ended the whole

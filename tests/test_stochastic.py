@@ -5,7 +5,7 @@ import pytest
 
 from papc.monotone import CocoerciveMap
 from papc.solver import Schedules
-from papc.stochastic import (DeterministicOracle, GaussianOracle, MinibatchOracle,
+from papc.stochastic import (NOISE_BLOCK, DeterministicOracle, GaussianOracle, MinibatchOracle,
                              VarianceSchedule, empirical_variance, summability_certificate)
 
 
@@ -56,6 +56,47 @@ class TestSample:
             np.testing.assert_array_equal(a.sample(x, n), b.sample(x, n))
         c = GaussianOracle(linear_map(), sched, seeds=8)
         assert not np.array_equal(a.sample(x, 0), c.sample(x, 0))
+
+
+class TestBlockStream:
+    """The gaussian noise is drawn NOISE_BLOCK steps at a time, yet each
+    (seed, n, t) still names one sample."""
+
+    # Constant variance, so two steps share a sample only if they share noise.
+    SCHED = VarianceSchedule.constant(1.0)
+    # Block edges on both sides, a later block, and a step back into block 0.
+    NS = (0, NOISE_BLOCK - 1, NOISE_BLOCK, 3 * NOISE_BLOCK + 5, 1)
+
+    def oracle(self, seeds):
+        return GaussianOracle(linear_map(), self.SCHED, seeds=seeds)
+
+    def test_out_of_order_equals_in_order(self):
+        x = np.array([0.1, 0.2, 0.3])
+        shuffled = self.oracle(7)
+        asked = {n: shuffled.sample(x, n).tobytes() for n in self.NS}
+        in_order = self.oracle(7)
+        for n in sorted(self.NS):
+            assert in_order.sample(x, n).tobytes() == asked[n], n
+        assert len(set(asked.values())) == len(self.NS)
+
+    def test_vector_is_row_zero_of_a_batch(self):
+        xs = np.array([[0.1, 0.2, 0.3], [1.0, -2.0, 0.5]])
+        batch, first, second = self.oracle((7, 3)), self.oracle(7), self.oracle(3)
+        for n in self.NS:
+            # A vector asked of the two-seed oracle is drawn with its first seed.
+            vector = batch.sample(xs[0], n)
+            rows = batch.sample(xs, n)
+            assert rows[0].tobytes() == first.sample(xs[0], n).tobytes() == vector.tobytes(), n
+            assert rows[1].tobytes() == second.sample(xs[1], n).tobytes(), n
+            assert batch.select([1]).sample(xs[1:], n).tobytes() == rows[1:].tobytes(), n
+
+    def test_replicates_differ(self):
+        x = np.array([0.1, 0.2, 0.3])
+        oracle = self.oracle(7)
+        for n in self.NS:
+            t0 = oracle.sample(x, n)
+            assert not np.array_equal(t0, oracle.sample(x, n, 1)), n
+            assert oracle.sample(x, n).tobytes() == t0.tobytes(), n
 
 
 class TestEmpiricalVariance:
