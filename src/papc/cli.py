@@ -25,9 +25,9 @@ def _cmd_run(args):
                             seed_override=args.seed_override)
     status = result.summary.get("status", "unknown")
     print("run %s: %s (artifacts in %s)" % (cfg.problem, status, result.out_dir))
-    if status == "rejected":
-        for name in result.summary["certificate"]["failed"]:
-            print("  failed condition: %s" % name)
+    label = "failed" if status == "rejected" else "forced past failed"
+    for name in result.summary["certificate"]["failed"]:
+        print("  %s condition: %s" % (label, name))
     return result.exit_code
 
 

@@ -266,9 +266,6 @@ class ReplicatedOracle:
         r = self.inner.sample(bold_x[..., : self.base_dim], n, t)
         return np.tile(r, (1,) * (r.ndim - 1) + (self.m,))
 
-    def select(self, rows):
-        return ReplicatedOracle(self.inner.select(rows), self.m, self.base_dim)
-
 
 def lift_flat_equivalence(cp, sched, seed, steps, noise=None, x0=None, vs0=None):
     """Step papc_step on the stacked spec and on the lifted spec in lockstep

@@ -24,7 +24,7 @@ class StepSizeViolationError(PapcError, ArithmeticError):
 
 class DivergenceError(PapcError, RuntimeError):
     """An iterate became non-finite.  Carries the partial run record, if any,
-    and, for an (S, d) iterate, the indices of its non-finite rows."""
+    and the indices of the non-finite rows (0 for a vector)."""
 
     def __init__(self, quantity, iteration, record=None, rows=None):
         super().__init__("non-finite values in %s at iteration %d" % (quantity, iteration))

@@ -6,12 +6,15 @@ diagonal inner-product weight vector (this is how the weighted product-space
 geometry enters); ``weights=None`` means the standard dot product.
 
 Every operator, and ``inner``/``norm``/``weighted_norm_sq``, acts on the last
-axis: a vector gives what it always gave, and an ``(S, d)`` array gives S
-rows that never mix, each bitwise equal to the call on that row alone.  Dense
-products therefore use the stacked matrix-vector form of :func:`matvec` and
-reductions the stacked row-times-column product of :func:`inner`, which run
-the same kernel per row as the 1-d call; a matrix-matrix product, ``sum`` or
-``einsum`` would round differently.
+axis: an ``(S, d)`` array gives S rows that never mix, each bitwise equal to
+the call on that row alone, and a vector gives the bits of the one-row
+array.  Dense products therefore use the stacked matrix-vector form of
+:func:`matvec` (a vector as one stacked row) and reductions the stacked
+row-times-column product of :func:`inner`, which run the same kernel per row
+as the 1-d call; a matrix-matrix product, ``sum`` or ``einsum`` would round
+differently.  ``inner`` and ``norm`` keep a scalar path for vectors, which
+the power iterations of the step-size certificate call many thousands of
+times.
 """
 
 from __future__ import annotations
@@ -56,8 +59,6 @@ def as_rng(rng):
 
 def matvec(mat, x):
     """``mat @ x`` on the last axis of x, row by row for an (S, d) array."""
-    if x.ndim == 1:
-        return mat @ x
     return np.matmul(mat, x[..., None])[..., 0]
 
 
@@ -450,17 +451,11 @@ def weighted_norm_sq(v, U, tau_n, gamma_n, L, P):
     u = L.adjoint(v)
     t2 = inner(P(u), u, L.domain_weights)
     val = gamma_n * gamma_n * (t1 - t2)
-    if v.ndim == 1:
-        if val < 0.0:
-            if val < -1e-12 * max(inner(v, v, wg), 1e-300):
-                raise _negative_norm(val)
-            return 0.0
-        return val
     neg = val < 0.0
-    if neg.any():
+    if np.any(neg):
         bad = np.flatnonzero(val < -1e-12 * np.maximum(inner(v, v, wg), 1e-300))
         if bad.size:
-            raise _negative_norm(val[bad[0]])
+            raise _negative_norm(np.ravel(val)[bad[0]])
         val = np.where(neg, 0.0, val)
     return val
 

@@ -397,8 +397,6 @@ def quadratic_ls(D, a):
 
 def _solve(mat, x):
     """mat^{-1} x on the last axis of x, one solve per row of an (S, d) array."""
-    if x.ndim == 1:
-        return np.linalg.solve(mat, x)
     return np.linalg.solve(mat, x[..., None])[..., 0]
 
 

@@ -327,6 +327,12 @@ def _run_group(bound, seeds, out_dir, oracle_xv, c0):
     return fragments
 
 
+def _finite(value):
+    """A distance for the summary: None when it overflowed, since strict JSON
+    has no infinity."""
+    return value if math.isfinite(value) else None
+
+
 def _seed_artifacts(bound, seed, record, wall, out_dir, oracle_xv, c0):
     spec = bound.instance.spec
     status = "diverged" if record.diverged else "ok"
@@ -347,8 +353,8 @@ def _seed_artifacts(bound, seed, record, wall, out_dir, oracle_xv, c0):
     dist_x = dist_v = None
     if oracle_xv is not None:
         x_ref, v_ref = oracle_xv
-        dist_x = norm(record.terminal_x - x_ref, spec.primal_weights)
-        dist_v = norm(record.terminal_v - v_ref, spec.dual_weights)
+        dist_x = _finite(norm(record.terminal_x - x_ref, spec.primal_weights))
+        dist_v = _finite(norm(record.terminal_v - v_ref, spec.dual_weights))
     return {
         "seed": seed,
         "status": status,
@@ -392,7 +398,7 @@ def run_experiment(cfg, out_dir=None, force=False, seed_override=None):
     if not cert.ok and not force:
         summary = {"certificate": cert_summary, "status": "rejected"}
         with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         return ExperimentResult(out_dir, summary, 2)
 
     with open(os.path.join(out_dir, "config.cfg"), "w", encoding="utf-8") as fh:
@@ -430,7 +436,7 @@ def run_experiment(cfg, out_dir=None, force=False, seed_override=None):
         "wall_time_s": time.perf_counter() - t0,
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
     exit_code = 0 if summary["status"] == "ok" else 1
     return ExperimentResult(out_dir, summary, exit_code)
 

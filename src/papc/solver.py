@@ -16,7 +16,8 @@ problem min_x h(x) + g(Lx) is the case A = the subdifferential of g
 The iterates are vectors, or (S, d) arrays of S independent runs (one per
 seed of the oracle): every operator acts on the last axis and its rows never
 mix, so one step advances all S runs and each row is bitwise the run of its
-seed alone.
+seed alone.  :func:`run` always iterates (S, d) arrays; a vector run is the
+one-row batch.
 """
 
 from __future__ import annotations
@@ -109,12 +110,11 @@ class Schedules:
         return float(self.gamma(0))
 
     @classmethod
-    def constant(cls, gamma0, tau0, beta, tau_cap=None):
+    def constant(cls, gamma0, tau0, beta):
         gamma0 = float(gamma0)
         tau0 = float(tau0)
-        return cls(lambda n: gamma0, lambda n: tau0,
-                   tau_cap=float(tau_cap) if tau_cap is not None else tau0,
-                   beta=float(beta), gamma_kind="constant", tau_kind="constant")
+        return cls(lambda n: gamma0, lambda n: tau0, tau_cap=tau0, beta=float(beta),
+                   gamma_kind="constant", tau_kind="constant")
 
     @classmethod
     def make(cls, beta, gamma_kind="constant", gamma0=None, tau_kind="constant", tau_cap=1.0):
@@ -149,10 +149,14 @@ class Schedules:
 
 @dataclass(frozen=True)
 class PapcState:
+    """The iterate before step n.  ``live`` masks the rows of (S, d) iterates
+    whose finiteness is checked; None checks every row."""
+
     n: int
     x: np.ndarray
     v: np.ndarray
     p: Optional[np.ndarray] = None
+    live: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -282,32 +286,36 @@ def dual_resolvent(spec, lam, w):
                            for blk, (s, e, sigma) in zip(A.blocks, U.blocks)], axis=-1)
 
 
-def _check_finite(arr, label, n):
+def _check_finite(arr, label, n, live):
     finite = np.isfinite(arr)
     if not finite.all():
-        rows = None if arr.ndim == 1 else np.flatnonzero(~finite.all(axis=-1))
-        raise DivergenceError(label, n, rows=rows)
+        bad = ~finite.all(axis=-1)
+        if live is not None:
+            bad &= live
+        if bad.any():
+            raise DivergenceError(label, n, rows=np.flatnonzero(bad))
 
 
 def papc_step(state, spec, sched, oracle):
     """One iteration of the inclusion algorithm.  Draws exactly one oracle
     sample and reuses it in the predictor and the correction line.  A
-    non-finite quantity raises :class:`DivergenceError`, which names the
-    non-finite rows of (S, d) iterates."""
-    n = state.n
+    non-finite quantity in a row of ``state.live`` (in any row, when it is
+    None) raises :class:`DivergenceError`, which names those rows of (S, d)
+    iterates; the mask is carried to the next state."""
+    n, live = state.n, state.live
     gam = float(sched.gamma(n))
     tau = float(sched.tau(n))
     r = oracle.sample(state.x, n)
-    _check_finite(r, "r_n", n)
+    _check_finite(r, "r_n", n, live)
     p = spec.P_V(state.x - gam * (spec.L.adjoint(state.v) + r))
-    _check_finite(p, "p_n", n)
+    _check_finite(p, "p_n", n, live)
     lam = tau / gam
     w = state.v + lam * spec.U.apply(spec.L(p))
     v1 = dual_resolvent(spec, lam, w)
-    _check_finite(v1, "v_{n+1}", n)
+    _check_finite(v1, "v_{n+1}", n, live)
     x1 = spec.P_V(state.x - gam * (spec.L.adjoint(v1) + r))
-    _check_finite(x1, "x_{n+1}", n)
-    return PapcState(n + 1, x1, v1, p)
+    _check_finite(x1, "x_{n+1}", n, live)
+    return PapcState(n + 1, x1, v1, p, live)
 
 
 @dataclass(frozen=True)
@@ -424,8 +432,7 @@ class BatchRecord:
 
 class TraceBuffer:
     """The trace rows of S runs, allocated once for the horizon: one row
-    every ``stride`` steps plus the terminal row.  ``store`` writes the rows
-    of the runs ``live`` indexes (an int for a vector run)."""
+    every ``stride`` steps plus the terminal row."""
 
     def __init__(self, horizon, seeds, x_dim, v_dim, grad_gap=False):
         rows = trace_rows(horizon)
@@ -439,15 +446,15 @@ class TraceBuffer:
         self.grad_gap = np.empty((seeds, rows)) if grad_gap else None
         self.rows = 0
 
-    def store(self, n, live, x, v, gamma, tau, grad_gap=None):
+    def store(self, n, x, v, gamma, tau, grad_gap=None):
         k = self.rows
         self.ns[k] = n
-        self.xs[live, k] = x
-        self.vs[live, k] = v
+        self.xs[:, k] = x
+        self.vs[:, k] = v
         self.gammas[k] = gamma
         self.taus[k] = tau
         if self.grad_gap is not None:
-            self.grad_gap[live, k] = grad_gap
+            self.grad_gap[:, k] = grad_gap
         self.rows = k + 1
 
     def batch(self, checkpoints, stochastic, stops, errors):
@@ -457,21 +464,6 @@ class TraceBuffer:
                            self.taus[:k], tuple(checkpoints), stochastic, self.horizon,
                            self.stride, tuple(stops), tuple(errors),
                            None if self.grad_gap is None else self.grad_gap[:, :k])
-
-    def record(self, checkpoints, stochastic, err=None):
-        """The rows written so far of a vector run (all of them once the run
-        has finished)."""
-        return self.batch(checkpoints, stochastic, (self.horizon,), (err,)).seed(0)
-
-
-def _snapshot(acc, n, live, seeds):
-    """The running averages at checkpoint n as (S, d) arrays, NaN in the rows
-    of retired seeds."""
-    x_avg = np.full((seeds, acc.x_avg.shape[-1]), np.nan)
-    v_avg = np.full((seeds, acc.v_avg.shape[-1]), np.nan)
-    x_avg[live] = acc.x_avg
-    v_avg[live] = acc.v_avg
-    return ErgodicCheckpoint(n, x_avg, v_avg, acc.weight_sum)
 
 
 def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
@@ -484,20 +476,24 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
     ``grad_gap_reference`` is given, the true partial sums of
     ||B x_n - B x_ref||^2 are accumulated online and stored per trace row.
 
-    With vectors ``x0``, ``v0`` this is one run: it returns a RunRecord, and
-    divergence aborts it with the partial record attached to the error.
-    With (S, d) arrays it advances S runs, one per seed of the oracle, by one
-    papc_step per step and returns a BatchRecord.  A row that goes non-finite
-    at step n is retired with that error's message, its trace ending at row
-    n; the other rows repeat step n without it, which changes none of their
-    bits, since rows never mix.
+    With (S, d) arrays ``x0``, ``v0`` this advances S runs, one per seed of
+    the oracle, by one papc_step per step and returns a BatchRecord.  A row
+    that goes non-finite at step n is retired with that error's message, its
+    trace ending at row n: its iterates become NaN, it leaves the finiteness
+    checks, and step n is taken again, which changes no bit of the other
+    rows, since rows never mix and the oracle is keyed by (seed, n).
+    Vectors ``x0``, ``v0`` are the one-row batch of a one-seed oracle: the
+    result is its RunRecord, callbacks see vectors, and divergence raises the
+    row's DivergenceError with that record attached.
     """
     horizon = int(horizon)
     x0 = spec.P_V(np.array(x0, dtype=float))
     v0 = np.array(v0, dtype=float)
+    vector = x0.ndim == 1
+    if vector:
+        x0, v0 = x0[None], v0[None]
+    seeds = len(x0)
     state = PapcState(0, x0, v0)
-    batched = x0.ndim == 2
-    seeds = len(x0) if batched else 1
 
     cps = sorted(set(int(c) for c in checkpoints))
     cp_iter = iter(cps)
@@ -514,13 +510,12 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
     stochastic = not getattr(oracle, "is_deterministic", False)
     snaps = []
     acc = ErgodicAccumulator()
-    gg = np.zeros(seeds) if batched else 0.0
-    # The trace rows of the runs still going: all of them until one retires.
-    live = slice(None) if batched else 0
+    gg = np.zeros(seeds)
     stops, errors = [horizon] * seeds, [None] * seeds
+    failure = None
 
     def _store(n, st):
-        trace.store(n, live, st.x, st.v, float(sched.gamma(n)), float(sched.tau(n)), gg)
+        trace.store(n, st.x, st.v, float(sched.gamma(n)), float(sched.tau(n)), gg)
 
     for n in range(horizon):
         if ref_val is not None:
@@ -534,36 +529,38 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
                 state = papc_step(state, spec, sched, oracle)
                 break
             except DivergenceError as exc:
-                if not batched:
-                    exc.record = trace.record(snaps, stochastic, str(exc))
-                    raise
-                ids = np.arange(seeds)[live]
-                for i in ids[exc.rows]:
+                failure = exc
+                for i in exc.rows:
                     stops[i], errors[i] = n, str(exc)
                 if None not in errors:
                     break
-                keep = np.setdiff1d(np.arange(len(ids)), exc.rows)
-                live = ids[keep]
-                state = PapcState(n, state.x[keep], state.v[keep])
-                oracle = oracle.select(keep)
-                if ref_val is not None:
-                    gg = gg[keep]
-                if acc.x_avg is not None:
-                    acc = ErgodicAccumulator(acc.weight_sum, acc.x_avg[keep], acc.v_avg[keep])
+                live = np.array([e is None for e in errors])
+                x, v = state.x.copy(), state.v.copy()
+                x[~live] = np.nan
+                v[~live] = np.nan
+                state = PapcState(n, x, v, live=live)
         if None not in errors:
             break
         acc = ergodic_update(acc, gam, state.x, state.v)
         if next_cp is not None and n == next_cp:
-            snaps.append(_snapshot(acc, n, live, seeds))
+            snaps.append(ErgodicCheckpoint(n, acc.x_avg, acc.v_avg, acc.weight_sum))
             next_cp = next(cp_iter, None)
-        for cb in callbacks:
-            cb(n, state, gam, float(sched.tau(n)))
+        if callbacks:
+            cb_state = (PapcState(state.n, state.x[0], state.v[0], state.p[0]) if vector
+                        else state)
+            for cb in callbacks:
+                cb(n, cb_state, gam, float(sched.tau(n)))
     else:
         if ref_val is not None:
             d = spec.B.apply(state.x) - ref_val
             gg += inner(d, d, wH)
         _store(horizon, state)
 
-    if not batched:
-        return trace.record(snaps, stochastic)
-    return trace.batch(snaps, stochastic, stops, errors)
+    batch = trace.batch(snaps, stochastic, stops, errors)
+    if not vector:
+        return batch
+    record = batch.seed(0)
+    if record.diverged:
+        failure.record = record
+        raise failure
+    return record

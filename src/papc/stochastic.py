@@ -14,13 +14,13 @@ draws t = 0; other t give independent replicates at the same step.
 A noisy oracle holds a tuple of seeds, one per row: ``x`` may be a vector
 (drawn with the first seed) or an (S, d) array whose row i is drawn with
 ``seeds[i]``, so the rows never mix and each is bitwise the sample a
-one-seed oracle gives for that row.  ``select(rows)`` is the oracle of a
-subset of the rows, which a batched run uses when it retires a seed.
+one-seed oracle gives for that row.  A run keeps every row in place, a
+retired one as NaN, so the rows and the seeds stay aligned for the whole
+run.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -103,9 +103,6 @@ class DeterministicOracle:
     def sample(self, x, n, t=0):
         return self.base.apply(x)
 
-    def select(self, rows):
-        return self
-
 
 class _SeededOracle:
     """The seeds of a noisy oracle: an int is one row, a sequence one seed
@@ -115,11 +112,6 @@ class _SeededOracle:
 
     def __init__(self, seeds):
         self.seeds = (int(seeds),) if np.ndim(seeds) == 0 else tuple(int(s) for s in seeds)
-
-    def select(self, rows):
-        out = copy.copy(self)
-        out.seeds = tuple(self.seeds[i] for i in rows)
-        return out
 
     def _row_seeds(self, x):
         if len(x) != len(self.seeds):
@@ -146,11 +138,6 @@ class GaussianOracle(_SeededOracle):
         # The block of z drawn last, (NOISE_BLOCK, dim) per seed, and its (b, t).
         self._block = np.empty((len(self.seeds), NOISE_BLOCK, self.dim))
         self._key = None
-
-    def select(self, rows):
-        out = super().select(rows)
-        out._block = self._block[np.asarray(rows, dtype=int)]
-        return out
 
     def sample(self, x, n, t=0):
         mean = self.base.apply(x)

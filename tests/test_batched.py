@@ -1,7 +1,7 @@
 """Batched evaluation: every operator a step or a trace row calls acts on the
 last axis of an (S, d) array with rows that never mix, bitwise; a batched
-run equals the runs of its seeds alone, and retires a diverging seed without
-touching the others."""
+run equals the runs of its seeds alone, and retires a diverging seed in place
+without touching the others."""
 
 import os
 
@@ -12,12 +12,13 @@ from papc import runner
 from papc.cli import main as cli_main
 from papc.composite import lift
 from papc.diagnostics import kkt_residual
-from papc.errors import StepSizeViolationError
+from papc.errors import DivergenceError, StepSizeViolationError
 from papc.linop import LinearMap, OrthoProjector, SpdOperator, inner, norm, weighted_norm_sq
 from papc.monotone import (PROX_LIBRARY, MonotoneBlock, ProductMonotoneBlock,
                            inverse_resolvent, l1, quadratic_ls)
-from papc.solver import run
-from papc.stochastic import NOISE_BLOCK, GaussianOracle, MinibatchOracle, VarianceSchedule
+from papc.solver import PapcState, papc_step, run
+from papc.stochastic import (NOISE_BLOCK, DeterministicOracle, GaussianOracle, MinibatchOracle,
+                             VarianceSchedule)
 from papc.zoo import build_instance, oracle_solution
 
 ROWS = 4
@@ -163,14 +164,14 @@ def assert_same_record(a, b):
 
 
 class PoisonedOracle:
-    """A gaussian oracle whose sample for one seed turns NaN at step ``at``."""
+    """A gaussian oracle whose sample for seed s turns NaN at step ``at[s]``."""
 
     is_deterministic = False
 
-    def __init__(self, seeds, poisoned, at):
+    def __init__(self, seeds, at):
         self.inner = GaussianOracle(build_instance("lasso", {}).spec.B,
                                     VarianceSchedule.polynomial(1.0, 1.0), seeds)
-        self.poisoned, self.at = poisoned, at
+        self.at = dict(at)
 
     @property
     def seeds(self):
@@ -178,14 +179,18 @@ class PoisonedOracle:
 
     def sample(self, x, n, t=0):
         r = self.inner.sample(x, n, t)
-        if n == self.at and self.poisoned in self.seeds:
-            r[self.seeds.index(self.poisoned)] = np.nan
+        for i, seed in enumerate(self.seeds):
+            if self.at.get(seed) == n:
+                r[i] = np.nan
         return r
 
-    def select(self, rows):
-        out = PoisonedOracle((), self.poisoned, self.at)
-        out.inner = self.inner.select(rows)
-        return out
+
+def solo_record(oracle, horizon=40):
+    """The record of a vector run, taken from its error if it diverged."""
+    try:
+        return lasso_run(oracle, 0, horizon)
+    except DivergenceError as exc:
+        return exc.record
 
 
 class TestBatchedRun:
@@ -211,22 +216,57 @@ class TestBatchedRun:
             assert_same_record(batched.seed(i), lasso_run(oracle(seed), 0))
 
     def test_diverged_seed_is_retired(self):
-        # Seed 1 retires inside the first noise block, so the survivors go on
-        # with the rows that select() sliced from the cached block.
+        # Seed 1 retires inside the first noise block, so the survivors take
+        # the rest of that block from the cache drawn before the retirement.
         assert 10 < NOISE_BLOCK
-        batched = lasso_run(PoisonedOracle((0, 1, 2), poisoned=1, at=10), 3)
+        batched = lasso_run(PoisonedOracle((0, 1, 2), {1: 10}), 3)
         retired = batched.seed(1)
         assert retired.diverged
         assert retired.error == "non-finite values in r_n at iteration 10"
         assert retired.ns.tolist() == list(range(11))
         assert [cp.N for cp in retired.checkpoints] == [0, 3, 9]
-        for i in (0, 2):
-            assert_same_record(batched.seed(i), lasso_run(PoisonedOracle(i, 1, 10), 0))
+        for i in (0, 1, 2):
+            assert_same_record(batched.seed(i), solo_record(PoisonedOracle(i, {1: 10})))
+
+    def test_seeds_retire_at_different_steps(self):
+        # Retirements inside the first block, across a block edge and late in
+        # the run; seed 2 survives to the horizon.
+        horizon = 2 * NOISE_BLOCK + 5
+        at = {1: 10, 3: NOISE_BLOCK + 2, 0: 2 * NOISE_BLOCK}
+        batched = lasso_run(PoisonedOracle((0, 1, 2, 3), at), 4, horizon)
+        assert batched.stops == (2 * NOISE_BLOCK, 10, horizon, NOISE_BLOCK + 2)
+        for i in range(4):
+            assert_same_record(batched.seed(i), solo_record(PoisonedOracle(i, at), horizon))
 
     def test_every_seed_retired(self):
-        batched = lasso_run(PoisonedOracle((5,), poisoned=5, at=3), 1)
+        batched = lasso_run(PoisonedOracle((5,), {5: 3}), 1)
         assert batched.errors == ("non-finite values in r_n at iteration 3",)
         assert batched.seed(0).ns.tolist() == [0, 1, 2, 3]
+
+    def test_nonfinite_start_retires_at_iteration_zero(self):
+        inst = build_instance("lasso", {})
+        spec, sched = inst.spec, inst.schedules
+        noise = VarianceSchedule.polynomial(1.0, 1.0)
+        x0 = np.zeros((3, spec.B.dim))
+        x0[1, 2] = np.nan
+        v0 = np.zeros((3, spec.A.dim))
+        kwargs = dict(checkpoints=(0, 9), grad_gap_reference=oracle_solution(inst)[0])
+        batched = run(spec, sched, GaussianOracle(spec.B, noise, (0, 1, 2)), x0, v0, 20,
+                      **kwargs)
+        assert batched.stops == (20, 0, 20)
+        assert batched.errors[1] == "non-finite values in r_n at iteration 0"
+        for i in range(3):
+            try:
+                solo = run(spec, sched, GaussianOracle(spec.B, noise, i), x0[i], v0[i], 20,
+                           **kwargs)
+            except DivergenceError as exc:
+                solo = exc.record
+            assert_same_record(batched.seed(i), solo)
+        # Called directly, the step checks every row of a state without a mask.
+        with pytest.raises(DivergenceError, match="r_n at iteration 0"):
+            papc_step(PapcState(0, x0, v0), spec, sched, DeterministicOracle(spec.B))
+        with pytest.raises(DivergenceError, match="r_n at iteration 0"):
+            papc_step(PapcState(0, x0[1], v0[1]), spec, sched, DeterministicOracle(spec.B))
 
 
 BASIC = """

@@ -283,6 +283,10 @@ g = zero
                            out_dir=str(tmp_path / "x"))
 
 
+def _reject_constant(name):
+    raise ValueError("summary.json holds %s" % name)
+
+
 class TestCli:
     def test_zoo_list(self, capsys):
         assert cli_main(["zoo", "--list"]) == 0
@@ -420,12 +424,32 @@ class TestCli:
         assert proc.returncode == 1
         assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
         assert "run lasso: diverged" in proc.stdout + proc.stderr
+        assert "forced past failed condition: gamma0 below beta" in proc.stdout
+        # The terminal distances overflow; strict JSON has no Infinity or NaN.
         with open(out / "summary.json", encoding="utf-8") as fh:
-            summary = json.load(fh)
+            summary = json.load(fh, parse_constant=_reject_constant)
         assert summary["status"] == "diverged"
+        assert summary["max_terminal_dist_x"] is None
         for seed in summary["seeds"].values():
             assert seed["status"] == "diverged"
             assert seed["error"] == "non-finite values in p_n at iteration 1115"
+            assert seed["terminal_dist_x"] is None
+
+    def test_forced_run_names_failed_conditions(self, tmp_path, capsys):
+        # Past a failed certificate the iterates grow to 2.4e82 in 300 steps
+        # yet stay finite, so the run is ok: the output must say it was forced.
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("[problem]\nname = lasso\n\n[schedules]\ngamma0 = 2.2\n\n"
+                            "[noise]\nkind = none\n\n[run]\nhorizon = 300\nseeds = 0 1\n")
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--force"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("run lasso: ok")
+        assert lines[1:] == ["  forced past failed condition: gamma0 below beta"]
+        with open(out / "summary.json", encoding="utf-8") as fh:
+            summary = json.load(fh, parse_constant=_reject_constant)
+        assert summary["certificate"]["failed"] == ["gamma0 below beta"]
+        assert summary["max_terminal_dist_x"] > 1e80
 
     def test_foreign_seed_error_is_recorded_per_seed(self, tmp_path, capsys, monkeypatch):
         # An exception from outside the package in one seed ended the whole

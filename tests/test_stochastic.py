@@ -88,7 +88,6 @@ class TestBlockStream:
             rows = batch.sample(xs, n)
             assert rows[0].tobytes() == first.sample(xs[0], n).tobytes() == vector.tobytes(), n
             assert rows[1].tobytes() == second.sample(xs[1], n).tobytes(), n
-            assert batch.select([1]).sample(xs[1:], n).tobytes() == rows[1:].tobytes(), n
 
     def test_replicates_differ(self):
         x = np.array([0.1, 0.2, 0.3])
