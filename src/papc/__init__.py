@@ -8,7 +8,7 @@ needed to verify the convergence behaviour empirically.
 """
 
 from .linop import (LinearMap, OrthoProjector, SpdOperator, adjoint_consistency_check,
-                    power_iteration, validate_tau, weighted_norm_sq)
+                    coupling_lambda_max, validate_tau, weighted_norm_sq)
 from .monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, ProxFunction,
                        conjugate_prox_via_moreau, inverse_resolvent, prox_in_metric,
                        resolvent)

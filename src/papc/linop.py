@@ -1,5 +1,5 @@
 """Linear-operator layer: adjoints, orthogonal projectors, SPD preconditioners,
-power-iteration spectral estimates, and the dual step-size admissibility check.
+and the exact dual step-size admissibility check.
 
 All spaces are finite-dimensional real coordinate spaces.  A space may carry a
 diagonal inner-product weight vector (this is how the weighted product-space
@@ -12,9 +12,10 @@ array.  Dense products therefore use the stacked matrix-vector form of
 :func:`matvec` (a vector as one stacked row) and reductions the stacked
 row-times-column product of :func:`inner`, which run the same kernel per row
 as the 1-d call; a matrix-matrix product, ``sum`` or ``einsum`` would round
-differently.  ``inner`` and ``norm`` keep a scalar path for vectors, which
-the power iterations of the step-size certificate call many thousands of
-times.
+differently.  The same contract makes one call on ``np.eye(k)`` the dense
+matrix of an operator, row i being its value at ``e_i``: that is how
+:func:`coupling_matrix` forms the k x k dual coupling whose largest
+eigenvalue certifies the step size.
 """
 
 from __future__ import annotations
@@ -30,25 +31,21 @@ __all__ = [
     "LinearMap",
     "OrthoProjector",
     "SpdOperator",
-    "PowerIterationResult",
     "TauCertificate",
     "inner",
     "norm",
     "matvec",
     "as_rng",
     "adjoint_consistency_check",
-    "power_iteration",
+    "coupling_matrix",
+    "coupling_lambda_max",
+    "lambda_max",
+    "certify_tau",
     "validate_tau",
-    "coupling_spectral_estimate",
     "weighted_norm_sq",
     "read_matrix",
     "write_matrix",
 ]
-
-# Fixed seed for internally spawned spectral RNGs, so cached estimates are
-# deterministic across runs.
-_SPECTRAL_SEED = 20177
-
 
 def as_rng(rng):
     """Return a numpy Generator; ints (or None) seed a fresh one."""
@@ -67,9 +64,8 @@ def inner(x, y, weights=None):
     otherwise."""
     if weights is not None:
         x = x * weights
-    if x.ndim == 1:
-        return float(np.dot(x, y))
-    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+    out = np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def norm(x, weights=None):
@@ -77,6 +73,12 @@ def norm(x, weights=None):
     if isinstance(sq, float):
         return math.sqrt(max(sq, 0.0))
     return np.sqrt(np.maximum(sq, 0.0))
+
+
+def _columns(apply, dim):
+    """The matrix of a linear map on R^dim: one call on the identity, whose
+    row i is the map at e_i, transposed into column order."""
+    return np.ascontiguousarray(apply(np.eye(dim)).T)
 
 
 def _frozen(arr):
@@ -182,22 +184,14 @@ class LinearMap:
     def to_dense(self):
         if self.matrix is not None:
             return self.matrix
-        cols = [self._apply(e) for e in np.eye(self.domain_dim)]
-        return _frozen(np.stack(cols, axis=1))
+        return _frozen(_columns(self._apply, self.domain_dim))
 
-    def gram(self):
-        """The self-adjoint map L*L on the domain."""
-        def apply(x):
-            return self._adjoint(self._apply(x))
-        return LinearMap(apply, apply, self.domain_dim, self.domain_dim,
-                         self.domain_weights, self.domain_weights,
-                         name=self.name + "*" + self.name if self.name else "gram")
-
-    def norm_bound(self, tol=1e-12, max_iter=50000):
-        """Operator norm, estimated as sqrt(lambda_max(L*L)) and cached."""
+    def norm_bound(self):
+        """Operator norm sqrt(lambda_max(L L*)), exact and cached."""
         if self._norm_bound is None:
-            res = power_iteration(self.gram(), tol=tol, max_iter=max_iter, rng=_SPECTRAL_SEED)
-            self._norm_bound = math.sqrt(max(res.value, 0.0))
+            lam = coupling_lambda_max(SpdOperator.scalar_op(1.0, self.codomain_dim), self,
+                                      OrthoProjector.full(self.domain_dim))
+            self._norm_bound = math.sqrt(max(lam, 0.0))
         return self._norm_bound
 
 
@@ -271,8 +265,7 @@ class OrthoProjector:
             return np.eye(self.dim)
         if self.matrix is not None:
             return self.matrix
-        cols = [self._apply(e) for e in np.eye(self.dim)]
-        return np.stack(cols, axis=1)
+        return _columns(self._apply, self.dim)
 
 
 class SpdOperator:
@@ -330,14 +323,6 @@ class SpdOperator:
         return self._sqrt * v
 
 
-@dataclass(frozen=True)
-class PowerIterationResult:
-    value: float
-    converged: bool
-    iterations: int
-    residual: float
-
-
 def adjoint_consistency_check(L, trials, rng, tol=1e-10):
     """True iff sampled pairs satisfy <Lx, y> == <x, L*y> to tolerance."""
     gen = as_rng(rng)
@@ -352,89 +337,65 @@ def adjoint_consistency_check(L, trials, rng, tol=1e-10):
     return True
 
 
-def power_iteration(S, tol=1e-10, max_iter=10000, rng=None):
-    """Largest eigenvalue of a self-adjoint PSD operator by power iteration.
-
-    Convergence is declared when the eigen-residual ||Sx - lam*x|| drops
-    below ``tol * max(1, lam)``; degenerate spectra can stall, in which case
-    an unconverged result carrying the last estimate is returned and the
-    caller decides.  The RNG is consumed by value: pass a seed (or a
-    Generator that is not shared) for reproducible estimates.
-    """
-    gen = as_rng(_SPECTRAL_SEED if rng is None else rng)
-    w = S.domain_weights
-    dim = S.domain_dim
-    x = gen.standard_normal(dim)
-    nx = norm(x, w)
-    if nx == 0.0:  # absurdly unlikely; resample once
-        x = gen.standard_normal(dim)
-        nx = norm(x, w)
-    x = x / nx
-    lam = 0.0
-    residual = math.inf
-    for k in range(1, int(max_iter) + 1):
-        sx = S(x)
-        lam = inner(x, sx, w)
-        residual = norm(sx - lam * x, w)
-        if residual <= tol * max(1.0, lam):
-            return PowerIterationResult(float(lam), True, k, float(residual))
-        ns = norm(sx, w)
-        if ns == 0.0:
-            # x fell exactly in the kernel; restart from fresh noise
-            x = gen.standard_normal(dim)
-            x = x / norm(x, w)
-            continue
-        x = sx / ns
-    return PowerIterationResult(float(lam), False, int(max_iter), float(residual))
-
-
 @dataclass(frozen=True)
 class TauCertificate:
     ok: bool
-    status: str  # "accepted" | "rejected" | "indeterminate"
-    spectral_estimate: float
+    status: str  # "accepted" | "rejected"
+    lambda_max: float
     tau: float
     margin: float
-    iterations: int
-    residual: float
 
 
-def _symmetrized_coupling(U, L, P):
-    """The dual-space operator v -> U^{1/2} L P L* U^{1/2} v."""
-    def apply(v):
-        y = U.sqrt_apply(v)
-        u = L.adjoint(y)
-        return U.sqrt_apply(L(P(u)))
-    return LinearMap(apply, apply, U.dim, U.dim,
-                     L.codomain_weights, L.codomain_weights, name="sym-coupling")
+def coupling_matrix(U, L, P):
+    """The k x k matrix of the dual coupling U^{1/2} L P L* U^{1/2}, symmetric.
 
-
-def coupling_spectral_estimate(U, L, P, tol=1e-10, max_iter=20000, rng=None):
-    """lambda_max(U^{1/2} L P L* U^{1/2}) by power iteration; the quantity the
-    dual step cap tau must stay below the reciprocal of."""
-    return power_iteration(_symmetrized_coupling(U, L, P), tol=tol, max_iter=max_iter,
-                           rng=rng)
-
-
-def validate_tau(U, L, P, tau, margin=1e-6, tol=1e-10, max_iter=20000, rng=None):
-    """Check tau * lambda_max(U^{1/2} L P L* U^{1/2}) < 1 - margin.
-
-    This is the spectral form of requiring (tau*U)^{-1} - L P L* to be
-    positive definite (positive semidefinite when margin=0).  An unconverged
-    power iteration yields an "indeterminate" certificate, never a silent
-    pass.
+    One batched call on ``np.eye(k)`` gives the coupling at every e_i.  With
+    dual weights w the coupling is self-adjoint in the w-weighted space, so
+    it is balanced to diag(sqrt w) M diag(1/sqrt w), which is symmetric and
+    has the same spectrum; L* scales a coordinate of weight 0 by 0, so its
+    column is 0 and it is mapped to 0 rather than divided by.  The result is
+    symmetrized against round-off.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     if L.domain_dim != P.dim or L.codomain_dim != U.dim:
         raise DimensionMismatchError("U/L/P dimensions are inconsistent")
-    res = coupling_spectral_estimate(U, L, P, tol=tol, max_iter=max_iter, rng=rng)
-    if not res.converged:
-        return TauCertificate(False, "indeterminate", res.value, float(tau), margin,
-                              res.iterations, res.residual)
-    ok = tau * res.value < 1.0 - margin
-    return TauCertificate(ok, "accepted" if ok else "rejected", res.value, float(tau),
-                          margin, res.iterations, res.residual)
+    m = U.sqrt_apply(L(P(L.adjoint(U.sqrt_apply(np.eye(U.dim)))))).T
+    w = L.codomain_weights
+    if w is not None:
+        root = np.sqrt(w)
+        inv = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
+        m = root[:, None] * m * inv
+    return 0.5 * (m + m.T)
+
+
+def lambda_max(m):
+    """Largest eigenvalue of a symmetric matrix; NaN when an entry is not
+    finite, since LAPACK can return finite, wrong eigenvalues for one."""
+    if not np.isfinite(m).all():
+        return math.nan
+    return float(np.linalg.eigvalsh(m)[-1])
+
+
+def coupling_lambda_max(U, L, P):
+    """lambda_max(U^{1/2} L P L* U^{1/2}), exactly: the quantity the dual step
+    cap tau must stay below the reciprocal of."""
+    return lambda_max(coupling_matrix(U, L, P))
+
+
+def certify_tau(lam, tau, margin=1e-6):
+    """The certificate of tau * lam < 1 - margin; a NaN lam is rejected."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    ok = bool(tau * lam < 1.0 - margin)
+    return TauCertificate(ok, "accepted" if ok else "rejected", lam, float(tau), margin)
+
+
+def validate_tau(U, L, P, tau, margin=1e-6):
+    """Check tau * lambda_max(U^{1/2} L P L* U^{1/2}) < 1 - margin, exactly.
+
+    This is the spectral form of requiring (tau*U)^{-1} - L P L* to be
+    positive definite (positive semidefinite when margin=0).
+    """
+    return certify_tau(coupling_lambda_max(U, L, P), tau, margin)
 
 
 def weighted_norm_sq(v, U, tau_n, gamma_n, L, P):

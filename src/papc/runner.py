@@ -14,6 +14,7 @@ intentionally non-stable fields.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -28,10 +29,11 @@ from .config import (ExperimentConfig, parse_config, parse_projector_spec, parse
                      parse_smooth_spec, reads_input, serialize_config)
 from .diagnostics import GapConstant, GapRow, fejer_tracker, gap_and_bound, kkt_residual, rate_fit
 from .errors import ConfigError
-from .linop import (LinearMap, OrthoProjector, SpdOperator, coupling_spectral_estimate, norm,
+from .linop import (LinearMap, OrthoProjector, SpdOperator, coupling_lambda_max, norm,
                     read_matrix)
 from .monotone import MonotoneBlock, gradient_map
-from .solver import ProblemSpec, Schedules, run, trace_rows, validate_hypotheses
+from .solver import (ConditionCheck, ProblemSpec, Schedules, run, trace_rows,
+                     validate_hypotheses)
 from .stochastic import (DeterministicOracle, GaussianOracle, MinibatchOracle,
                          VarianceSchedule, summability_certificate)
 from . import zoo as zoo_mod
@@ -84,9 +86,18 @@ def _custom_coupling(params, key, dim, base, label):
     raise ConfigError("%s must be 'identity' or 'matrix:<path>'" % label)
 
 
+def _finite_lambda(U, L, P):
+    """The exact coupling lambda_max of a config-assembled problem; a coupling
+    with a non-finite entry is a config error."""
+    lam = coupling_lambda_max(U, L, P)
+    if not math.isfinite(lam):
+        raise ConfigError("the coupling spectrum is not finite")
+    return lam
+
+
 def _build_custom_single(cfg):
     params = dict(cfg.problem_params)
-    dim = zoo_mod._geti(params, "dim", 4)
+    dim = zoo_mod._getdim(params, 4, 1)
     base = cfg.base_dir
     h, lipschitz = parse_smooth_spec(params.get("h", "zero"), dim, base)
     if lipschitz <= 0:
@@ -97,18 +108,14 @@ def _build_custom_single(cfg):
     U = SpdOperator.scalar_op(zoo_mod._getf(params, "sigma", 1.0), L.codomain_dim)
     spec = ProblemSpec(B=gradient_map(h, lipschitz), A=MonotoneBlock.from_prox(g),
                        L=L, P_V=P, U=U, g=g, h=h, name="custom")
-    est = coupling_spectral_estimate(U, L, P)
-    if not est.converged:
-        raise ConfigError("could not estimate the coupling spectrum for tau")
-    tau = 0.9 / max(est.value, 1e-12)
+    tau = 0.9 / max(_finite_lambda(U, L, P), 1e-12)
     sched = Schedules.constant(0.9 * spec.B.beta, tau, spec.B.beta)
-    return zoo_mod.ZooInstance("custom", sched, tuple(sorted(params.items())), spec,
-                               description="config-assembled problem")
+    return zoo_mod.ZooInstance("custom", sched, tuple(sorted(params.items())), spec)
 
 
 def _build_custom_composite(cfg):
     params = dict(cfg.problem_params)
-    dim = zoo_mod._geti(params, "dim", 4)
+    dim = zoo_mod._getdim(params, 4, 1)
     base = cfg.base_dir
     h, lipschitz = parse_smooth_spec(params.get("h", "zero"), dim, base)
     if lipschitz <= 0:
@@ -127,17 +134,12 @@ def _build_custom_composite(cfg):
         raise ConfigError("custom_composite needs block1.g/block1.L/... entries")
     cp = CompositeProblem(weights=np.array(weights), C=gradient_map(h, lipschitz),
                           blocks=tuple(blocks), h=h, name="custom_composite")
-    caps = []
-    for blk in cp.blocks:
-        est = coupling_spectral_estimate(SpdOperator.scalar_op(blk.sigma, blk.A.dim),
-                                         blk.L, OrthoProjector.full(dim))
-        if not est.converged:
-            raise ConfigError("could not estimate a block coupling spectrum for tau")
-        caps.append(0.9 / max(est.value, 1e-12))
+    caps = [0.9 / max(_finite_lambda(SpdOperator.scalar_op(blk.sigma, blk.A.dim), blk.L,
+                                     OrthoProjector.full(dim)), 1e-12)
+            for blk in cp.blocks]
     sched = Schedules.constant(0.9 * cp.C.beta, min(caps), cp.C.beta)
     return zoo_mod.ZooInstance("custom_composite", sched, tuple(sorted(params.items())),
-                               stack(cp), composite=cp,
-                               description="config-assembled composite problem")
+                               stack(cp), composite=cp)
 
 
 @reads_input
@@ -186,8 +188,18 @@ def _make_oracle(bound, seeds):
 
 
 def _gate(bound, horizon):
-    return validate_hypotheses(bound.instance.spec, bound.schedules, horizon,
+    """The hypothesis certificate of a bound config: the step-size checks of
+    :func:`validate_hypotheses` and, for gaussian noise, the summability of
+    its variance schedule, which fails only on a ``violation`` (constant
+    noise in the almost-sure regime)."""
+    cert = validate_hypotheses(bound.instance.spec, bound.schedules, horizon,
                                regime=bound.cfg.regime)
+    if not isinstance(bound.noise, VarianceSchedule):
+        return cert
+    report = summability_certificate(bound.noise, bound.schedules, horizon)
+    check = ConditionCheck("noise summability", report.status != "violation",
+                           "status %s: %s" % (report.status, "; ".join(report.messages)))
+    return dataclasses.replace(cert, ok=cert.ok and check.ok, checks=cert.checks + (check,))
 
 
 def validate_only(cfg, horizon=None):
@@ -339,16 +351,12 @@ def _seed_artifacts(bound, seed, record, wall, out_dir, oracle_xv, c0):
     _write_trace(os.path.join(out_dir, "seed_%d_trace.csv" % seed),
                  _trace_columns(bound, record, oracle_xv))
 
-    gap_summary = None
+    gap_rows = None
     if status == "ok" and record.checkpoints and oracle_xv is not None and c0 is not None:
         rows = _gap_rows(bound, record, oracle_xv, c0)
         _write_csv(os.path.join(out_dir, "seed_%d_gap.csv" % seed), GAP_COLUMNS,
                    _gap_csv_rows(rows))
-        finite = [r for r in rows if r.finite]
-        gap_summary = {
-            "max_gap_minus_bound": max((r.gap - r.bound) for r in finite) if finite else None,
-            "rows": [(r.N, r.gap, r.bound, r.sum_gamma) for r in rows],
-        }
+        gap_rows = [(r.N, r.gap, r.bound, r.sum_gamma) for r in rows]
 
     dist_x = dist_v = None
     if oracle_xv is not None:
@@ -362,7 +370,7 @@ def _seed_artifacts(bound, seed, record, wall, out_dir, oracle_xv, c0):
         "terminal_dist_x": dist_x,
         "terminal_dist_v": dist_v,
         "wall_time_s": wall,
-        "gap": gap_summary,
+        "gap": gap_rows,
     }
 
 
@@ -444,7 +452,7 @@ def run_experiment(cfg, out_dir=None, force=False, seed_override=None):
 def _mean_gap(per_seed):
     """The seed-averaged gap table, as CSV rows; empty unless every gap table
     shares its checkpoints."""
-    tables = [d["gap"]["rows"] for d in per_seed if d.get("gap")]
+    tables = [d["gap"] for d in per_seed if d.get("gap")]
     if not tables or any(len(t) != len(tables[0]) for t in tables):
         return []
     rows = []

@@ -29,7 +29,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, DivergenceError, UnsupportedMetricError
-from .linop import LinearMap, OrthoProjector, SpdOperator, TauCertificate, inner, validate_tau
+from .linop import (LinearMap, OrthoProjector, SpdOperator, TauCertificate, certify_tau,
+                    coupling_matrix, inner, lambda_max)
 from .monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, ProxFunction,
                        inverse_resolvent)
 
@@ -179,25 +180,7 @@ class HypothesisCertificate:
 
 
 def _tau_detail(tcert):
-    return "tau*lambda_max=%.6g (status %s)" % (tcert.tau * tcert.spectral_estimate, tcert.status)
-
-
-def _dual_block(L, start, stop):
-    """L followed by the restriction to the dual coordinates [start, stop).
-    Its adjoint zero-pads, so L_i P L_i* is the compression of L P L* to
-    that block."""
-    wG = L.codomain_weights
-
-    def apply(x):
-        return L(x)[start:stop]
-
-    def adjoint(y):
-        padded = np.zeros(L.codomain_dim)
-        padded[start:stop] = y
-        return L.adjoint(padded)
-
-    return LinearMap(apply, adjoint, L.domain_dim, stop - start, L.domain_weights,
-                     None if wG is None else wG[start:stop], name="dual-block")
+    return "tau*lambda_max=%.6g (status %s)" % (tcert.tau * tcert.lambda_max, tcert.status)
 
 
 def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6):
@@ -207,12 +190,14 @@ def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6)
     gamma_0 < beta (the smaller of the schedule's and B's), inf gamma > 0,
     and (tau_cap U)^{-1} - L P_V L* positive definite (strict margin).  Ergodic regime: the same monotonicity and
     gamma_0 < beta, with positive semidefiniteness (margin 0) and no floor on
-    gamma.  When U is block-scalar, every block i is also checked on its own:
-    tau_cap sigma_i lambda_max(block i of L P_V L*) / w_i < 1 - margin, with
-    w_i the block's dual weight (on a stacked composite this is
-    tau_cap sigma_i lambda_max(L_i L_i*)), since the whole-space estimate can
-    lie below the per-block ones; a block whose weight is not positive fails.
-    Each violated condition is reported by name.
+    gamma.  The spectral condition is decided exactly, from the eigenvalues
+    of the dense coupling matrix U^{1/2} L P_V L* U^{1/2} (one k x k matrix
+    for k dual coordinates, formed once).  When U is block-scalar, every
+    block i is also checked on its own: tau_cap lambda_max(block i of that
+    matrix) / w_i < 1 - margin, which is tau_cap sigma_i lambda_max(block i of
+    L P_V L*) / w_i with w_i the block's dual weight (on a stacked composite
+    tau_cap sigma_i lambda_max(L_i L_i*)); a block whose weight is not
+    positive fails.  Each violated condition is reported by name.
     """
     if regime not in ("almost-sure", "ergodic"):
         raise ValueError("unknown regime %r" % regime)
@@ -250,11 +235,12 @@ def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6)
             "inf gamma %.6g over the horizon" % float(np.min(gammas))))
 
     tau_margin = margin if regime == "almost-sure" else 0.0
-    tcert = validate_tau(spec.U, spec.L, spec.P_V, sched.tau_cap, margin=tau_margin)
+    coupling = coupling_matrix(spec.U, spec.L, spec.P_V)
+    tcert = certify_tau(lambda_max(coupling), sched.tau_cap, margin=tau_margin)
     checks.append(ConditionCheck("tau spectral condition", tcert.ok, _tau_detail(tcert)))
     if spec.U.blocks is not None:
         wG = spec.dual_weights
-        for i, (start, stop, sigma) in enumerate(spec.U.blocks):
+        for i, (start, stop, _) in enumerate(spec.U.blocks):
             name = "block %d spectral condition" % i
             w_i = 1.0 if wG is None else float(wG[start])
             if not w_i > 0.0:
@@ -262,9 +248,8 @@ def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6)
                 # does not act on x: not a composite weight in (0, 1].
                 checks.append(ConditionCheck(name, False, "dual weight %.6g not positive" % w_i))
                 continue
-            bcert = validate_tau(SpdOperator.scalar_op(sigma / w_i, stop - start),
-                                 _dual_block(spec.L, start, stop), spec.P_V, sched.tau_cap,
-                                 margin=tau_margin)
+            bcert = certify_tau(lambda_max(coupling[start:stop, start:stop]) / w_i,
+                                sched.tau_cap, margin=tau_margin)
             checks.append(ConditionCheck(name, bcert.ok, _tau_detail(bcert)))
 
     return HypothesisCertificate(
@@ -471,10 +456,11 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
     """Iterate the algorithm for ``horizon`` steps and record the trace.
 
     The initial point is projected onto V (the update projects anyway, so
-    p_0 and x_1 are unchanged).  ``checkpoints`` are ergodic indices N at
-    which the running weighted averages are snapshotted; when
-    ``grad_gap_reference`` is given, the true partial sums of
-    ||B x_n - B x_ref||^2 are accumulated online and stored per trace row.
+    p_0 and x_1 are unchanged).  ``checkpoints`` are ergodic indices N >= 0
+    (a negative one is a ValueError) at which the running weighted averages
+    are snapshotted; when ``grad_gap_reference`` is given, the true partial
+    sums of ||B x_n - B x_ref||^2 are accumulated online and stored per
+    trace row.
 
     With (S, d) arrays ``x0``, ``v0`` this advances S runs, one per seed of
     the oracle, by one papc_step per step and returns a BatchRecord.  A row
@@ -496,6 +482,8 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
     state = PapcState(0, x0, v0)
 
     cps = sorted(set(int(c) for c in checkpoints))
+    if cps and cps[0] < 0:
+        raise ValueError("checkpoints must be nonnegative, got %d" % cps[0])
     cp_iter = iter(cps)
     next_cp = next(cp_iter, None)
 

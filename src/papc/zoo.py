@@ -55,7 +55,6 @@ class ZooInstance:
     composite: Optional[CompositeProblem] = None
     lifted: Optional[LiftedProblem] = None
     components: Optional[tuple] = None  # maps whose mean is the smooth operator
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,15 @@ def _getf(params, key, default):
     return _param(float, params, key, default)
 
 
+def _getdim(params, default, minimum):
+    """The ``dim`` key; a dimension below the problem's minimum is a config
+    error."""
+    dim = _geti(params, "dim", default)
+    if dim < minimum:
+        raise ConfigError("[problem] dim: must be at least %d" % minimum)
+    return dim
+
+
 def _difference_matrix(dim):
     """Dense first-difference matrix; the reference that the matrix-free
     :meth:`LinearMap.difference` is tested against."""
@@ -94,7 +102,7 @@ def _difference_matrix(dim):
 
 def _coupling_lambda_max(L, P):
     """lambda_max(L P L*) by dense eigendecomposition (builder-side constant;
-    the run gate re-certifies it independently via power iteration)."""
+    the run gate certifies the step size from its own coupling matrix)."""
     m = L.to_dense() @ P.to_dense() @ L.to_dense().T
     return float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
 
@@ -215,7 +223,7 @@ def long_run_oracle(spec, beta, tau, total_steps=10 ** 6, segment=1000,
 # ---------------------------------------------------------------------------
 
 def _build_cls(params):
-    dim = _geti(params, "dim", 6)
+    dim = _getdim(params, 6, 1)
     sub = _geti(params, "subspace_dim", max(1, dim // 2))
     rng = np.random.default_rng(_geti(params, "data_seed", 11))
     D = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim)) / math.sqrt(dim)
@@ -239,13 +247,11 @@ def _build_cls(params):
     sched = Schedules.constant(0.9 * spec.B.beta, 0.9 / lmax, spec.B.beta)
     return ZooInstance("cls", sched, tuple(sorted(params.items())), spec,
                        oracle=lambda: cls_kkt_oracle(D, a, Lmat, b, basis),
-                       components=_quadratic_components(D, a),
-                       description="constrained least squares on a proper subspace; "
-                                   "oracle: dense KKT solve")
+                       components=_quadratic_components(D, a))
 
 
 def _build_lasso(params):
-    dim = _geti(params, "dim", 5)
+    dim = _getdim(params, 5, 1)
     weight = _getf(params, "weight", 0.5)
     rng = np.random.default_rng(_geti(params, "data_seed", 5))
     D = np.eye(dim) + 0.25 * rng.standard_normal((dim, dim)) / math.sqrt(dim)
@@ -267,13 +273,11 @@ def _build_lasso(params):
     sched = Schedules.constant(0.9 * spec.B.beta, 0.9, spec.B.beta)
     return ZooInstance("lasso", sched, tuple(sorted(params.items())), spec,
                        oracle=lambda: lasso_sign_oracle(D, a, weight),
-                       components=_quadratic_components(D, a),
-                       description="l1-regularized quadratic, identity coupling; "
-                                   "oracle: sign-pattern enumeration")
+                       components=_quadratic_components(D, a))
 
 
 def _build_fused(params):
-    dim = _geti(params, "dim", 12)
+    dim = _getdim(params, 12, 2)
     weight = _getf(params, "weight", 0.3)
     rng = np.random.default_rng(_geti(params, "data_seed", 3))
     levels = np.concatenate([
@@ -298,13 +302,11 @@ def _build_fused(params):
     sched = Schedules.constant(0.9, 0.9 / lmax, 1.0)
     return ZooInstance("fused", sched, tuple(sorted(params.items())), spec,
                        oracle=lambda: long_run_oracle(spec, 1.0, 0.5 / lmax),
-                       components=_coordinate_components(a),
-                       description="1-d total variation via the matrix-free difference "
-                                   "operator; oracle: cached conservative long-horizon run")
+                       components=_coordinate_components(a))
 
 
 def _build_multi(params):
-    dim = _geti(params, "dim", 6)
+    dim = _getdim(params, 6, 2)
     rng = np.random.default_rng(_geti(params, "data_seed", 17))
     D = np.eye(dim) + 0.2 * rng.standard_normal((dim, dim)) / math.sqrt(dim)
     a = rng.standard_normal(dim)
@@ -345,9 +347,7 @@ def _build_multi(params):
 
     return ZooInstance("multi", sched, tuple(sorted(params.items())), stack(cp),
                        oracle=oracle, composite=cp, lifted=lp,
-                       components=_quadratic_components(D, a),
-                       description="three composite blocks (l1, box support, quadratic); "
-                                   "oracle: long-horizon run on the lifted problem")
+                       components=_quadratic_components(D, a))
 
 
 _ENTRIES = {

@@ -343,7 +343,16 @@ class TestCli:
         ("schedules", "gamma_kind = bogus", ""),
         ("schedules", "tau_kind = bogus", ""),
         ("problem", "dim = x", "config error: [problem] dim: invalid literal"),
-        ("problem", "name = fused\ndim = 1", ""),
+        ("problem", "name = fused\ndim = 1", "config error: [problem] dim: must be at least 2"),
+        ("problem", "name = fused\ndim = 0", "config error: [problem] dim: must be at least 2"),
+        ("problem", "name = lasso\ndim = 0", "config error: [problem] dim: must be at least 1"),
+        ("problem", "name = cls\ndim = 0", "config error: [problem] dim: must be at least 1"),
+        ("problem", "name = multi\ndim = 0", "config error: [problem] dim: must be at least 2"),
+        ("problem", "name = multi\ndim = 1", "config error: [problem] dim: must be at least 2"),
+        ("problem", "name = custom\ndim = 0", "config error: [problem] dim: must be at least 1"),
+        ("problem", "name = custom_composite\ndim = 0",
+         "config error: [problem] dim: must be at least 1"),
+        ("run", "checkpoints = -1 10 20", "config error: checkpoints must be nonnegative"),
         ("problem", "name = custom\nh = sq_dist(b=0.0)\ng = l1(weight=abc)", ""),
         ("schedules", "gamma0 = x", "config error: [schedules] gamma0: could not"),
         ("run", "seeds = 0 x", "config error: [run] seeds: invalid literal"),
@@ -366,10 +375,13 @@ class TestCli:
         (None, "No such file"),  # the --config file itself is missing
         ("absent.txt", "absent.txt"),
         ("headerless.txt", "expected 0 entries, found 7"),
+        # eigvalsh returns finite eigenvalues for a matrix with a NaN entry.
+        ("nan.txt", "config error: the coupling spectrum is not finite"),
     ])
     def test_unreadable_input_exit_2(self, tmp_path, capsys, matrix, cause):
         cfg_path = tmp_path / "c.cfg"
         (tmp_path / "headerless.txt").write_text("1 0 0\n0 1 0\n0 0 1\n")
+        (tmp_path / "nan.txt").write_text("3 3\nnan 0 0\n0 1 0\n0 0 1\n")
         if matrix is not None:
             cfg_path.write_text("[problem]\nname = custom\ndim = 3\nh = sq_dist(b=0.0)\n"
                                 "L = matrix:%s\n\n[run]\nhorizon = 20\nseeds = 0\n" % matrix)
@@ -377,6 +389,48 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count("config error") == 2 and cause in err and "Traceback" not in err
+
+    def test_wide_fused_is_certified(self, tmp_path, capsys):
+        # The difference coupling's spectrum clusters at its top at this
+        # width, where an iterative estimate stalls; the exact gate accepts
+        # the zoo's own tau*lambda_max = 0.9.
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("[problem]\nname = fused\ndim = 2000\n\n[noise]\nkind = none\n\n"
+                            "[run]\nhorizon = 20\nseeds = 0\n")
+        assert cli_main(["validate", "--config", str(cfg_path)]) == 0
+        out = capsys.readouterr().out
+        assert "tau*lambda_max=0.9 (status accepted)" in out and "PASS" in out
+
+    def test_nonsummable_noise_is_rejected(self, tmp_path, capsys):
+        # Constant gaussian noise is not summable, which the almost-sure
+        # regime needs; validate passed it and run reported a run that never
+        # reached the solution as ok.
+        text = BASIC.replace("epsilon = 1.0", "epsilon = 0")
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(text)
+        assert cli_main(["validate", "--config", str(cfg_path)]) == 2
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr().out
+        assert "[FAIL] noise summability - status violation" in captured
+        assert "failed condition: noise summability" in captured
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--force"]) == 0
+        assert "forced past failed condition: noise summability" in capsys.readouterr().out
+        # The ergodic regime only needs a finite horizon sum, and zero noise
+        # is summable in either regime.
+        for variant in (text.replace("regime = almost-sure", "regime = ergodic"),
+                        text.replace("sigma0 = 1.0", "sigma0 = 0.0")):
+            cfg_path.write_text(variant)
+            assert cli_main(["validate", "--config", str(cfg_path)]) == 0
+            assert "[ok] noise summability" in capsys.readouterr().out
+
+    def test_shipped_configs_validate(self, capsys):
+        configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                               "configs")
+        names = sorted(n for n in os.listdir(configs) if n.endswith(".cfg"))
+        assert names
+        for name in names:
+            assert cli_main(["validate", "--config", os.path.join(configs, name)]) == 0, name
 
     def test_composite_block_without_omega_exit_2(self, tmp_path, capsys):
         # A block with no omega has weight 0, which is not a composite weight.

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from papc.errors import DimensionMismatchError, StepSizeViolationError
 from papc.linop import (LinearMap, OrthoProjector, SpdOperator, adjoint_consistency_check,
-                        inner, norm, power_iteration, read_matrix, validate_tau,
+                        coupling_lambda_max, inner, norm, read_matrix, validate_tau,
                         weighted_norm_sq, write_matrix)
-from papc.zoo import _difference_matrix
+from papc.zoo import _difference_matrix, build_instance
 
 
 def random_projectors(dim, rng):
@@ -69,41 +69,57 @@ class TestDifference:
             LinearMap.difference(1)
 
 
-class TestPowerIteration:
+class TestCouplingLambdaMax:
+    @staticmethod
+    def plain(L):
+        """lambda_max(L L*) with U = I and P_V the identity."""
+        return coupling_lambda_max(SpdOperator.scalar_op(1.0, L.codomain_dim), L,
+                                   OrthoProjector.full(L.domain_dim))
+
     def test_diagonal(self):
-        res = power_iteration(LinearMap.from_matrix(np.diag([1.0, 2.0, 3.0])), tol=1e-8)
-        assert res.converged
-        assert res.value == pytest.approx(3.0, abs=1e-7)
+        lam = coupling_lambda_max(SpdOperator.diagonal([1.0, 2.0, 3.0]),
+                                  LinearMap.identity(3), OrthoProjector.full(3))
+        assert lam == pytest.approx(3.0, rel=1e-14)
 
     def test_zero_operator(self):
-        res = power_iteration(LinearMap.zero(4))
-        assert res.converged
-        assert res.value == 0.0
+        assert self.plain(LinearMap.zero(4)) == 0.0
 
     def test_projected_coupling_matches_dense_eig(self):
         L = np.array([[1.0, 1.0], [0.0, 1.0]])
         P = np.array([[1.0, 0.0], [0.0, 0.0]])  # span{(1,0)}
         M = L @ P @ L.T
         expected = np.linalg.eigvalsh(0.5 * (M + M.T))[-1]
-        res = power_iteration(LinearMap.from_matrix(M), tol=1e-10)
-        assert res.converged
-        assert res.value == pytest.approx(expected, rel=1e-8)
+        lam = coupling_lambda_max(SpdOperator.scalar_op(1.0, 2), LinearMap.from_matrix(L),
+                                  OrthoProjector.from_matrix(P))
+        assert lam == pytest.approx(expected, rel=1e-12)
 
     def test_random_psd_vs_dense_eig(self, rng):
         for _ in range(10):
             dim = int(rng.integers(2, 21))
             A = rng.standard_normal((dim, dim))
-            S = A @ A.T
-            res = power_iteration(LinearMap.from_matrix(S), tol=1e-9, rng=3)
-            expected = np.linalg.eigvalsh(S)[-1]
-            assert res.converged
-            assert res.value == pytest.approx(expected, rel=1e-6)
+            expected = np.linalg.eigvalsh(A @ A.T)[-1]
+            assert self.plain(LinearMap.from_matrix(A)) == pytest.approx(expected, rel=1e-12)
 
-    def test_unconverged_reports_estimate(self):
-        res = power_iteration(LinearMap.from_matrix(np.diag([1.0, 0.999999])),
-                              tol=1e-15, max_iter=3)
-        assert not res.converged
-        assert res.value > 0.9
+    def test_weighted_lifted_multi_vs_dense(self):
+        # The lifted multi spec: weighted product spaces, the weighted
+        # averaging projector and a block-scalar U.  Its coupling is
+        # self-adjoint only in the weighted dual space, so the reference is
+        # the unsymmetrized dense product and its general eigenvalues.
+        inst = build_instance("multi", {})
+        lp, cp = inst.lifted, inst.composite
+        m, d = lp.m, lp.base_dim
+        blocks = (np.eye(d), _difference_matrix(d), cp.blocks[2].L.matrix)
+        Ld = np.zeros((sum(cp.dual_dims), m * d))
+        for i, (mat, (s, e)) in enumerate(zip(blocks, cp.dual_offsets)):
+            Ld[s:e, i * d:(i + 1) * d] = mat
+        Pd = np.kron(np.ones((m, 1)) @ cp.weights[None, :], np.eye(d))
+        wH, wG = lp.spec.L.domain_weights, lp.spec.L.codomain_weights
+        adjoint = np.diag(1.0 / wH) @ Ld.T @ np.diag(wG)
+        root = np.diag(np.sqrt(lp.spec.U.diag))
+        dense = root @ Ld @ Pd @ adjoint @ root
+        expected = np.max(np.linalg.eigvals(dense).real)
+        lam = coupling_lambda_max(lp.spec.U, lp.spec.L, lp.spec.P_V)
+        assert lam == pytest.approx(expected, rel=1e-12)
 
 
 class TestProjectors:
@@ -165,13 +181,20 @@ class TestValidateTau:
         P = OrthoProjector.full(2)
         cert = validate_tau(U, L, P, 0.2)  # 0.2 * 4 = 0.8 < 1
         assert cert.ok and cert.status == "accepted"
-        assert cert.spectral_estimate == pytest.approx(4.0, rel=1e-8)
+        assert cert.lambda_max == pytest.approx(4.0, rel=1e-14)
 
     def test_rejects_above_threshold(self):
         U = SpdOperator.scalar_op(1.0, 2)
         L = LinearMap.from_matrix(np.diag([1.0, 2.0]))
         cert = validate_tau(U, L, OrthoProjector.full(2), 0.3)  # 1.2 >= 1
         assert not cert.ok and cert.status == "rejected"
+
+    def test_nan_coupling_is_rejected(self):
+        # LAPACK returns finite eigenvalues for this matrix; the gate must not.
+        L = LinearMap.from_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        cert = validate_tau(SpdOperator.scalar_op(1.0, 2), L, OrthoProjector.full(2), 1e-3)
+        assert not cert.ok and cert.status == "rejected"
+        assert math.isnan(cert.lambda_max)
 
     def test_zero_coupling_always_passes(self):
         cert = validate_tau(SpdOperator.scalar_op(1.0, 3), LinearMap.zero(2, 3),

@@ -297,6 +297,14 @@ class TestRun:
         assert rec.grad_gap_partial is not None
         assert np.all(np.diff(rec.grad_gap_partial) >= 0)
 
+    def test_negative_checkpoint_rejected(self):
+        # The checkpoint iterator waited at -1 forever, so every later
+        # checkpoint was silently dropped.
+        spec = zero_spec()
+        with pytest.raises(ValueError, match="checkpoints must be nonnegative"):
+            run(spec, Schedules.constant(0.5, 0.5, 1.0), DeterministicOracle(spec.B),
+                np.zeros(2), np.zeros(2), 50, checkpoints=(-1, 10, 20))
+
     def test_divergence_keeps_partial_trace(self):
         spec = one_dim_spec()
         sched = Schedules.constant(1e8, 0.5, 1e9)
