@@ -3,11 +3,13 @@
 A problem  0 in sum_i w_i L_i* A_i (L_i x) + C x  is an instance of the
 single-block inclusion: :func:`stack` couples the base space to the product
 of the dual spaces through L x = (L_1 x, ..., L_m x), so the algorithm is
-:func:`papc.solver.papc_step` on that spec.  :func:`lift` builds the
-independent reference, the single-block inclusion on H^m with the w-weighted
-inner product, the diagonal subspace as constraint, and block-diagonal
-operators; the two are equivalent step by step when the lifted oracle
-replicates one base-space sample across the m copies.
+:func:`papc.solver.papc_step` on that spec.  A small stacked coupling is one
+dense matrix (up to :data:`DENSE_STACK_ENTRIES` entries); a wider one
+applies its blocks one by one.  :func:`lift` builds the independent
+reference, the single-block inclusion on H^m with the w-weighted inner
+product, the diagonal subspace as constraint, and block-diagonal operators;
+the two are equivalent step by step when the lifted oracle replicates one
+base-space sample across the m copies.
 """
 
 from __future__ import annotations
@@ -33,7 +35,15 @@ __all__ = [
     "lift_flat_equivalence",
     "composite_dual_residuals",
     "ReplicatedOracle",
+    "DENSE_STACK_ENTRIES",
 ]
+
+# The largest stacked coupling, in matrix entries (dual times base
+# dimension), that :func:`stack` forms as one dense matrix.  One apply and
+# two adjoints on `multi` cost less dense than block by block up to about
+# 7000 entries on a 20-row batch and 1e5 on a one-row batch (one BLAS
+# thread); the bound sits below both.
+DENSE_STACK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -172,7 +182,29 @@ def stack(cp):
     B = C, V = H and the dual side of :func:`_stacked_dual`, papc_step on
     this spec is the composite iteration, and the step-size gate, the run
     loop and the diagnostics apply to it unchanged.
+
+    When the stacked matrix has at most :data:`DENSE_STACK_ENTRIES` entries
+    (k * d, for k dual and d base coordinates), L is that matrix, formed
+    once from the blocks' dense forms, and its adjoint one matrix-vector
+    product with the weights folded in.  Above the bound, L applies the
+    blocks one by one, so that matrix-free blocks such as identities and
+    differences keep a wide problem O(d) per block.
     """
+    d, k = cp.base_dim, sum(cp.dual_dims)
+    dual_weights = np.repeat(cp.weights, cp.dual_dims)
+    if k * d <= DENSE_STACK_ENTRIES:
+        L = LinearMap.from_matrix(np.vstack([b.L.to_dense() for b in cp.blocks]),
+                                  codomain_weights=dual_weights, name="stacked-L")
+    else:
+        L = LinearMap(*_matrix_free_stack(cp), d, k, codomain_weights=dual_weights,
+                      name="stacked-L")
+    A, U, g = _stacked_dual(cp)
+    return ProblemSpec(B=cp.C, A=A, L=L, P_V=OrthoProjector.full(d), U=U, g=g, h=cp.h,
+                       name="stacked-" + (cp.name or "composite"))
+
+
+def _matrix_free_stack(cp):
+    """apply and adjoint of the stacked coupling, one block at a time."""
     d = cp.base_dim
     weights = [float(w) for w in cp.weights]
     maps = [b.L for b in cp.blocks]
@@ -187,11 +219,7 @@ def stack(cp):
             out += w * L.adjoint(v[..., sl])
         return out
 
-    L = LinearMap(apply, adjoint, d, sum(cp.dual_dims),
-                  codomain_weights=np.repeat(cp.weights, cp.dual_dims), name="stacked-L")
-    A, U, g = _stacked_dual(cp)
-    return ProblemSpec(B=cp.C, A=A, L=L, P_V=OrthoProjector.full(d), U=U, g=g, h=cp.h,
-                       name="stacked-" + (cp.name or "composite"))
+    return apply, adjoint
 
 
 def lift(cp):

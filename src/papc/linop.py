@@ -114,18 +114,17 @@ class LinearMap:
         if mat.ndim != 2:
             raise DimensionMismatchError("expected a 2-d matrix, got shape %r" % (mat.shape,))
 
+        # The adjoint W_dom^{-1} M^T W_cod, formed once as a contiguous
+        # matrix; a unit weight folds in exactly.
+        wd = np.ones(mat.shape[1]) if domain_weights is None else np.asarray(domain_weights, dtype=float)
+        wc = np.ones(mat.shape[0]) if codomain_weights is None else np.asarray(codomain_weights, dtype=float)
+        adj = np.ascontiguousarray((mat * wc[:, None]).T / wd[:, None])
+
         def apply(x):
             return matvec(mat, x)
 
-        if domain_weights is None and codomain_weights is None:
-            def adjoint(y):
-                return matvec(mat.T, y)
-        else:
-            wd = np.ones(mat.shape[1]) if domain_weights is None else np.asarray(domain_weights, dtype=float)
-            wc = np.ones(mat.shape[0]) if codomain_weights is None else np.asarray(codomain_weights, dtype=float)
-
-            def adjoint(y):
-                return matvec(mat.T, wc * y) / wd
+        def adjoint(y):
+            return matvec(adj, y)
 
         return cls(apply, adjoint, mat.shape[1], mat.shape[0],
                    domain_weights, codomain_weights, matrix=mat, name=name)

@@ -263,12 +263,23 @@ def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6)
 
 def dual_resolvent(spec, lam, w):
     """J_{lam * U * A^{-1}}(w) under the scalar or block-scalar reduction of U
-    (the two layouts a ProblemSpec admits)."""
+    (the two layouts a ProblemSpec admits).
+
+    For a block-scalar U the inversion identity of
+    :func:`papc.monotone.inverse_resolvent` runs once over the stacked
+    vector, w - lam U J(w / (lam U)), with J the blocks' resolvents at
+    1 / (lam sigma_i); the result is bitwise the per-block identity."""
     A, U = spec.A, spec.U
     if U.scalar is not None:
         return inverse_resolvent(A, lam * U.scalar, w)
-    return np.concatenate([inverse_resolvent(blk, lam * sigma, w[..., s:e])
-                           for blk, (s, e, sigma) in zip(A.blocks, U.blocks)], axis=-1)
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    lv = lam * U.diag
+    y = w / lv
+    out = np.empty(y.shape)
+    for blk, (s, e, sigma) in zip(A.blocks, U.blocks):
+        out[..., s:e] = blk.resolvent(1.0 / (lam * sigma), y[..., s:e])
+    return w - lv * out
 
 
 def _check_finite(arr, label, n, live):

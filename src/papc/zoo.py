@@ -21,7 +21,7 @@ import numpy as np
 from .composite import CompositeBlock, CompositeProblem, LiftedProblem, lift, stack
 from .diagnostics import SaddleFunction, kkt_residual
 from .errors import ConfigError, OracleError
-from .linop import LinearMap, OrthoProjector, SpdOperator
+from .linop import LinearMap, OrthoProjector, SpdOperator, coupling_lambda_max
 from .monotone import (MonotoneBlock, box_support, gradient_map, l1, quadratic_lipschitz,
                        quadratic_ls, sq_dist)
 from .solver import PapcState, ProblemSpec, Schedules, papc_step
@@ -98,13 +98,6 @@ def _difference_matrix(dim):
         mat[i, i] = -1.0
         mat[i, i + 1] = 1.0
     return mat
-
-
-def _coupling_lambda_max(L, P):
-    """lambda_max(L P L*) by dense eigendecomposition (builder-side constant;
-    the run gate certifies the step size from its own coupling matrix)."""
-    m = L.to_dense() @ P.to_dense() @ L.to_dense().T
-    return float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
 
 
 def _quadratic_components(D, a):
@@ -243,7 +236,7 @@ def _build_cls(params):
         U=SpdOperator.scalar_op(1.0, gdim),
         g=g, h=h, name="cls",
     )
-    lmax = _coupling_lambda_max(spec.L, spec.P_V)
+    lmax = coupling_lambda_max(spec.U, spec.L, spec.P_V)
     sched = Schedules.constant(0.9 * spec.B.beta, 0.9 / lmax, spec.B.beta)
     return ZooInstance("cls", sched, tuple(sorted(params.items())), spec,
                        oracle=lambda: cls_kkt_oracle(D, a, Lmat, b, basis),
@@ -328,9 +321,8 @@ def _build_multi(params):
 
     blocks = []
     for g_i, L_i in ((g1, L1), (g2, L2), (g3, L3)):
-        lmax_i = float(np.linalg.eigvalsh(L_i.to_dense() @ L_i.to_dense().T)[-1])
         blocks.append(CompositeBlock(L=L_i, A=MonotoneBlock.from_prox(g_i),
-                                     sigma=1.0 / lmax_i, g=g_i))
+                                     sigma=1.0 / L_i.norm_bound() ** 2, g=g_i))
 
     cp = CompositeProblem(weights=np.array([0.5, 0.3, 0.2]), C=C,
                           blocks=tuple(blocks), h=h, name="multi")

@@ -10,7 +10,8 @@ import pytest
 
 from papc import runner
 from papc.cli import main as cli_main
-from papc.composite import lift
+from papc import composite
+from papc.composite import lift, stack
 from papc.diagnostics import kkt_residual
 from papc.errors import DivergenceError, StepSizeViolationError
 from papc.linop import LinearMap, OrthoProjector, SpdOperator, inner, norm, weighted_norm_sq
@@ -50,7 +51,9 @@ def maps(rng):
         "identity": LinearMap.identity(6),
         "zero": LinearMap.zero(6, 4),
         "difference": LinearMap.difference(6),
-        "stack": build_instance("multi", {}).spec.L,
+        # Above the dense bound the stack applies its blocks one by one.
+        "stack": build_instance("multi", {"dim": "60"}).spec.L,
+        "stacked-dense": build_instance("multi", {}).spec.L,
         "lifted": lift(cp).spec.L,
     }
 
@@ -67,7 +70,7 @@ def projectors(rng):
 
 class TestRowsNeverMix:
     @pytest.mark.parametrize("name", ["dense", "dense-weighted", "identity", "zero",
-                                      "difference", "stack", "lifted"])
+                                      "difference", "stack", "stacked-dense", "lifted"])
     def test_linear_maps(self, rng, name):
         L = maps(rng)[name]
         assert_rows(L, batch(rng, L.domain_dim))
@@ -267,6 +270,32 @@ class TestBatchedRun:
             papc_step(PapcState(0, x0, v0), spec, sched, DeterministicOracle(spec.B))
         with pytest.raises(DivergenceError, match="r_n at iteration 0"):
             papc_step(PapcState(0, x0[1], v0[1]), spec, sched, DeterministicOracle(spec.B))
+
+    def test_dense_stack_retires_like_matrix_free(self, monkeypatch):
+        # The dense stack turns an inf into NaN (0 * inf) where the identity
+        # block passed it through; the finiteness checks see both alike, so
+        # the same rows retire at the same step with the same label.
+        inst = build_instance("multi", {})
+        cp, sched = inst.composite, inst.schedules
+        x0 = np.zeros((4, cp.base_dim))
+        v0 = np.zeros((4, sum(cp.dual_dims)))
+        x0[1, 0] = np.inf
+        v0[2, 0] = np.inf
+        v0[3, -1] = -np.inf
+        dense = stack(cp)
+        monkeypatch.setattr(composite, "DENSE_STACK_ENTRIES", 0)
+        free = stack(cp)
+        assert dense.L.matrix is not None and free.L.matrix is None
+        records = []
+        for spec in (dense, free):
+            with np.errstate(invalid="ignore", over="ignore"):
+                records.append(run(spec, sched, DeterministicOracle(cp.C), x0, v0, 20))
+        for rec in records:
+            assert rec.stops == (20, 0, 0, 0)
+            assert rec.errors == (None, "non-finite values in r_n at iteration 0",
+                                  "non-finite values in p_n at iteration 0",
+                                  "non-finite values in p_n at iteration 0")
+        assert np.allclose(records[0].xs[0], records[1].xs[0], rtol=0, atol=1e-14)
 
 
 BASIC = """

@@ -3,10 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from papc.composite import (CompositeBlock, CompositeProblem, ReplicatedOracle,
-                            composite_dual_residuals, lift, lift_flat_equivalence, stack)
+from papc import composite
+from papc.composite import (DENSE_STACK_ENTRIES, CompositeBlock, CompositeProblem,
+                            ReplicatedOracle, composite_dual_residuals, lift,
+                            lift_flat_equivalence, stack)
+from papc.config import parse_config
 from papc.errors import DimensionMismatchError
-from papc.linop import LinearMap, adjoint_consistency_check, norm
+from papc.linop import LinearMap, adjoint_consistency_check, norm, write_matrix
+from papc.runner import bind
 from papc.monotone import (MonotoneBlock, cocoercivity_check, gradient_map, l1,
                            quadratic_lipschitz, quadratic_ls, sq_dist, zero_prox)
 from papc.solver import PapcState, Schedules, papc_step, run, validate_hypotheses
@@ -78,10 +82,59 @@ class TestLift:
             CompositeProblem(weights=np.array([1.0]), C=cp.C, blocks=(bad,))
 
 
+CUSTOM_COMPOSITE = """
+[problem]
+name = custom_composite
+dim = 4
+h = sq_dist(b=0.5)
+block1.g = l1(weight=0.3)
+block1.L = identity
+block1.omega = 0.6
+block2.g = sq_dist(b=0.1)
+block2.L = matrix:M.txt
+block2.omega = 0.4
+block2.sigma = 0.5
+"""
+
+
+def custom_composite(tmp_path):
+    write_matrix(tmp_path / "M.txt", np.random.default_rng(8).standard_normal((3, 4)))
+    return bind(parse_config(CUSTOM_COMPOSITE, base_dir=str(tmp_path))).instance.composite
+
+
+def matrix_free_stack(cp, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(composite, "DENSE_STACK_ENTRIES", 0)
+        return stack(cp)
+
+
 class TestStack:
     def test_stacked_adjoint_consistent(self):
         cp = build_instance("multi", {}).composite
+        assert stack(cp).L.matrix is not None
         assert adjoint_consistency_check(stack(cp).L, 100, rng=3)
+
+    @pytest.mark.parametrize("problem", ["multi", "custom_composite"])
+    def test_dense_stack_matches_matrix_free(self, tmp_path, monkeypatch, problem):
+        cp = (build_instance("multi", {}).composite if problem == "multi"
+              else custom_composite(tmp_path))
+        dense, free = stack(cp).L, matrix_free_stack(cp, monkeypatch).L
+        assert dense.matrix is not None and free.matrix is None
+        assert adjoint_consistency_check(dense, 100, rng=5)
+        rng = np.random.default_rng(6)
+        for f, g, dim in ((dense, free, dense.domain_dim),
+                          (dense.adjoint, free.adjoint, dense.codomain_dim)):
+            z = 3.0 * rng.standard_normal((5, dim))
+            want = g(z)
+            bound = 1e-15 * (1.0 + np.linalg.norm(want, axis=-1))
+            assert np.all(np.max(np.abs(f(z) - want), axis=-1) <= bound)
+
+    def test_wide_stack_stays_matrix_free(self):
+        cp = build_instance("multi", {"dim": "60"}).composite
+        assert sum(cp.dual_dims) * cp.base_dim > DENSE_STACK_ENTRIES
+        L = stack(cp).L
+        assert L.matrix is None
+        assert adjoint_consistency_check(L, 20, rng=3)
 
 
 class TestCompositeStep:

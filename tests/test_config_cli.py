@@ -390,6 +390,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("config error") == 2 and cause in err and "Traceback" not in err
 
+    def test_nan_composite_coupling_exit_2(self, tmp_path, capsys):
+        # A composite block's NaN coupling is rejected by the spectral gate
+        # before the stacked (dense, at this size) map is formed.
+        cfg_path = tmp_path / "c.cfg"
+        (tmp_path / "nan.txt").write_text("3 3\nnan 0 0\n0 1 0\n0 0 1\n")
+        cfg_path.write_text("[problem]\nname = custom_composite\ndim = 3\nh = sq_dist(b=0.0)\n"
+                            "block1.L = identity\nblock1.omega = 0.5\n"
+                            "block2.L = matrix:nan.txt\nblock2.omega = 0.5\n\n"
+                            "[run]\nhorizon = 20\nseeds = 0\n")
+        assert cli_main(["validate", "--config", str(cfg_path)]) == 2
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error: the coupling spectrum is not finite") == 2
+        assert "Traceback" not in err
+
     def test_wide_fused_is_certified(self, tmp_path, capsys):
         # The difference coupling's spectrum clusters at its top at this
         # width, where an iterative estimate stalls; the exact gate accepts

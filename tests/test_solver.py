@@ -4,10 +4,11 @@ import pytest
 from papc.errors import DivergenceError, UnsupportedMetricError
 from papc.linop import LinearMap, OrthoProjector, SpdOperator, norm
 from papc.monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, l1, sq_dist,
-                           zero_prox, gradient_map, quadratic_lipschitz, quadratic_ls,
-                           singleton)
+                           zero_prox, gradient_map, inverse_resolvent, quadratic_lipschitz,
+                           quadratic_ls, singleton)
 from papc.solver import (ErgodicAccumulator, PapcState, ProblemSpec, Schedules,
-                         ergodic_update, papc_step, run, validate_hypotheses)
+                         dual_resolvent, ergodic_update, papc_step, run,
+                         validate_hypotheses)
 from papc.stochastic import DeterministicOracle
 from papc.zoo import build_instance, oracle_solution
 
@@ -163,6 +164,29 @@ class TestPapcStep:
                 P_V=OrthoProjector.full(2),
                 U=SpdOperator.block_scalar([1.0, 2.0], [1, 2]),
             )
+
+
+class TestDualResolvent:
+    @pytest.mark.parametrize("lam", [0.05, 1.0, 7.0])
+    def test_block_scalar_equals_per_block_identity(self, rng, lam):
+        # multi's three blocks carry three distinct sigma_i.
+        spec = build_instance("multi", {}).spec
+        sigmas = [sigma for _, _, sigma in spec.U.blocks]
+        assert spec.U.scalar is None and len(set(sigmas)) == 3
+        w = 3.0 * rng.standard_normal((5, spec.A.dim))
+        w[2] = np.nan
+        want = np.concatenate([inverse_resolvent(blk, lam * sigma, w[..., s:e])
+                               for blk, (s, e, sigma) in zip(spec.A.blocks, spec.U.blocks)],
+                              axis=-1)
+        got = dual_resolvent(spec, lam, w)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.isnan(got[2]).all() and np.isfinite(np.delete(got, 2, axis=0)).all()
+        assert dual_resolvent(spec, lam, w[0]).tobytes() == want[0].tobytes()
+
+    def test_block_scalar_rejects_nonpositive_lam(self):
+        spec = build_instance("multi", {}).spec
+        with pytest.raises(ValueError):
+            dual_resolvent(spec, 0.0, np.zeros(spec.A.dim))
 
 
 def saddle_spec(g):
