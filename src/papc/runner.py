@@ -167,10 +167,10 @@ def bind(cfg):
         else:
             noise = VarianceSchedule.constant(cfg.sigma0_sq, regime=cfg.regime)
     elif cfg.noise_kind == "minibatch":
-        if inst.components is None:
-            raise ConfigError("minibatch noise needs a problem with component maps "
-                              "(the zoo quadratics); custom problems must drive "
-                              "stochastic.MinibatchOracle through the API")
+        if inst.least_squares is None:
+            raise ConfigError("minibatch noise needs a least-squares smooth term "
+                              "0.5||Dx - a||^2 (the zoo problems); custom problems must "
+                              "drive stochastic.MinibatchOracle through the API")
         noise = "minibatch"
     return _Bound(cfg, inst, sched, noise)
 
@@ -180,10 +180,8 @@ def _make_oracle(bound, seeds):
     if bound.noise is None:
         return DeterministicOracle(base_map)
     if bound.noise == "minibatch":
-        comps = bound.instance.components
-        k = bound.cfg.batch_schedule or len(comps)
-        return MinibatchOracle(comps, beta=base_map.beta, seeds=seeds, dim=base_map.dim,
-                               batch_schedule=lambda n: min(k, len(comps)))
+        D, a = bound.instance.least_squares
+        return MinibatchOracle(D, a, base_map.beta, seeds, batch=bound.cfg.batch_schedule)
     return GaussianOracle(base_map, bound.noise, seeds)
 
 

@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .monotone import CocoerciveMap
 
 __all__ = [
     "VarianceSchedule",
@@ -157,53 +158,46 @@ class GaussianOracle(_SeededOracle):
 
 
 class MinibatchOracle(_SeededOracle):
-    """r_n = mean over a random batch of component maps whose average is B.
+    """r_n = D*(c_n * (D x_n - a)): the gradient of 0.5||Dx - a||^2 over a
+    random batch of its m rows.
 
-    Components are sampled without replacement; a batch covering all
-    components reproduces B exactly.  The components take one vector, so an
-    (S, d) array is sampled row by row.
+    ``D`` is a :class:`~papc.linop.LinearMap` from R^d to R^m.  Each step
+    draws ``batch`` = k of the m rows without replacement, from
+    ``default_rng((seed, n, t)).choice(m, k, replace=False)``; c_n is m/k on
+    them and 0 elsewhere, so the sample is unbiased for ``base``, the full
+    gradient D*(Dx - a).  A batch of m rows or more (and ``batch=None``) is
+    ``base`` exactly, with no draw.  One call covers every row of an (S, d)
+    array, each with its own seed's draw.
     """
 
-    def __init__(self, components, beta, seeds, batch_schedule=None, dim=None):
-        from .monotone import CocoerciveMap
-
-        self.components = list(components)
-        if not self.components:
-            raise ValueError("need at least one component")
-        m = len(self.components)
-        if dim is None:
-            raise ValueError("dim is required")
+    def __init__(self, D, a, beta, seeds, batch=None):
         super().__init__(seeds)
-        self.dim = int(dim)
-        self.m = m
-        self.batch_schedule = batch_schedule or (lambda n: m)
-
-        def mean_apply(x):
-            acc = np.zeros(self.dim)
-            for c in self.components:
-                acc += c(x)
-            return acc / m
-
-        self.base = CocoerciveMap(self.dim, mean_apply, beta=beta, name="minibatch-mean")
+        self.D = D
+        self.a = np.asarray(a, dtype=float)
+        self.m = D.codomain_dim
+        if self.a.shape != (self.m,):
+            raise DimensionMismatchError("a has shape %r for %d rows of D"
+                                         % (self.a.shape, self.m))
+        self.batch = self.m if batch is None else min(int(batch), self.m)
+        if self.batch < 1:
+            raise ValueError("batch size %d out of range" % self.batch)
+        self.dim = D.domain_dim
+        self.base = CocoerciveMap(self.dim, lambda x: D.adjoint(D(x) - self.a), beta=beta,
+                                  name="minibatch-mean")
 
     def sample(self, x, n, t=0):
-        k = int(self.batch_schedule(n))
-        if not 1 <= k <= self.m:
-            raise ValueError("batch size %d out of range" % k)
-        if x.ndim == 1:
-            return self._sample_row(x, n, t, k, self.seeds[0])
-        return np.stack([self._sample_row(row, n, t, k, seed)
-                         for row, seed in zip(x, self._row_seeds(x))])
-
-    def _sample_row(self, x, n, t, k, seed):
-        if k == self.m:
+        if self.batch == self.m:
             return self.base.apply(x)
-        rng = np.random.default_rng((seed, int(n), int(t)))
-        idx = rng.choice(self.m, size=k, replace=False)
-        acc = np.zeros(self.dim)
-        for i in idx:
-            acc += self.components[i](x)
-        return acc / k
+        seeds = self.seeds[:1] if x.ndim == 1 else self._row_seeds(x)
+        # m on the drawn rows, divided by k last: for D = I each drawn entry
+        # is then m (x_i - a_i) / k, the rounding of a per-row loop.
+        c = np.zeros((len(seeds), self.m))
+        for row, seed in zip(c, seeds):
+            idx = np.random.default_rng((seed, int(n), int(t))).choice(
+                self.m, size=self.batch, replace=False)
+            row[idx] = self.m
+        residual = self.D(x) - self.a
+        return self.D.adjoint(c.reshape(residual.shape) * residual) / self.batch
 
 
 def empirical_variance(oracle, x, n, trials):

@@ -45,7 +45,9 @@ class ZooInstance:
     """A built problem.  ``spec`` is what the solver runs: the problem itself,
     or the stacked spec of ``composite``; ``lifted`` is a composite's
     independent reference, where its oracle needs one.  ``oracle`` computes
-    the reference pair (x, v) on ``spec`` (None when there is none)."""
+    the reference pair (x, v) on ``spec`` (None when there is none).
+    ``least_squares`` is (D, a), D a :class:`LinearMap`: the smooth term is
+    0.5||Dx - a||^2, whose rows the minibatch oracle samples."""
 
     name: str
     schedules: Schedules
@@ -54,7 +56,7 @@ class ZooInstance:
     oracle: Optional[Callable] = None
     composite: Optional[CompositeProblem] = None
     lifted: Optional[LiftedProblem] = None
-    components: Optional[tuple] = None  # maps whose mean is the smooth operator
+    least_squares: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -98,40 +100,6 @@ def _difference_matrix(dim):
         mat[i, i] = -1.0
         mat[i, i + 1] = 1.0
     return mat
-
-
-def _quadratic_components(D, a):
-    """Per-row gradient components of 0.5||Dx - a||^2, scaled so their mean
-    is the full gradient; the natural minibatch decomposition."""
-    D = np.asarray(D, dtype=float)
-    a = np.asarray(a, dtype=float)
-    rows = D.shape[0]
-
-    def make(k):
-        d_k = D[k]
-        a_k = a[k]
-        return lambda x: rows * d_k * (float(d_k @ x) - a_k)
-
-    return tuple(make(k) for k in range(rows))
-
-
-def _coordinate_components(a):
-    """:func:`_quadratic_components` for D = I, built without the identity
-    matrix: component k of 0.5||x - a||^2 is dim * (x_k - a_k) e_k."""
-    a = np.asarray(a, dtype=float)
-    dim = a.size
-
-    def make(k):
-        a_k = a[k]
-
-        def component(x):
-            out = np.zeros(dim)
-            out[k] = dim * (x[k] - a_k)
-            return out
-
-        return component
-
-    return tuple(make(k) for k in range(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +208,7 @@ def _build_cls(params):
     sched = Schedules.constant(0.9 * spec.B.beta, 0.9 / lmax, spec.B.beta)
     return ZooInstance("cls", sched, tuple(sorted(params.items())), spec,
                        oracle=lambda: cls_kkt_oracle(D, a, Lmat, b, basis),
-                       components=_quadratic_components(D, a))
+                       least_squares=(LinearMap.from_matrix(D), a))
 
 
 def _build_lasso(params):
@@ -266,7 +234,7 @@ def _build_lasso(params):
     sched = Schedules.constant(0.9 * spec.B.beta, 0.9, spec.B.beta)
     return ZooInstance("lasso", sched, tuple(sorted(params.items())), spec,
                        oracle=lambda: lasso_sign_oracle(D, a, weight),
-                       components=_quadratic_components(D, a))
+                       least_squares=(LinearMap.from_matrix(D), a))
 
 
 def _build_fused(params):
@@ -295,7 +263,7 @@ def _build_fused(params):
     sched = Schedules.constant(0.9, 0.9 / lmax, 1.0)
     return ZooInstance("fused", sched, tuple(sorted(params.items())), spec,
                        oracle=lambda: long_run_oracle(spec, 1.0, 0.5 / lmax),
-                       components=_coordinate_components(a))
+                       least_squares=(LinearMap.identity(dim), a))
 
 
 def _build_multi(params):
@@ -339,7 +307,7 @@ def _build_multi(params):
 
     return ZooInstance("multi", sched, tuple(sorted(params.items())), stack(cp),
                        oracle=oracle, composite=cp, lifted=lp,
-                       components=_quadratic_components(D, a))
+                       least_squares=(LinearMap.from_matrix(D), a))
 
 
 _ENTRIES = {

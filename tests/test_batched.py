@@ -146,8 +146,8 @@ class TestRowsNeverMix:
         assert str(batched.value) == str(alone.value)
 
 
-def lasso_run(oracle, x0_rows, horizon=40, **kwargs):
-    inst = build_instance("lasso", {})
+def zoo_run(oracle, x0_rows, horizon=40, name="lasso", **kwargs):
+    inst = build_instance(name, {})
     spec = inst.spec
     x_ref, _ = oracle_solution(inst)
     shape = (x0_rows,) if x0_rows else ()
@@ -191,7 +191,7 @@ class PoisonedOracle:
 def solo_record(oracle, horizon=40):
     """The record of a vector run, taken from its error if it diverged."""
     try:
-        return lasso_run(oracle, 0, horizon)
+        return zoo_run(oracle, 0, horizon)
     except DivergenceError as exc:
         return exc.record
 
@@ -202,27 +202,27 @@ class TestBatchedRun:
         horizon = 2 * NOISE_BLOCK + 5
         noise = VarianceSchedule.polynomial(1.0, 1.0)
         B = build_instance("lasso", {}).spec.B
-        batched = lasso_run(GaussianOracle(B, noise, (4, 0, 9)), 3, horizon)
+        batched = zoo_run(GaussianOracle(B, noise, (4, 0, 9)), 3, horizon)
         for i, seed in enumerate((4, 0, 9)):
             assert_same_record(batched.seed(i),
-                               lasso_run(GaussianOracle(B, noise, seed), 0, horizon))
+                               zoo_run(GaussianOracle(B, noise, seed), 0, horizon))
 
     def test_minibatch_rows_equal_solo_runs(self):
-        inst = build_instance("lasso", {})
+        for name in ("lasso", "cls", "multi", "fused"):
+            inst = build_instance(name, {})
 
-        def oracle(seeds):
-            return MinibatchOracle(inst.components, beta=inst.spec.B.beta, seeds=seeds,
-                                   dim=inst.spec.B.dim, batch_schedule=lambda n: 2)
+            def oracle(seeds):
+                return MinibatchOracle(*inst.least_squares, inst.spec.B.beta, seeds, batch=2)
 
-        batched = lasso_run(oracle((1, 2)), 2)
-        for i, seed in enumerate((1, 2)):
-            assert_same_record(batched.seed(i), lasso_run(oracle(seed), 0))
+            batched = zoo_run(oracle((1, 2)), 2, name=name)
+            for i, seed in enumerate((1, 2)):
+                assert_same_record(batched.seed(i), zoo_run(oracle(seed), 0, name=name))
 
     def test_diverged_seed_is_retired(self):
         # Seed 1 retires inside the first noise block, so the survivors take
         # the rest of that block from the cache drawn before the retirement.
         assert 10 < NOISE_BLOCK
-        batched = lasso_run(PoisonedOracle((0, 1, 2), {1: 10}), 3)
+        batched = zoo_run(PoisonedOracle((0, 1, 2), {1: 10}), 3)
         retired = batched.seed(1)
         assert retired.diverged
         assert retired.error == "non-finite values in r_n at iteration 10"
@@ -236,13 +236,13 @@ class TestBatchedRun:
         # the run; seed 2 survives to the horizon.
         horizon = 2 * NOISE_BLOCK + 5
         at = {1: 10, 3: NOISE_BLOCK + 2, 0: 2 * NOISE_BLOCK}
-        batched = lasso_run(PoisonedOracle((0, 1, 2, 3), at), 4, horizon)
+        batched = zoo_run(PoisonedOracle((0, 1, 2, 3), at), 4, horizon)
         assert batched.stops == (2 * NOISE_BLOCK, 10, horizon, NOISE_BLOCK + 2)
         for i in range(4):
             assert_same_record(batched.seed(i), solo_record(PoisonedOracle(i, at), horizon))
 
     def test_every_seed_retired(self):
-        batched = lasso_run(PoisonedOracle((5,), {5: 3}), 1)
+        batched = zoo_run(PoisonedOracle((5,), {5: 3}), 1)
         assert batched.errors == ("non-finite values in r_n at iteration 3",)
         assert batched.seed(0).ns.tolist() == [0, 1, 2, 3]
 

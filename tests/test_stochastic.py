@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from papc.linop import LinearMap, norm
 from papc.monotone import CocoerciveMap
 from papc.solver import Schedules
 from papc.stochastic import (NOISE_BLOCK, DeterministicOracle, GaussianOracle, MinibatchOracle,
                              VarianceSchedule, empirical_variance, summability_certificate)
+from papc.zoo import build_instance
 
 
 def linear_map(dim=3, scale=1.0):
@@ -20,8 +22,8 @@ class TestSample:
         np.testing.assert_array_equal(oracle.sample(x, 3), x)
 
     def test_full_batch_is_exact(self):
-        comps = [lambda x: x + 1.0, lambda x: x - 1.0, lambda x: 2 * x, lambda x: 0 * x]
-        oracle = MinibatchOracle(comps, beta=1.0, seeds=0, dim=2)
+        D = LinearMap.from_matrix([[1.0, 0.0], [0.0, -1.0], [2.0, 1.0], [0.0, 0.0]])
+        oracle = MinibatchOracle(D, [1.0, -1.0, 0.5, 0.0], beta=0.1, seeds=0)
         x = np.array([0.3, -0.4])
         np.testing.assert_allclose(oracle.sample(x, 0), oracle.base.apply(x))
 
@@ -37,9 +39,8 @@ class TestSample:
         assert abs(vals.mean() - x[0]) <= 3 * se
 
     def test_unbiasedness_minibatch(self):
-        comps = [lambda x: x, lambda x: 3 * x, lambda x: -x, lambda x: x + 2.0]
-        oracle = MinibatchOracle(comps, beta=1.0, seeds=9, dim=1,
-                                 batch_schedule=lambda n: 2)
+        D = LinearMap.from_matrix([[1.0], [3.0], [-1.0], [0.5]])
+        oracle = MinibatchOracle(D, [0.0, 1.0, 2.0, -4.0], beta=0.1, seeds=9, batch=2)
         x = np.array([1.0])
         mean = oracle.base.apply(x)
         trials = 10 ** 5
@@ -98,6 +99,26 @@ class TestBlockStream:
             assert oracle.sample(x, n).tobytes() == t0.tobytes(), n
 
 
+class TestMinibatchRows:
+    """A minibatch sample is (m/k) sum_{i in I} d_i (d_i^T x - a_i) over the rows
+    I = default_rng((seed, n, t)).choice(m, k, replace=False) of 0.5||Dx - a||^2."""
+
+    @pytest.mark.parametrize("name", ["cls", "fused"])
+    def test_sample_is_the_drawn_rows_gradient(self, name):
+        inst = build_instance(name, {})
+        D, a = inst.least_squares
+        rows = D.to_dense()
+        m, k, seed = len(a), 3, 5
+        oracle = MinibatchOracle(D, a, inst.spec.B.beta, seed, batch=k)
+        x = np.random.default_rng(1).standard_normal(D.domain_dim)
+        for n in (0, 1, 17, 400):
+            drawn = np.random.default_rng((seed, n, 0)).choice(m, k, replace=False)
+            ref = (m / k) * sum(rows[i] * (rows[i] @ x - a[i]) for i in drawn)
+            assert norm(oracle.sample(x, n) - ref) <= 1e-14 * norm(ref), n
+        full = MinibatchOracle(D, a, inst.spec.B.beta, seed).sample(x, 3)
+        assert norm(full - inst.spec.B.apply(x)) <= 1e-14 * norm(inst.spec.B.apply(x))
+
+
 class TestEmpiricalVariance:
     def test_zero_noise(self):
         oracle = DeterministicOracle(linear_map())
@@ -112,9 +133,8 @@ class TestEmpiricalVariance:
         assert abs(est - 0.25) <= 5 * 0.25 * rel_se
 
     def test_identical_components_have_zero_variance(self):
-        comps = [lambda x: 2 * x] * 4
-        oracle = MinibatchOracle(comps, beta=0.5, seeds=0, dim=2,
-                                 batch_schedule=lambda n: 2)
+        D = LinearMap.from_matrix([[1.0, -2.0]] * 4)
+        oracle = MinibatchOracle(D, [0.5] * 4, beta=0.05, seeds=0, batch=2)
         assert empirical_variance(oracle, np.ones(2), 0, 32) == 0.0
 
     def test_requires_two_trials(self):

@@ -115,17 +115,6 @@ class TestFusedExamples:
             lmax = float(np.linalg.eigvalsh(mat @ mat.T)[-1])
             assert inst.schedules.tau_cap == pytest.approx(0.9 / lmax, rel=1e-12)
 
-    def test_components_match_dense_decomposition(self):
-        from papc.zoo import _quadratic_components
-        dim = 12
-        inst = build_instance("fused", {"dim": str(dim)})
-        a = -inst.spec.B.apply(np.zeros(dim))
-        x = np.random.default_rng(4).standard_normal(dim)
-        dense = _quadratic_components(np.eye(dim), a)
-        assert len(inst.components) == len(dense) == dim
-        for comp, ref in zip(inst.components, dense):
-            np.testing.assert_array_equal(comp(x), ref(x))
-
     def test_wide_build_holds_no_square_array(self):
         # One 5000 x 5000 float array is 200 MB; the matrix-free build needs O(dim).
         # The entry's builder is called directly so no cached instance is returned.
