@@ -1,0 +1,146 @@
+"""Compare the outputs of ``papc run`` and ``papc validate`` at a base revision
+and in the working tree.
+
+    python3 scripts/compare_outputs.py --base HEAD configs/*.cfg [--keep DIR]
+
+Extracts the committed files of ``--base`` (``git archive``, as
+``scripts/bench_pairs.py`` does) into a temporary directory, then runs both
+commands on every config, once with that checkout's ``src`` and once with
+the working tree's.  Both sides read the same config file and write to their
+own output directory.  For each CSV the run writes, it prints ``identical``
+when the bytes agree, and otherwise the largest absolute difference in each
+column (``text`` for a column whose cells differ but do not parse as
+numbers).  It prints the exit codes when they differ and a diff of the
+``papc validate`` output when that differs.  ``summary.json`` holds wall
+times and is not compared.  The exit status is 0 when everything is
+identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import ROOT, extract, git  # noqa: E402
+
+
+def papc(checkout, *args):
+    """Run the papc command line of ``checkout``: (exit code, stdout + stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
+    proc = subprocess.run([sys.executable, "-m", "papc.cli", *args], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def column_differences(base_text, change_text):
+    """Per column, the largest absolute difference between two CSVs with the
+    same header and row count; None when their shapes differ."""
+    base_rows = [line.split(",") for line in base_text.splitlines()]
+    change_rows = [line.split(",") for line in change_text.splitlines()]
+    if (len(base_rows) != len(change_rows) or not base_rows
+            or base_rows[0] != change_rows[0]):
+        return None
+    worst = {name: 0.0 for name in base_rows[0]}
+    for b_row, c_row in zip(base_rows[1:], change_rows[1:]):
+        if len(b_row) != len(c_row):
+            return None
+        for name, b, c in zip(base_rows[0], b_row, c_row):
+            if b == c or worst[name] == "text":
+                continue
+            x, y = _number(b), _number(c)
+            if x is None or y is None:
+                worst[name] = "text"
+            elif math.isfinite(x) and math.isfinite(y):
+                worst[name] = max(worst[name], abs(x - y))
+            else:
+                worst[name] = math.inf
+    return worst
+
+
+def compare_dirs(base_dir, change_dir):
+    """One line per CSV of either run; True when every CSV is identical."""
+    names = sorted({p.name for p in Path(base_dir).glob("*.csv")}
+                   | {p.name for p in Path(change_dir).glob("*.csv")})
+    same = True
+    for name in names:
+        b, c = Path(base_dir) / name, Path(change_dir) / name
+        if not b.exists() or not c.exists():
+            print("  %s: only in %s" % (name, "change" if c.exists() else "base"))
+            same = False
+            continue
+        b_text, c_text = b.read_text(encoding="utf-8"), c.read_text(encoding="utf-8")
+        if b_text == c_text:
+            print("  %s: identical" % name)
+            continue
+        same = False
+        worst = column_differences(b_text, c_text)
+        if worst is None:
+            print("  %s: differs in header or row count" % name)
+        else:
+            print("  %s: %s" % (name, ", ".join(
+                "%s %s" % (col, d if d == "text" else "%.3g" % d) for col, d in worst.items())))
+    if not names:
+        print("  no CSV written")
+    return same
+
+
+def compare_config(base, config, out):
+    print(config)
+    same = True
+    validated = {side: papc(checkout, "validate", "--config", config)
+                 for side, checkout in (("base", base), ("change", ROOT))}
+    if validated["base"] == validated["change"]:
+        print("  validate: identical (exit %d)" % validated["base"][0])
+    else:
+        same = False
+        print("  validate: exit %d -> %d" % (validated["base"][0], validated["change"][0]))
+        sys.stdout.writelines("    " + line for line in difflib.unified_diff(
+            validated["base"][1].splitlines(True), validated["change"][1].splitlines(True),
+            "base", "change"))
+    codes = {}
+    for side, checkout in (("base", base), ("change", ROOT)):
+        codes[side], _ = papc(checkout, "run", "--config", config,
+                              "--out", str(out / side))
+    if codes["base"] != codes["change"]:
+        same = False
+        print("  run: exit %d -> %d" % (codes["base"], codes["change"]))
+    return compare_dirs(out / "base", out / "change") and same
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD")
+    parser.add_argument("--keep", default=None,
+                        help="write the runs' outputs under this directory and keep them")
+    parser.add_argument("configs", nargs="+")
+    args = parser.parse_args(argv)
+
+    base_rev = git("rev-parse", args.base)
+    print("base %s, change: the working tree" % base_rev)
+    same = True
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        extract(base_rev, base)
+        outputs = Path(args.keep).resolve() if args.keep else Path(tmp) / "out"
+        for i, config in enumerate(args.configs):
+            same &= compare_config(base, str(Path(config).resolve()), outputs / str(i))
+    print("all identical" if same else "differences found")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

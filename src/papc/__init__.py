@@ -8,10 +8,9 @@ needed to verify the convergence behaviour empirically.
 """
 
 from .linop import (LinearMap, OrthoProjector, SpdOperator, adjoint_consistency_check,
-                    coupling_lambda_max, validate_tau, weighted_norm_sq)
+                    certify_tau, coupling_lambda_max, weighted_norm_sq)
 from .monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, ProxFunction,
-                       conjugate_prox_via_moreau, inverse_resolvent, prox_in_metric,
-                       resolvent)
+                       inverse_resolvent)
 from .solver import (BatchRecord, ErgodicAccumulator, PapcState, ProblemSpec, RunRecord,
                      Schedules, ergodic_update, papc_step, run, validate_hypotheses)
 from .composite import CompositeBlock, CompositeProblem, lift, lift_flat_equivalence, stack

@@ -154,8 +154,7 @@ def _stacked_dual(cp):
     omega = cp.weights
     offsets = cp.dual_offsets
     A = ProductMonotoneBlock(tuple(b.A for b in cp.blocks), cp.dual_dims)
-    U = SpdOperator.block_scalar([b.sigma for b in cp.blocks], cp.dual_dims,
-                                 name="stacked-U")
+    U = SpdOperator([b.sigma for b in cp.blocks], cp.dual_dims, name="stacked-U")
     g = None
     if all(b.g is not None for b in cp.blocks):
         gs = [b.g for b in cp.blocks]

@@ -22,7 +22,7 @@ Sections and keys::
                 batch_schedule = <int> >= 1   (minibatch size, minibatch only)
     [run]       horizon     = <int>
                 seeds       = <int> <int> ...
-                checkpoints = log | none | <int> <int> ...   (indices >= 0)
+                checkpoints = log | none | <int> <int> ...   (0 <= index < horizon)
     [output]    dir = <path>
 
 Prox functions are named by string tags, e.g. ``l1(weight=0.5)``,
@@ -86,8 +86,12 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonnegative")
         if self.horizon < 1:
             raise ConfigError("horizon must be positive")
-        if not isinstance(self.checkpoints, str) and any(c < 0 for c in self.checkpoints):
+        cps = () if isinstance(self.checkpoints, str) else self.checkpoints
+        if any(c < 0 for c in cps):
             raise ConfigError("checkpoints must be nonnegative")
+        if any(c >= self.horizon for c in cps):
+            raise ConfigError("[run] checkpoints: %d is not below the horizon %d"
+                              % (max(cps), self.horizon))
         if self.noise_kind not in ("none", "gaussian", "minibatch"):
             raise ConfigError("unknown noise kind %r" % self.noise_kind)
         if self.regime not in ("almost-sure", "ergodic"):

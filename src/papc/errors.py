@@ -9,15 +9,6 @@ class DimensionMismatchError(PapcError, ValueError):
     """Operator or vector dimensions are inconsistent."""
 
 
-class UnsupportedMetricError(PapcError, ValueError):
-    """A metric prox/resolvent was requested for a metric with no closed form.
-
-    The closed forms cover a scalar metric and a per-block-scalar one aligned
-    with a product of blocks.  A ``ProblemSpec`` with any other dual
-    preconditioner is rejected when it is constructed.
-    """
-
-
 class StepSizeViolationError(PapcError, ArithmeticError):
     """A dual weighted norm came out negative: the step-size condition is violated."""
 

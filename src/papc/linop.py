@@ -41,7 +41,6 @@ __all__ = [
     "coupling_lambda_max",
     "lambda_max",
     "certify_tau",
-    "validate_tau",
     "weighted_norm_sq",
     "read_matrix",
     "write_matrix",
@@ -268,47 +267,27 @@ class OrthoProjector:
 
 
 class SpdOperator:
-    """Diagonal SPD operator.  Scalar and per-block-scalar structure is
-    recorded explicitly because the dual metric reductions depend on it."""
+    """Diagonal SPD operator, one scalar sigma_i on each block of dims[i]
+    coordinates; ``blocks`` holds every block's (start, stop, sigma).  A
+    scalar is the one-block case, a general diagonal blocks of one."""
 
-    def __init__(self, diag, scalar=None, blocks=None, name=""):
-        d = np.asarray(diag, dtype=float)
-        if d.ndim != 1 or np.any(d <= 0):
-            raise DimensionMismatchError("SPD diagonal must be 1-d and strictly positive")
+    def __init__(self, sigmas, dims, name=""):
+        sigmas = [float(s) for s in sigmas]
+        dims = [int(d) for d in dims]
+        if len(sigmas) != len(dims) or any(s <= 0 for s in sigmas):
+            raise DimensionMismatchError("need one positive scalar per block")
+        d = np.repeat(sigmas, dims)
         self.diag = _frozen(d)
         self.dim = d.shape[0]
-        self.scalar = scalar
-        self.blocks = None if blocks is None else tuple(blocks)
+        stops = np.cumsum(dims, dtype=int).tolist()
+        self.blocks = tuple((e - n, e, s) for s, n, e in zip(sigmas, dims, stops))
         self.name = name
         self.operator_norm_bound = float(d.max())
-        self.chi = float(d.min())
         self._sqrt = _frozen(np.sqrt(d))
 
     @classmethod
     def scalar_op(cls, sigma, dim, name=""):
-        sigma = float(sigma)
-        return cls(np.full(dim, sigma), scalar=sigma, name=name)
-
-    @classmethod
-    def diagonal(cls, diag, name=""):
-        d = np.asarray(diag, dtype=float)
-        scalar = float(d[0]) if d.size and np.all(d == d[0]) else None
-        return cls(d, scalar=scalar, name=name)
-
-    @classmethod
-    def block_scalar(cls, sigmas, dims, name=""):
-        """Block-diagonal operator, one scalar per block (the lifted preconditioner)."""
-        sigmas = [float(s) for s in sigmas]
-        dims = [int(d) for d in dims]
-        if len(sigmas) != len(dims):
-            raise DimensionMismatchError("need one scalar per block")
-        diag = np.repeat(sigmas, dims)
-        blocks, start = [], 0
-        for s, d in zip(sigmas, dims):
-            blocks.append((start, start + d, s))
-            start += d
-        scalar = sigmas[0] if all(s == sigmas[0] for s in sigmas) else None
-        return cls(diag, scalar=scalar, blocks=blocks, name=name)
+        return cls([sigma], [dim], name=name)
 
     def apply(self, v):
         return self.diag * v
@@ -386,15 +365,6 @@ def certify_tau(lam, tau, margin=1e-6):
         raise ValueError("tau must be positive")
     ok = bool(tau * lam < 1.0 - margin)
     return TauCertificate(ok, "accepted" if ok else "rejected", lam, float(tau), margin)
-
-
-def validate_tau(U, L, P, tau, margin=1e-6):
-    """Check tau * lambda_max(U^{1/2} L P L* U^{1/2}) < 1 - margin, exactly.
-
-    This is the spectral form of requiring (tau*U)^{-1} - L P L* to be
-    positive definite (positive semidefinite when margin=0).
-    """
-    return certify_tau(coupling_lambda_max(U, L, P), tau, margin)
 
 
 def weighted_norm_sq(v, U, tau_n, gamma_n, L, P):

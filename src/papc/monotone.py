@@ -1,6 +1,6 @@
 """Resolvent and proximal calculus: maximally monotone blocks exposed through
-their resolvents, metric proximity operators, the inverse-resolvent and
-conjugate (Moreau) identities, and a library of standard prox functions.
+their resolvents, the inversion identity (for A = dg, the Moreau identity of
+the prox of g*), and a library of standard prox functions.
 
 Set-valuedness never crosses a module boundary: everything is exchanged as a
 resolvent or prox callable.  Indicator values use IEEE ``inf`` as the
@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnsupportedMetricError
+from .errors import DimensionMismatchError
 from .linop import as_rng, inner, matvec
 
 __all__ = [
@@ -28,10 +28,7 @@ __all__ = [
     "ProductMonotoneBlock",
     "ProxFunction",
     "CocoerciveMap",
-    "resolvent",
     "inverse_resolvent",
-    "prox_in_metric",
-    "conjugate_prox_via_moreau",
     "prox_inequality_check",
     "firm_nonexpansiveness_check",
     "cocoercivity_check",
@@ -147,41 +144,16 @@ class CocoerciveMap:
     name: str = ""
 
 
-def resolvent(A, lam, x):
-    """J_{lam*A}(x) = (Id + lam*A)^{-1} x."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    return A.resolvent(lam, x)
-
-
 def inverse_resolvent(A, lam, x):
     """J_{lam*A^{-1}}(x), synthesized from A's resolvent.
 
     Uses the inversion identity J_{lam*A^{-1}}(x) = x - lam * J_{A/lam}(x/lam),
-    so users supply A (or g) and never A^{-1}.
+    so users supply A (or g) and never A^{-1}; for ``MonotoneBlock.from_prox(g)``
+    it is the Moreau identity prox_{lam*g*}(x) = x - lam * prox_{g/lam}(x/lam).
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     return x - lam * A.resolvent(1.0 / lam, x / lam)
-
-
-def prox_in_metric(f, metric, x):
-    """argmin_y f(y) + (1/2) ||x - y||^2_metric for a diagonal SPD metric.
-
-    A scalar metric u*Id reduces to prox_{f/u}(x); no other metric has a
-    closed form here.
-    """
-    if metric.scalar is not None:
-        return f.prox(1.0 / metric.scalar, x)
-    raise UnsupportedMetricError(
-        "unsupported metric: %s has no closed-form prox for a non-scalar metric" % (f.name or "f"))
-
-
-def conjugate_prox_via_moreau(g, lam, x):
-    """prox_{lam*g*}(x) = x - lam * prox_{g/lam}(x/lam), using only g's prox."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    return x - lam * g.prox(1.0 / lam, x / lam)
 
 
 @dataclass(frozen=True)
@@ -191,8 +163,8 @@ class ProxInequalityReport:
     samples: int
 
 
-def prox_inequality_check(f, metric, samples=100, rng=0, scale=2.0, tol=1e-9):
-    """Check f(p) - f(y) <= <y - p, U(p - x)> with p = prox_f^U(x) on samples.
+def prox_inequality_check(f, u, samples=100, rng=0, scale=2.0, tol=1e-9):
+    """Check f(p) - f(y) <= <y - p, u (p - x)> with p = prox_{f/u}(x) on samples.
 
     Half of the test points y are prox images, so indicator domains are
     exercised with finite values as well.
@@ -203,13 +175,13 @@ def prox_inequality_check(f, metric, samples=100, rng=0, scale=2.0, tol=1e-9):
         x = scale * gen.standard_normal(f.dim)
         y = scale * gen.standard_normal(f.dim)
         if k % 2 == 1:
-            y = prox_in_metric(f, metric, y)
-        p = prox_in_metric(f, metric, x)
+            y = f.prox(1.0 / u, y)
+        p = f.prox(1.0 / u, x)
         fy = f.value(y)
         if math.isinf(fy):
             continue  # rhs is -inf <= anything
         lhs = f.value(p) - fy
-        rhs = inner(y - p, metric.apply(p - x))
+        rhs = inner(y - p, u * (p - x))
         worst = max(worst, lhs - rhs)
     if worst == -INF:
         worst = 0.0

@@ -73,7 +73,7 @@ class _Bound:
     cfg: ExperimentConfig
     instance: object
     schedules: Schedules
-    noise: object  # VarianceSchedule or None
+    noise: object  # VarianceSchedule, "minibatch" or None
 
 
 def _custom_coupling(params, key, dim, base, label):
@@ -187,16 +187,25 @@ def _make_oracle(bound, seeds):
 
 def _gate(bound, horizon):
     """The hypothesis certificate of a bound config: the step-size checks of
-    :func:`validate_hypotheses` and, for gaussian noise, the summability of
-    its variance schedule, which fails only on a ``violation`` (constant
-    noise in the almost-sure regime)."""
+    :func:`validate_hypotheses` and, for noise, its summability, which fails
+    only on a ``violation``: constant gaussian noise, or a minibatch of k < m
+    rows of D (finite-horizon when ergodic), in the almost-sure regime."""
     cert = validate_hypotheses(bound.instance.spec, bound.schedules, horizon,
                                regime=bound.cfg.regime)
-    if not isinstance(bound.noise, VarianceSchedule):
+    if bound.noise is None:
         return cert
-    report = summability_certificate(bound.noise, bound.schedules, horizon)
-    check = ConditionCheck("noise summability", report.status != "violation",
-                           "status %s: %s" % (report.status, "; ".join(report.messages)))
+    if bound.noise == "minibatch":
+        m, k = bound.instance.least_squares[0].codomain_dim, bound.cfg.batch_schedule
+        partial = k is not None and k < m
+        status = ("certified" if not partial else
+                  "violation" if bound.cfg.regime == "almost-sure" else "finite-horizon")
+        message = ("a batch of %d of %d rows leaves variance that does not vanish" % (k, m)
+                   if partial else "full batch of %d rows: the exact gradient" % m)
+    else:
+        report = summability_certificate(bound.noise, bound.schedules, horizon)
+        status, message = report.status, "; ".join(report.messages)
+    check = ConditionCheck("noise summability", status != "violation",
+                           "status %s: %s" % (status, message))
     return dataclasses.replace(cert, ok=cert.ok and check.ok, checks=cert.checks + (check,))
 
 

@@ -9,7 +9,7 @@ dual preconditioner and r_n one stochastic sample of the cocoercive operator
     x_{n+1} = P_V(x_n - gamma_n (L* v_{n+1} + r_n))
 
 The dual resolvent is synthesized from A's resolvent through the inversion
-identity, with the scalar (or per-block-scalar) reduction of U.  A saddle
+identity, block by block: U is one scalar sigma_i per block of A.  A saddle
 problem min_x h(x) + g(Lx) is the case A = the subdifferential of g
 (``MonotoneBlock.from_prox(g)``).
 
@@ -23,16 +23,15 @@ one-row batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DivergenceError, UnsupportedMetricError
+from .errors import DimensionMismatchError, DivergenceError
 from .linop import (LinearMap, OrthoProjector, SpdOperator, TauCertificate, certify_tau,
                     coupling_matrix, inner, lambda_max)
-from .monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, ProxFunction,
-                       inverse_resolvent)
+from .monotone import CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, ProxFunction
 
 __all__ = [
     "ProblemSpec",
@@ -59,9 +58,9 @@ class ProblemSpec:
     preconditioner U.  ``g``/``h`` are optional proxable/value oracles used by
     the gap diagnostics.
 
-    The dual resolvent has a closed form only for a scalar U, or for a
-    block-scalar U whose blocks are those of a product A; any other U raises
-    :class:`UnsupportedMetricError` here."""
+    U's blocks must be A's (one for a single MonotoneBlock), or
+    :class:`DimensionMismatchError` is raised; each block's (resolvent,
+    start, stop, sigma) is resolved here, once, for :func:`dual_resolvent`."""
 
     B: CocoerciveMap
     A: MonotoneBlock | ProductMonotoneBlock
@@ -71,19 +70,20 @@ class ProblemSpec:
     g: Optional[ProxFunction] = None
     h: Optional[ProxFunction] = None
     name: str = ""
+    _dual_blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.B.dim == self.L.domain_dim == self.P_V.dim):
             raise DimensionMismatchError("primal dims disagree (B, L domain, P_V)")
         if not (self.A.dim == self.L.codomain_dim == self.U.dim):
             raise DimensionMismatchError("dual dims disagree (A, L codomain, U)")
-        U, A = self.U, self.A
-        if U.scalar is None and not (
-                isinstance(A, ProductMonotoneBlock) and U.blocks is not None
-                and A.offsets == tuple((s, e) for s, e, _ in U.blocks)):
-            raise UnsupportedMetricError(
-                "the dual resolvent needs a scalar U or a block-scalar U aligned with "
-                "the blocks of a product A")
+        A = self.A
+        parts, offsets = ((A.blocks, A.offsets) if isinstance(A, ProductMonotoneBlock)
+                          else ((A,), ((0, A.dim),)))
+        if tuple((s, e) for s, e, _ in self.U.blocks) != offsets:
+            raise DimensionMismatchError("U's blocks must be A's blocks %s" % (offsets,))
+        object.__setattr__(self, "_dual_blocks", tuple(
+            (blk.resolvent, s, e, sigma) for blk, (s, e, sigma) in zip(parts, self.U.blocks)))
 
     @property
     def primal_weights(self):
@@ -192,8 +192,8 @@ def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6)
     gamma_0 < beta, with positive semidefiniteness (margin 0) and no floor on
     gamma.  The spectral condition is decided exactly, from the eigenvalues
     of the dense coupling matrix U^{1/2} L P_V L* U^{1/2} (one k x k matrix
-    for k dual coordinates, formed once).  When U is block-scalar, every
-    block i is also checked on its own: tau_cap lambda_max(block i of that
+    for k dual coordinates, formed once).  When A is a product, every block
+    i is also checked on its own: tau_cap lambda_max(block i of that
     matrix) / w_i < 1 - margin, which is tau_cap sigma_i lambda_max(block i of
     L P_V L*) / w_i with w_i the block's dual weight (on a stacked composite
     tau_cap sigma_i lambda_max(L_i L_i*)); a block whose weight is not
@@ -238,7 +238,7 @@ def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6)
     coupling = coupling_matrix(spec.U, spec.L, spec.P_V)
     tcert = certify_tau(lambda_max(coupling), sched.tau_cap, margin=tau_margin)
     checks.append(ConditionCheck("tau spectral condition", tcert.ok, _tau_detail(tcert)))
-    if spec.U.blocks is not None:
+    if isinstance(spec.A, ProductMonotoneBlock):
         wG = spec.dual_weights
         for i, (start, stop, _) in enumerate(spec.U.blocks):
             name = "block %d spectral condition" % i
@@ -262,23 +262,18 @@ def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6)
 
 
 def dual_resolvent(spec, lam, w):
-    """J_{lam * U * A^{-1}}(w) under the scalar or block-scalar reduction of U
-    (the two layouts a ProblemSpec admits).
-
-    For a block-scalar U the inversion identity of
-    :func:`papc.monotone.inverse_resolvent` runs once over the stacked
-    vector, w - lam U J(w / (lam U)), with J the blocks' resolvents at
-    1 / (lam sigma_i); the result is bitwise the per-block identity."""
-    A, U = spec.A, spec.U
-    if U.scalar is not None:
-        return inverse_resolvent(A, lam * U.scalar, w)
+    """J_{lam * U * A^{-1}}(w), U one scalar sigma_i per block A_i of A (one
+    block for a single A): the inversion identity of
+    :func:`papc.monotone.inverse_resolvent` once over the stacked vector,
+    w - lam U J(w / (lam U)), with J the blocks' resolvents at 1 / (lam sigma_i).
+    Each block is bitwise inverse_resolvent(A_i, lam sigma_i, w_i)."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    lv = lam * U.diag
+    lv = lam * spec.U.diag
     y = w / lv
     out = np.empty(y.shape)
-    for blk, (s, e, sigma) in zip(A.blocks, U.blocks):
-        out[..., s:e] = blk.resolvent(1.0 / (lam * sigma), y[..., s:e])
+    for resolvent, s, e, sigma in spec._dual_blocks:
+        out[..., s:e] = resolvent(1.0 / (lam * sigma), y[..., s:e])
     return w - lv * out
 
 

@@ -14,10 +14,10 @@ from papc.config import parse_config
 from papc.diagnostics import (GapConstant, fejer_tracker, gap_and_bound, kkt_residual,
                               rate_fit)
 from papc.linop import (LinearMap, OrthoProjector, SpdOperator, adjoint_consistency_check,
-                        inner, norm, validate_tau)
+                        certify_tau, coupling_lambda_max, inner, norm)
 from papc.monotone import (PROX_LIBRARY, MonotoneBlock, box, box_support,
-                           conjugate_prox_via_moreau, firm_nonexpansiveness_check,
-                           inverse_resolvent, l1, singleton, sq_dist, zero_prox)
+                           firm_nonexpansiveness_check, inverse_resolvent, l1, singleton,
+                           sq_dist, zero_prox)
 from papc.runner import default_checkpoints, run_experiment
 from papc.solver import Schedules, run, validate_hypotheses
 from papc.stochastic import DeterministicOracle, GaussianOracle, VarianceSchedule, \
@@ -112,7 +112,7 @@ def test_c01_operator_calculus_suite(rng):
         for g, gstar in moreau_pairs:
             for _ in range(50):
                 x = 3.0 * rng.standard_normal(4)
-                p_conj = conjugate_prox_via_moreau(g, lam, x)
+                p_conj = inverse_resolvent(MonotoneBlock.from_prox(g), lam, x)
                 recon = p_conj + lam * g.prox(1.0 / lam, x / lam)
                 ok &= np.max(np.abs(recon - x)) <= 1e-10
                 if gstar is not None:
@@ -133,7 +133,7 @@ def test_c02_validate_tau_vs_dense_eig():
     for trial in range(20):
         dim_h = int(rng.integers(2, 21))
         dim_g = int(rng.integers(2, 21))
-        U = SpdOperator.diagonal(0.2 + rng.random(dim_g))
+        U = SpdOperator(0.2 + rng.random(dim_g), [1] * dim_g)
         L = LinearMap.from_matrix(rng.standard_normal((dim_g, dim_h)) / math.sqrt(dim_h))
         P = OrthoProjector.full(dim_h) if trial % 4 == 0 else \
             OrthoProjector.from_basis(rng.standard_normal((dim_h, max(1, dim_h // 2))))
@@ -141,7 +141,7 @@ def test_c02_validate_tau_vs_dense_eig():
             L.to_dense().T @ np.diag(np.sqrt(U.diag))
         lam = np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1]
         tau = factors[trial % len(factors)] / lam
-        cert = validate_tau(U, L, P, tau, margin=margin)
+        cert = certify_tau(coupling_lambda_max(U, L, P), tau, margin=margin)
         oracle_accept = tau * lam < 1.0 - margin
         agree &= (cert.status != "indeterminate") and (cert.ok == oracle_accept)
     wall = time.perf_counter() - t0

@@ -82,8 +82,8 @@ class TestRowsNeverMix:
         assert_rows(P, batch(rng, P.dim))
 
     def test_spd_operators(self, rng):
-        for U in (SpdOperator.scalar_op(0.7, 5), SpdOperator.diagonal(rng.random(5) + 0.1),
-                  SpdOperator.block_scalar([0.5, 2.0], [2, 3])):
+        for U in (SpdOperator.scalar_op(0.7, 5), SpdOperator(rng.random(5) + 0.1, [1] * 5),
+                  SpdOperator([0.5, 2.0], [2, 3])):
             for f in (U.apply, U.apply_inverse, U.sqrt_apply):
                 assert_rows(f, batch(rng, 5))
 

@@ -234,7 +234,9 @@ seeds = 0
         res = run_experiment(cfg, out_dir=str(tmp_path / "out"))
         assert res.exit_code == 0
 
-    def test_minibatch_noise_from_config(self, tmp_path):
+    def test_minibatch_noise_from_config(self, tmp_path, capsys):
+        # A batch of 2 of lasso's 5 rows leaves variance that does not
+        # vanish: the ergodic regime runs it on its finite-horizon sum.
         text = """
 [problem]
 name = lasso
@@ -242,6 +244,7 @@ name = lasso
 [noise]
 kind = minibatch
 batch_schedule = 2
+regime = ergodic
 
 [run]
 horizon = 200
@@ -249,6 +252,23 @@ seeds = 0
 """
         res = run_experiment(parse_config(text), out_dir=str(tmp_path / "mb"))
         assert res.exit_code == 0
+        # The almost-sure regime needs summable noise, so the gate rejects a
+        # partial batch: on fused (batch 4 of 12 rows, each drawn coordinate
+        # scaled by 3) every seed's primal_res reaches inf by step 3000, and
+        # the run used to report every seed ok.
+        cfg_path = tmp_path / "fused.cfg"
+        cfg_path.write_text("[problem]\nname = fused\n\n[noise]\nkind = minibatch\n"
+                            "batch_schedule = 4\nregime = almost-sure\n\n"
+                            "[run]\nhorizon = 3000\nseeds = 0 1 2\n")
+        assert cli_main(["validate", "--config", str(cfg_path)]) == 2
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr().out
+        assert ("[FAIL] noise summability - status violation: a batch of 4 of 12 rows "
+                "leaves variance that does not vanish") in captured
+        assert "failed condition: noise summability" in captured
+        with open(out / "summary.json", encoding="utf-8") as fh:
+            assert json.load(fh)["status"] == "rejected"
 
     def test_minibatch_full_batch_matches_deterministic(self, tmp_path):
         batch = """
@@ -266,6 +286,8 @@ seeds = 0
         plain = batch.replace("kind = minibatch\nbatch_schedule = 5", "kind = none")
         r1 = run_experiment(parse_config(batch), out_dir=str(tmp_path / "b"))
         r2 = run_experiment(parse_config(plain), out_dir=str(tmp_path / "p"))
+        assert validate_only(parse_config(batch)).checks[-1].detail == (
+            "status certified: full batch of 5 rows: the exact gradient")
         d1 = r1.summary["seeds"]["0"]["terminal_dist_x"]
         d2 = r2.summary["seeds"]["0"]["terminal_dist_x"]
         assert d1 == pytest.approx(d2, abs=1e-12)
@@ -353,6 +375,8 @@ class TestCli:
         ("problem", "name = custom_composite\ndim = 0",
          "config error: [problem] dim: must be at least 1"),
         ("run", "checkpoints = -1 10 20", "config error: checkpoints must be nonnegative"),
+        ("run", "checkpoints = 10 100 200",
+         "config error: [run] checkpoints: 200 is not below the horizon 20"),
         ("problem", "name = custom\nh = sq_dist(b=0.0)\ng = l1(weight=abc)", ""),
         ("schedules", "gamma0 = x", "config error: [schedules] gamma0: could not"),
         ("run", "seeds = 0 x", "config error: [run] seeds: invalid literal"),

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from papc.errors import DimensionMismatchError, StepSizeViolationError
 from papc.linop import (LinearMap, OrthoProjector, SpdOperator, adjoint_consistency_check,
-                        coupling_lambda_max, inner, norm, read_matrix, validate_tau,
+                        certify_tau, coupling_lambda_max, inner, norm, read_matrix,
                         weighted_norm_sq, write_matrix)
 from papc.zoo import _difference_matrix, build_instance
 
@@ -77,7 +77,7 @@ class TestCouplingLambdaMax:
                                    OrthoProjector.full(L.domain_dim))
 
     def test_diagonal(self):
-        lam = coupling_lambda_max(SpdOperator.diagonal([1.0, 2.0, 3.0]),
+        lam = coupling_lambda_max(SpdOperator([1.0, 2.0, 3.0], [1, 1, 1]),
                                   LinearMap.identity(3), OrthoProjector.full(3))
         assert lam == pytest.approx(3.0, rel=1e-14)
 
@@ -154,24 +154,22 @@ class TestProjectors:
 
 class TestSpdOperator:
     def test_strong_positivity_and_inverse(self, rng):
-        U = SpdOperator.diagonal(np.array([0.5, 2.0, 1.0]))
+        U = SpdOperator(np.array([0.5, 2.0, 1.0]), [1] * 3)
         for _ in range(50):
             v = rng.standard_normal(3)
-            assert inner(U.apply(v), v) >= U.chi * inner(v, v) - 1e-12
+            assert inner(U.apply(v), v) >= U.diag.min() * inner(v, v) - 1e-12
             assert np.linalg.norm(U.apply(U.apply_inverse(v)) - v) <= 1e-10 * (
                 1.0 + np.linalg.norm(v))
 
     def test_scalar_detection(self):
-        assert SpdOperator.scalar_op(2.0, 3).scalar == 2.0
-        assert SpdOperator.diagonal([1.0, 1.0]).scalar == 1.0
-        assert SpdOperator.diagonal([1.0, 2.0]).scalar is None
-        blocks = SpdOperator.block_scalar([1.0, 3.0], [2, 2])
+        assert SpdOperator.scalar_op(2.0, 3).blocks == ((0, 3, 2.0),)
+        blocks = SpdOperator([1.0, 3.0], [2, 2])
         assert blocks.blocks == ((0, 2, 1.0), (2, 4, 3.0))
         assert blocks.operator_norm_bound == 3.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(Exception):
-            SpdOperator.diagonal([1.0, 0.0])
+            SpdOperator([1.0, 0.0], [1, 1])
 
 
 class TestValidateTau:
@@ -179,26 +177,29 @@ class TestValidateTau:
         U = SpdOperator.scalar_op(1.0, 2)
         L = LinearMap.from_matrix(np.diag([1.0, 2.0]))
         P = OrthoProjector.full(2)
-        cert = validate_tau(U, L, P, 0.2)  # 0.2 * 4 = 0.8 < 1
+        cert = certify_tau(coupling_lambda_max(U, L, P), 0.2)  # 0.2 * 4 = 0.8 < 1
         assert cert.ok and cert.status == "accepted"
         assert cert.lambda_max == pytest.approx(4.0, rel=1e-14)
 
     def test_rejects_above_threshold(self):
         U = SpdOperator.scalar_op(1.0, 2)
         L = LinearMap.from_matrix(np.diag([1.0, 2.0]))
-        cert = validate_tau(U, L, OrthoProjector.full(2), 0.3)  # 1.2 >= 1
+        P = OrthoProjector.full(2)
+        cert = certify_tau(coupling_lambda_max(U, L, P), 0.3)  # 1.2 >= 1
         assert not cert.ok and cert.status == "rejected"
 
     def test_nan_coupling_is_rejected(self):
         # LAPACK returns finite eigenvalues for this matrix; the gate must not.
         L = LinearMap.from_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-        cert = validate_tau(SpdOperator.scalar_op(1.0, 2), L, OrthoProjector.full(2), 1e-3)
+        cert = certify_tau(coupling_lambda_max(SpdOperator.scalar_op(1.0, 2), L,
+                                               OrthoProjector.full(2)), 1e-3)
         assert not cert.ok and cert.status == "rejected"
         assert math.isnan(cert.lambda_max)
 
     def test_zero_coupling_always_passes(self):
-        cert = validate_tau(SpdOperator.scalar_op(1.0, 3), LinearMap.zero(2, 3),
-                            OrthoProjector.full(2), 50.0)
+        cert = certify_tau(coupling_lambda_max(SpdOperator.scalar_op(1.0, 3),
+                                               LinearMap.zero(2, 3), OrthoProjector.full(2)),
+                           50.0)
         assert cert.ok
 
     def test_matches_dense_oracle_on_random_instances(self, rng):
@@ -206,7 +207,7 @@ class TestValidateTau:
         for trial in range(20):
             dim_h = int(rng.integers(2, 21))
             dim_g = int(rng.integers(2, 21))
-            U = SpdOperator.diagonal(0.2 + rng.random(dim_g))
+            U = SpdOperator(0.2 + rng.random(dim_g), [1] * dim_g)
             L = LinearMap.from_matrix(rng.standard_normal((dim_g, dim_h)) / math.sqrt(dim_h))
             if trial % 3 == 0:
                 P = OrthoProjector.full(dim_h)
@@ -216,7 +217,7 @@ class TestValidateTau:
                 L.to_dense().T @ np.diag(np.sqrt(U.diag))
             lam = np.linalg.eigvalsh(0.5 * (sym + sym.T))[-1]
             for tau in (0.5 * (1 - margin) / lam, 1.5 / lam, 0.98 / lam, 1.02 / lam):
-                cert = validate_tau(U, L, P, tau, margin=margin)
+                cert = certify_tau(coupling_lambda_max(U, L, P), tau, margin=margin)
                 assert cert.status != "indeterminate"
                 assert cert.ok == (tau * lam < 1 - margin)
 
@@ -253,8 +254,8 @@ class TestWeightedNormSq:
         rng = np.random.default_rng(seed)
         L = LinearMap.from_matrix(rng.standard_normal((3, 4)))
         P = OrthoProjector.from_basis(rng.standard_normal((4, 2)))
-        U = SpdOperator.diagonal(0.5 + rng.random(3))
-        cert = validate_tau(U, L, P, 1e-3, margin=1e-6)
+        U = SpdOperator(0.5 + rng.random(3), [1] * 3)
+        cert = certify_tau(coupling_lambda_max(U, L, P), 1e-3, margin=1e-6)
         if not cert.ok:
             return
         tau_n = 1e-3 * rng.random()

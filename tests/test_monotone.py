@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from papc.errors import UnsupportedMetricError
-from papc.linop import SpdOperator
 from papc.monotone import (PROX_LIBRARY, CocoerciveMap, MonotoneBlock, ProductMonotoneBlock,
                            ProxFunction, box, box_support, cocoercivity_check,
-                           conjugate_prox_via_moreau, firm_nonexpansiveness_check,
-                           gradient_map, inverse_resolvent, l1, prox_in_metric,
+                           firm_nonexpansiveness_check, gradient_map, inverse_resolvent, l1,
                            prox_inequality_check, quadratic_lipschitz, quadratic_ls,
-                           resolvent, singleton, sq_dist, zero_prox)
+                           singleton, sq_dist, zero_prox)
 
 ARR = lambda *vals: np.array(vals, dtype=float)
 
@@ -19,20 +16,16 @@ ARR = lambda *vals: np.array(vals, dtype=float)
 class TestResolvent:
     def test_identity_operator(self):
         A = MonotoneBlock.from_linear(np.eye(1))
-        assert resolvent(A, 1.0, ARR(2.0)) == pytest.approx(1.0)
+        assert A.resolvent(1.0, ARR(2.0)) == pytest.approx(1.0)
 
     def test_zero_operator(self):
         A = MonotoneBlock.zero(3)
         x = ARR(1.0, -2.0, 0.5)
-        np.testing.assert_array_equal(resolvent(A, 3.7, x), x)
+        np.testing.assert_array_equal(A.resolvent(3.7, x), x)
 
     def test_soft_threshold(self):
         A = MonotoneBlock.from_prox(l1(1.0, 1))
-        assert resolvent(A, 0.5, ARR(2.0)) == pytest.approx(1.5)
-
-    def test_requires_positive_lambda(self):
-        with pytest.raises(ValueError):
-            resolvent(MonotoneBlock.zero(1), 0.0, ARR(1.0))
+        assert A.resolvent(0.5, ARR(2.0)) == pytest.approx(1.5)
 
 
 class TestInverseResolvent:
@@ -63,39 +56,18 @@ class TestInverseResolvent:
         assert rep.passed, rep
 
 
-class TestProxInMetric:
-    def test_zero_function(self):
-        f = zero_prox(2)
-        U = SpdOperator.scalar_op(3.0, 2)
-        x = ARR(1.0, -4.0)
-        np.testing.assert_array_equal(prox_in_metric(f, U, x), x)
-
-    def test_l1_identity_metric(self):
-        assert prox_in_metric(l1(1.0, 1), SpdOperator.scalar_op(1.0, 1),
-                              ARR(2.0)) == pytest.approx(1.0)
-
-    def test_scalar_reduction_example(self):
-        # metric U^{-1} with U = 2*Id: prox^{U^{-1}}_f = prox_{2 f}; at x=3 -> 1.
-        f = sq_dist(0.0, dim=1)
-        metric = SpdOperator.scalar_op(0.5, 1)  # U^{-1}
-        assert prox_in_metric(f, metric, ARR(3.0)) == pytest.approx(1.0)
-
-    def test_nonscalar_metric_rejected(self):
-        with pytest.raises(UnsupportedMetricError):
-            prox_in_metric(l1(1.0, 2), SpdOperator.diagonal([1.0, 2.0]), ARR(1.0, 1.0))
-
-
 class TestConjugateProx:
     def test_l1_conjugate_clamps(self):
-        assert conjugate_prox_via_moreau(l1(1.0, 1), 1.0, ARR(2.0)) == pytest.approx(1.0)
+        A = MonotoneBlock.from_prox(l1(1.0, 1))
+        assert inverse_resolvent(A, 1.0, ARR(2.0)) == pytest.approx(1.0)
 
     def test_self_conjugate_quadratic(self):
-        g = sq_dist(0.0, dim=1)
-        assert conjugate_prox_via_moreau(g, 1.0, ARR(4.0)) == pytest.approx(2.0)
+        A = MonotoneBlock.from_prox(sq_dist(0.0, dim=1))
+        assert inverse_resolvent(A, 1.0, ARR(4.0)) == pytest.approx(2.0)
 
     def test_componentwise_clamp(self):
-        g = l1(1.0, 3)
-        got = conjugate_prox_via_moreau(g, 2.0, ARR(3.0, -0.5, 1.0))
+        A = MonotoneBlock.from_prox(l1(1.0, 3))
+        got = inverse_resolvent(A, 2.0, ARR(3.0, -0.5, 1.0))
         np.testing.assert_allclose(got, ARR(1.0, -0.5, 1.0), atol=1e-14)
 
     def test_moreau_identity_against_closed_forms(self, rng):
@@ -110,7 +82,7 @@ class TestConjugateProx:
             for lam in (0.1, 1.0, 10.0):
                 for _ in range(25):
                     x = 3.0 * rng.standard_normal(4)
-                    via = conjugate_prox_via_moreau(g, lam, x)
+                    via = inverse_resolvent(MonotoneBlock.from_prox(g), lam, x)
                     direct = gstar.prox(lam, x)
                     np.testing.assert_allclose(via, direct, atol=1e-10)
 
@@ -119,7 +91,8 @@ class TestConjugateProx:
         rng = np.random.default_rng(seed)
         x = 3.0 * rng.standard_normal(3)
         for g in (l1(0.5, 3), sq_dist(rng.standard_normal(3)), box(-1.0, 1.0, 3)):
-            lhs = conjugate_prox_via_moreau(g, lam, x) + lam * g.prox(1.0 / lam, x / lam)
+            lhs = (inverse_resolvent(MonotoneBlock.from_prox(g), lam, x)
+                   + lam * g.prox(1.0 / lam, x / lam))
             np.testing.assert_allclose(lhs, x, atol=1e-10)
 
 
@@ -163,25 +136,24 @@ class TestProxLibrary:
 
 class TestProxInequality:
     def test_zero_function_passes(self):
-        rep = prox_inequality_check(zero_prox(2), SpdOperator.scalar_op(1.0, 2), 50, rng=0)
+        rep = prox_inequality_check(zero_prox(2), 1.0, 50, rng=0)
         assert rep.passed
 
     def test_l1_passes_on_100_samples(self):
-        rep = prox_inequality_check(l1(1.0, 1), SpdOperator.scalar_op(1.0, 1), 100, rng=0)
+        rep = prox_inequality_check(l1(1.0, 1), 1.0, 100, rng=0)
         assert rep.passed and rep.max_violation <= 1e-9
 
     def test_broken_prox_fails(self):
         broken = ProxFunction(1, value=lambda x: float(np.abs(x).sum()),
                               prox=lambda lam, x: l1(1.0, 1).prox(lam, x) + 0.1)
-        rep = prox_inequality_check(broken, SpdOperator.scalar_op(1.0, 1), 100, rng=0)
+        rep = prox_inequality_check(broken, 1.0, 100, rng=0)
         assert not rep.passed
 
     def test_library_passes(self):
-        U = SpdOperator.scalar_op(1.0, 3)
         for name, f in PROX_LIBRARY(3).items():
             if f.value is None or f.prox is None:
                 continue
-            rep = prox_inequality_check(f, U, 60, rng=2)
+            rep = prox_inequality_check(f, 1.0, 60, rng=2)
             assert rep.passed, (name, rep)
 
 
@@ -197,7 +169,7 @@ class TestFirmNonexpansiveness:
         S = rng.standard_normal((4, 4))
         S = S @ S.T  # PSD, hence monotone
         A = MonotoneBlock.from_linear(S)
-        rep = firm_nonexpansiveness_check(lambda z: resolvent(A, 0.5, z), 4, pairs=200, rng=9)
+        rep = firm_nonexpansiveness_check(lambda z: A.resolvent(0.5, z), 4, pairs=200, rng=9)
         assert rep.passed
 
 

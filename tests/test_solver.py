@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from papc.errors import DivergenceError, UnsupportedMetricError
+from papc.errors import DimensionMismatchError, DivergenceError
 from papc.linop import LinearMap, OrthoProjector, SpdOperator, norm
 from papc.monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, l1, sq_dist,
                            zero_prox, gradient_map, inverse_resolvent, quadratic_lipschitz,
@@ -144,25 +144,25 @@ class TestPapcStep:
                 state = papc_step(state, spec, sched, oracle)
 
     def test_nonscalar_metric_rejected(self):
-        with pytest.raises(UnsupportedMetricError):
+        with pytest.raises(DimensionMismatchError):
             ProblemSpec(
                 B=CocoerciveMap(2, lambda x: x, beta=1.0),
                 A=MonotoneBlock.zero(2),
                 L=LinearMap.identity(2),
                 P_V=OrthoProjector.full(2),
-                U=SpdOperator.diagonal([1.0, 2.0]),
+                U=SpdOperator([1.0, 2.0], [1, 1]),
             )
 
     def test_misaligned_block_metric_rejected(self):
         # U's blocks (1 | 2) do not match A's product layout (2 | 1).
         A = ProductMonotoneBlock((MonotoneBlock.zero(2), MonotoneBlock.zero(1)), (2, 1))
-        with pytest.raises(UnsupportedMetricError):
+        with pytest.raises(DimensionMismatchError):
             ProblemSpec(
                 B=CocoerciveMap(2, lambda x: x, beta=1.0),
                 A=A,
                 L=LinearMap.from_matrix(np.ones((3, 2))),
                 P_V=OrthoProjector.full(2),
-                U=SpdOperator.block_scalar([1.0, 2.0], [1, 2]),
+                U=SpdOperator([1.0, 2.0], [1, 2]),
             )
 
 
@@ -172,7 +172,7 @@ class TestDualResolvent:
         # multi's three blocks carry three distinct sigma_i.
         spec = build_instance("multi", {}).spec
         sigmas = [sigma for _, _, sigma in spec.U.blocks]
-        assert spec.U.scalar is None and len(set(sigmas)) == 3
+        assert len(set(sigmas)) == 3
         w = 3.0 * rng.standard_normal((5, spec.A.dim))
         w[2] = np.nan
         want = np.concatenate([inverse_resolvent(blk, lam * sigma, w[..., s:e])
@@ -182,6 +182,22 @@ class TestDualResolvent:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert np.isnan(got[2]).all() and np.isfinite(np.delete(got, 2, axis=0)).all()
         assert dual_resolvent(spec, lam, w[0]).tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("lam", [0.05, 1.0, 7.0])
+    @pytest.mark.parametrize("name,params", [("lasso", {}), ("fused", {"dim": "500"}),
+                                             ("cls", {})])
+    def test_single_block_equals_inverse_resolvent(self, rng, name, params, lam):
+        # One A is U's one block: the identity at lam * sigma on all of w.
+        spec = build_instance(name, params).spec
+        (_, _, sigma), = spec.U.blocks
+        w = 3.0 * rng.standard_normal((20, spec.A.dim))
+        w[2] = np.nan
+        want = inverse_resolvent(spec.A, lam * sigma, w)
+        got = dual_resolvent(spec, lam, w)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.isnan(got[2]).all() and np.isfinite(np.delete(got, 2, axis=0)).all()
+        assert (dual_resolvent(spec, lam, w[0]).tobytes()
+                == inverse_resolvent(spec.A, lam * sigma, w[0]).tobytes())
 
     def test_block_scalar_rejects_nonpositive_lam(self):
         spec = build_instance("multi", {}).spec
