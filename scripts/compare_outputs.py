@@ -11,15 +11,18 @@ own output directory.  For each CSV the run writes, it prints ``identical``
 when the bytes agree, and otherwise the largest absolute difference in each
 column (``text`` for a column whose cells differ but do not parse as
 numbers).  It prints the exit codes when they differ and a diff of the
-``papc validate`` output when that differs.  ``summary.json`` holds wall
-times and is not compared.  The exit status is 0 when everything is
-identical and 1 otherwise.
+``papc validate`` output when that differs.  ``summary.json`` is compared
+without its non-stable fields, the experiment's and each seed's
+``wall_time_s``: it prints ``identical``, or each differing dotted key with
+both values.  The exit status is 0 when everything is identical and 1
+otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import math
 import os
 import subprocess
@@ -98,6 +101,37 @@ def compare_dirs(base_dir, change_dir):
     return same
 
 
+def stable_fields(summary, key=""):
+    """The dotted keys and leaf values of a summary.json document, less the
+    wall times."""
+    if isinstance(summary, dict) and summary:
+        return {k: v for name, item in summary.items()
+                for k, v in stable_fields(item, key + "." + name if key else name).items()}
+    unstable = key == "wall_time_s" or (key.startswith("seeds.") and key.endswith(".wall_time_s"))
+    return {} if unstable else {key: summary}
+
+
+def compare_summaries(base_dir, change_dir):
+    """One line, or one per differing key; True when the summaries agree."""
+    docs = []
+    for out in (base_dir, change_dir):
+        path = Path(out) / "summary.json"
+        docs.append(stable_fields(json.loads(path.read_text(encoding="utf-8")))
+                    if path.exists() else None)
+    if docs[0] == docs[1]:
+        print("  summary.json: %s" % ("identical" if docs[0] is not None else "not written"))
+        return True
+    if None in docs:
+        print("  summary.json: only in %s" % ("change" if docs[0] is None else "base"))
+        return False
+    absent = "<absent>"
+    for key in sorted(set(docs[0]) | set(docs[1])):
+        b, c = docs[0].get(key, absent), docs[1].get(key, absent)
+        if b != c:
+            print("  summary.json %s: %r -> %r" % (key, b, c))
+    return False
+
+
 def compare_config(base, config, out):
     print(config)
     same = True
@@ -118,7 +152,8 @@ def compare_config(base, config, out):
     if codes["base"] != codes["change"]:
         same = False
         print("  run: exit %d -> %d" % (codes["base"], codes["change"]))
-    return compare_dirs(out / "base", out / "change") and same
+    same &= compare_dirs(out / "base", out / "change")
+    return compare_summaries(out / "base", out / "change") and same
 
 
 def main(argv=None):

@@ -30,13 +30,12 @@ def main():
     inst = build_instance("lasso", {})
     spec = inst.spec
     x_ref, v_ref = oracle_solution(inst)
-    noise = VarianceSchedule.polynomial(args.sigma0, args.epsilon, regime="ergodic")
-    report = summability_certificate(noise, inst.schedules, args.horizon)
+    noise = VarianceSchedule.polynomial(args.sigma0, args.epsilon)
+    report = summability_certificate(noise, inst.schedules, args.horizon, regime="ergodic")
     print("noise certificate: %s (%s)" % (report.status, "; ".join(report.messages)))
 
-    c0 = spec.B.dim * (report.partial_gamma_sigma_sq + (report.tail_gamma_sigma_sq or 0.0))
     gapc = GapConstant(spec=spec, sched=inst.schedules, x0=np.zeros(spec.B.dim),
-                       v0=np.zeros(spec.A.dim), c0=c0)
+                       v0=np.zeros(spec.A.dim), c0=report.noise_constant(spec.B.dim))
     cps = default_checkpoints(args.horizon)
     K = saddle_function(inst)
 

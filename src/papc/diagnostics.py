@@ -161,8 +161,7 @@ def epsilon_saddle_check(tables, eps):
     return None
 
 
-def fejer_tracker(record, reference, sched, spec, certificate=None, check_monotone=True,
-                  tol=1e-10):
+def fejer_tracker(record, reference, spec, certificate=None, check_monotone=True, tol=1e-10):
     """The distance series Phi_n = ||x_n - x||^2 + ||v_n - v||^2_{R_n}, with
     R_n the step-dependent dual metric.
 

@@ -14,13 +14,13 @@ intentionally non-stable fields.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
 import os
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,14 +28,12 @@ from .composite import CompositeBlock, CompositeProblem, stack
 from .config import (ExperimentConfig, parse_config, parse_projector_spec, parse_prox_spec,
                      parse_smooth_spec, reads_input, serialize_config)
 from .diagnostics import GapConstant, GapRow, fejer_tracker, gap_and_bound, kkt_residual, rate_fit
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .linop import (LinearMap, OrthoProjector, SpdOperator, coupling_lambda_max, norm,
                     read_matrix)
 from .monotone import MonotoneBlock, gradient_map
-from .solver import (ConditionCheck, ProblemSpec, Schedules, run, trace_rows,
-                     validate_hypotheses)
-from .stochastic import (DeterministicOracle, GaussianOracle, MinibatchOracle,
-                         VarianceSchedule, summability_certificate)
+from .solver import ProblemSpec, Schedules, run, trace_rows, validate_hypotheses
+from .stochastic import DeterministicOracle, GaussianOracle, MinibatchOracle, VarianceSchedule
 from . import zoo as zoo_mod
 
 __all__ = [
@@ -73,7 +71,7 @@ class _Bound:
     cfg: ExperimentConfig
     instance: object
     schedules: Schedules
-    noise: object  # VarianceSchedule, "minibatch" or None
+    oracle: Callable  # seeds -> the config's oracle over those seeds
 
 
 def _custom_coupling(params, key, dim, base, label):
@@ -160,53 +158,27 @@ def bind(cfg):
     beta = base.beta
     sched = Schedules.make(beta, gamma_kind=cfg.gamma_kind, gamma0=gamma0,
                            tau_kind=cfg.tau_kind, tau_cap=tau_cap)
-    noise = None
+    B = inst.spec.B
     if cfg.noise_kind == "gaussian":
-        if cfg.epsilon > 0:
-            noise = VarianceSchedule.polynomial(cfg.sigma0_sq, cfg.epsilon, regime=cfg.regime)
-        else:
-            noise = VarianceSchedule.constant(cfg.sigma0_sq, regime=cfg.regime)
+        noise = (VarianceSchedule.polynomial(cfg.sigma0_sq, cfg.epsilon) if cfg.epsilon > 0
+                 else VarianceSchedule.constant(cfg.sigma0_sq))
+        oracle = lambda seeds: GaussianOracle(B, noise, seeds)
     elif cfg.noise_kind == "minibatch":
         if inst.least_squares is None:
             raise ConfigError("minibatch noise needs a least-squares smooth term "
                               "0.5||Dx - a||^2 (the zoo problems); custom problems must "
                               "drive stochastic.MinibatchOracle through the API")
-        noise = "minibatch"
-    return _Bound(cfg, inst, sched, noise)
-
-
-def _make_oracle(bound, seeds):
-    base_map = bound.instance.spec.B
-    if bound.noise is None:
-        return DeterministicOracle(base_map)
-    if bound.noise == "minibatch":
-        D, a = bound.instance.least_squares
-        return MinibatchOracle(D, a, base_map.beta, seeds, batch=bound.cfg.batch_schedule)
-    return GaussianOracle(base_map, bound.noise, seeds)
+        D, a = inst.least_squares
+        oracle = lambda seeds: MinibatchOracle(D, a, B.beta, seeds, batch=cfg.batch_schedule)
+    else:
+        oracle = lambda seeds: DeterministicOracle(B)
+    return _Bound(cfg, inst, sched, oracle)
 
 
 def _gate(bound, horizon):
-    """The hypothesis certificate of a bound config: the step-size checks of
-    :func:`validate_hypotheses` and, for noise, its summability, which fails
-    only on a ``violation``: constant gaussian noise, or a minibatch of k < m
-    rows of D (finite-horizon when ergodic), in the almost-sure regime."""
-    cert = validate_hypotheses(bound.instance.spec, bound.schedules, horizon,
-                               regime=bound.cfg.regime)
-    if bound.noise is None:
-        return cert
-    if bound.noise == "minibatch":
-        m, k = bound.instance.least_squares[0].codomain_dim, bound.cfg.batch_schedule
-        partial = k is not None and k < m
-        status = ("certified" if not partial else
-                  "violation" if bound.cfg.regime == "almost-sure" else "finite-horizon")
-        message = ("a batch of %d of %d rows leaves variance that does not vanish" % (k, m)
-                   if partial else "full batch of %d rows: the exact gradient" % m)
-    else:
-        report = summability_certificate(bound.noise, bound.schedules, horizon)
-        status, message = report.status, "; ".join(report.messages)
-    check = ConditionCheck("noise summability", status != "violation",
-                           "status %s: %s" % (status, message))
-    return dataclasses.replace(cert, ok=cert.ok and check.ok, checks=cert.checks + (check,))
+    """The hypothesis certificate of a bound config, its noise included."""
+    return validate_hypotheses(bound.instance.spec, bound.schedules, horizon,
+                               regime=bound.cfg.regime, oracle=bound.oracle(bound.cfg.seeds))
 
 
 def validate_only(cfg, horizon=None):
@@ -252,27 +224,11 @@ def _trace_columns(bound, record, oracle_xv):
     phis = dist_x = dist_v = None
     if oracle_xv is not None:
         x_ref, v_ref = oracle_xv
-        phis = fejer_tracker(record, oracle_xv, bound.schedules, spec, check_monotone=False)
+        phis = fejer_tracker(record, oracle_xv, spec, check_monotone=False)
         dist_x = norm(record.xs - x_ref, spec.primal_weights)
         dist_v = norm(record.vs - v_ref, spec.dual_weights)
     return (record.ns, record.gammas, record.taus, pres, dres, phis, dist_x, dist_v,
             record.grad_gap_partial)
-
-
-def _noise_c0(bound):
-    """c0 = sum gamma_n^2 E||r_n - grad h(x_n)||^2, analytic for the gaussian
-    model (per-coordinate sums times the dimension, tail included when
-    certified).  None for minibatch noise, whose error moments depend on the
-    iterate: the gap table is then skipped."""
-    if bound.noise is None:
-        return 0.0
-    if bound.noise == "minibatch":
-        return None
-    report = summability_certificate(bound.noise, bound.schedules, bound.cfg.horizon)
-    per_coord = report.partial_gamma_sigma_sq
-    if report.tail_gamma_sigma_sq is not None:
-        per_coord += report.tail_gamma_sigma_sq
-    return bound.instance.spec.B.dim * per_coord
 
 
 def _gap_rows(bound, record, oracle_xv, c0):
@@ -319,14 +275,14 @@ def _error_fragment(seed, exc):
 def _run_group(bound, seeds, out_dir, oracle_xv, c0):
     """Advance a group of seeds in one batched run, then write each seed's
     trace CSV (and gap CSV when K is available) and return its summary
-    fragment.  ``c0`` is the experiment's noise constant (:func:`_noise_c0`).
+    fragment.  ``c0`` is the experiment's noise constant, None when unknown.
     Any failure other than divergence ends only its seed, with status
     ``error`` and the message ``"<type>: <message>"``: a batch that raises is
     retried seed by seed."""
     spec = bound.instance.spec
     try:
         t0 = time.perf_counter()
-        batch = run(spec, bound.schedules, _make_oracle(bound, seeds),
+        batch = run(spec, bound.schedules, bound.oracle(seeds),
                     np.zeros((len(seeds), spec.B.dim)), np.zeros((len(seeds), spec.A.dim)),
                     bound.cfg.horizon, checkpoints=_resolve_checkpoints(bound.cfg),
                     grad_gap_reference=None if oracle_xv is None else oracle_xv[0])
@@ -352,11 +308,25 @@ def _finite(value):
     return value if math.isfinite(value) else None
 
 
+def _overflow(columns):
+    """The DivergenceError message of the first trace row with a non-finite
+    diagnostic, naming that row's first such column; None when all are finite."""
+    bad = [(int(np.argmin(np.isfinite(col))), i) for i, col in enumerate(columns)
+           if i and col is not None and not np.isfinite(col).all()]
+    if not bad:
+        return None
+    row, i = min(bad)
+    return str(DivergenceError(TRACE_COLUMNS[i], columns[0][row]))
+
+
 def _seed_artifacts(bound, seed, record, wall, out_dir, oracle_xv, c0):
+    """A seed that ran its whole horizon but whose trace diagnostics overflow
+    is diverged too, with the first non-finite cell as its error."""
     spec = bound.instance.spec
-    status = "diverged" if record.diverged else "ok"
-    _write_trace(os.path.join(out_dir, "seed_%d_trace.csv" % seed),
-                 _trace_columns(bound, record, oracle_xv))
+    columns = _trace_columns(bound, record, oracle_xv)
+    error = record.error or _overflow(columns)
+    status = "ok" if error is None else "diverged"
+    _write_trace(os.path.join(out_dir, "seed_%d_trace.csv" % seed), columns)
 
     gap_rows = None
     if status == "ok" and record.checkpoints and oracle_xv is not None and c0 is not None:
@@ -373,7 +343,7 @@ def _seed_artifacts(bound, seed, record, wall, out_dir, oracle_xv, c0):
     return {
         "seed": seed,
         "status": status,
-        "error": record.error,
+        "error": error,
         "terminal_dist_x": dist_x,
         "terminal_dist_v": dist_v,
         "wall_time_s": wall,
@@ -421,7 +391,8 @@ def run_experiment(cfg, out_dir=None, force=False, seed_override=None):
 
     oracle_xv = (zoo_mod.oracle_solution(bound.instance)
                  if bound.instance.oracle is not None else None)
-    c0 = _noise_c0(bound)
+    c0 = (0.0 if cert.summability is None
+          else cert.summability.noise_constant(bound.instance.spec.B.dim))
     seeds = sorted(set(int(s) for s in cfg.seeds))
     # A diverging seed overflows before the finiteness checks retire it, and
     # so do the diagnostics of its last trace rows (they read inf); its status

@@ -32,6 +32,7 @@ from .errors import DimensionMismatchError, DivergenceError
 from .linop import (LinearMap, OrthoProjector, SpdOperator, TauCertificate, certify_tau,
                     coupling_matrix, inner, lambda_max)
 from .monotone import CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, ProxFunction
+from .stochastic import SummabilityReport
 
 __all__ = [
     "ProblemSpec",
@@ -104,7 +105,6 @@ class Schedules:
     tau_cap: float
     beta: float
     gamma_kind: str = "custom"
-    tau_kind: str = "custom"
 
     @property
     def gamma0(self):
@@ -114,8 +114,7 @@ class Schedules:
     def constant(cls, gamma0, tau0, beta):
         gamma0 = float(gamma0)
         tau0 = float(tau0)
-        return cls(lambda n: gamma0, lambda n: tau0, tau_cap=tau0, beta=float(beta),
-                   gamma_kind="constant", tau_kind="constant")
+        return cls(lambda n: gamma0, lambda n: tau0, tau0, float(beta), "constant")
 
     @classmethod
     def make(cls, beta, gamma_kind="constant", gamma0=None, tau_kind="constant", tau_cap=1.0):
@@ -144,8 +143,7 @@ class Schedules:
             tau = lambda n: tau_cap * (n + 1.0) / (n + 2.0)
         else:
             raise ValueError("unknown tau kind %r" % tau_kind)
-        return cls(gamma, tau, tau_cap=tau_cap, beta=beta,
-                   gamma_kind=gamma_kind, tau_kind=tau_kind)
+        return cls(gamma, tau, tau_cap=tau_cap, beta=beta, gamma_kind=gamma_kind)
 
 
 @dataclass(frozen=True)
@@ -174,6 +172,7 @@ class HypothesisCertificate:
     horizon: int
     checks: tuple
     tau_certificate: Optional[TauCertificate] = None
+    summability: Optional[SummabilityReport] = None
 
     def failed(self):
         return [c for c in self.checks if not c.ok]
@@ -183,8 +182,8 @@ def _tau_detail(tcert):
     return "tau*lambda_max=%.6g (status %s)" % (tcert.tau * tcert.lambda_max, tcert.status)
 
 
-def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6):
-    """Check the step-size hypotheses over the run horizon.
+def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6, oracle=None):
+    """Check the step-size and noise hypotheses over the run horizon.
 
     Almost-sure regime: gamma non-increasing, tau non-decreasing and capped,
     gamma_0 < beta (the smaller of the schedule's and B's), inf gamma > 0,
@@ -197,7 +196,10 @@ def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6)
     matrix) / w_i < 1 - margin, which is tau_cap sigma_i lambda_max(block i of
     L P_V L*) / w_i with w_i the block's dual weight (on a stacked composite
     tau_cap sigma_i lambda_max(L_i L_i*)); a block whose weight is not
-    positive fails.  Each violated condition is reported by name.
+    positive fails.  An oracle's ``summability`` report (:mod:`papc.stochastic`),
+    when not None, adds the check ``noise summability``, which fails only on a
+    ``violation``, and is kept as ``summability``.  Each violated condition is
+    reported by name.
     """
     if regime not in ("almost-sure", "ergodic"):
         raise ValueError("unknown regime %r" % regime)
@@ -252,13 +254,14 @@ def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6)
                                 sched.tau_cap, margin=tau_margin)
             checks.append(ConditionCheck(name, bcert.ok, _tau_detail(bcert)))
 
-    return HypothesisCertificate(
-        ok=all(c.ok for c in checks),
-        regime=regime,
-        horizon=horizon,
-        checks=tuple(checks),
-        tau_certificate=tcert,
-    )
+    report = None if oracle is None else oracle.summability(sched, horizon, regime)
+    if report is not None:
+        checks.append(ConditionCheck(
+            "noise summability", report.status != "violation",
+            "status %s: %s" % (report.status, "; ".join(report.messages))))
+
+    return HypothesisCertificate(all(c.ok for c in checks), regime, horizon, tuple(checks),
+                                 tau_certificate=tcert, summability=report)
 
 
 def dual_resolvent(spec, lam, w):

@@ -17,6 +17,10 @@ A noisy oracle holds a tuple of seeds, one per row: ``x`` may be a vector
 one-seed oracle gives for that row.  A run keeps every row in place, a
 retired one as NaN, so the rows and the seeds stay aligned for the whole
 run.
+
+Every oracle also answers ``summability(sched, horizon, regime)``: the
+:class:`SummabilityReport` of its noise under the step sizes ``sched``, or
+None for no noise.  :func:`papc.solver.validate_hypotheses` checks it.
 """
 
 from __future__ import annotations
@@ -48,48 +52,34 @@ NOISE_BLOCK = 128
 class VarianceSchedule:
     """Per-coordinate noise variance sigma_n^2 as a function of n.
 
-    Kinds: ``constant`` (sigma0_sq), ``polynomial`` (sigma0_sq / (n+1)^(1+epsilon)),
-    ``table`` (explicit values, clamped at the last entry).  The intended
-    regime records which summability condition the schedule is meant to
-    satisfy: ``almost-sure`` needs sum sigma_n^2 < inf, ``ergodic`` needs
-    sum gamma_n^2 sigma_n^2 < inf for the paired step sizes.
+    Kinds: ``constant`` (sigma0_sq) and ``polynomial``
+    (sigma0_sq / (n+1)^(1+epsilon), with epsilon > 0 so that it is summable).
     """
 
     kind: str
     sigma0_sq: float = 0.0
     epsilon: float = 1.0
-    table: Optional[tuple] = None
-    intended_regime: str = "almost-sure"
 
     def __post_init__(self):
-        if self.kind not in ("constant", "polynomial", "table"):
+        if self.kind not in ("constant", "polynomial"):
             raise ValueError("unknown variance schedule kind %r" % self.kind)
-        if self.kind == "table" and not self.table:
-            raise ValueError("table schedule needs values")
         if self.sigma0_sq < 0:
             raise ValueError("sigma0_sq must be nonnegative")
-        if self.intended_regime not in ("almost-sure", "ergodic"):
-            raise ValueError("unknown regime %r" % self.intended_regime)
+        if self.kind == "polynomial" and not self.epsilon > 0:
+            raise ValueError("polynomial decay needs epsilon > 0, got %r" % self.epsilon)
 
     def sigma_sq(self, n):
         if self.kind == "constant":
             return self.sigma0_sq
-        if self.kind == "polynomial":
-            return self.sigma0_sq / (n + 1.0) ** (1.0 + self.epsilon)
-        t = self.table
-        return float(t[n]) if n < len(t) else float(t[-1])
+        return self.sigma0_sq / (n + 1.0) ** (1.0 + self.epsilon)
 
     @classmethod
-    def constant(cls, sigma0_sq, regime="ergodic"):
-        return cls("constant", float(sigma0_sq), intended_regime=regime)
+    def constant(cls, sigma0_sq):
+        return cls("constant", float(sigma0_sq))
 
     @classmethod
-    def polynomial(cls, sigma0_sq, epsilon=1.0, regime="almost-sure"):
-        return cls("polynomial", float(sigma0_sq), float(epsilon), intended_regime=regime)
-
-    @classmethod
-    def from_table(cls, values, regime="ergodic"):
-        return cls("table", table=tuple(float(v) for v in values), intended_regime=regime)
+    def polynomial(cls, sigma0_sq, epsilon=1.0):
+        return cls("polynomial", float(sigma0_sq), float(epsilon))
 
 
 class DeterministicOracle:
@@ -103,6 +93,9 @@ class DeterministicOracle:
 
     def sample(self, x, n, t=0):
         return self.base.apply(x)
+
+    def summability(self, sched, horizon, regime):
+        return None
 
 
 class _SeededOracle:
@@ -156,6 +149,9 @@ class GaussianOracle(_SeededOracle):
         z = self._block[:, k]
         return mean + math.sqrt(s2) * (z[0] if x.ndim == 1 else z)
 
+    def summability(self, sched, horizon, regime):
+        return summability_certificate(self.schedule, sched, horizon, regime)
+
 
 class MinibatchOracle(_SeededOracle):
     """r_n = D*(c_n * (D x_n - a)): the gradient of 0.5||Dx - a||^2 over a
@@ -199,6 +195,19 @@ class MinibatchOracle(_SeededOracle):
         residual = self.D(x) - self.a
         return self.D.adjoint(c.reshape(residual.shape) * residual) / self.batch
 
+    def summability(self, sched, horizon, regime):
+        """A batch of k < m rows leaves variance that does not vanish: a
+        violation almost surely, finite-horizon in the ergodic regime.  Its
+        moments depend on the iterate, so the sums are unknown (None)."""
+        if self.batch == self.m:
+            status, message = "certified", "full batch of %d rows: the exact gradient" % self.m
+        else:
+            status = "violation" if regime == "almost-sure" else "finite-horizon"
+            message = ("a batch of %d of %d rows leaves variance that does not vanish"
+                       % (self.batch, self.m))
+        return SummabilityReport(regime, status, int(horizon), None, None, None, None,
+                                 (message,))
+
 
 def empirical_variance(oracle, x, n, trials):
     """Unbiased sample variance of the error components of r_n - B x_n.
@@ -221,17 +230,18 @@ class SummabilityReport:
     """Finite-horizon partial sums plus analytic tail bounds where available.
 
     ``status`` is one of ``certified`` (infinite-horizon summability holds
-    analytically for the declared regime), ``finite-horizon`` (only the
-    truncated sums are meaningful), or ``violation`` (the declared regime is
-    not satisfiable by this schedule pair).  Partial sums are per-coordinate;
-    multiply by the space dimension for squared-norm second moments.
+    analytically for the regime), ``finite-horizon`` (only the truncated sums
+    are meaningful), or ``violation`` (the regime is not satisfiable by this
+    noise and step-size pair).  Partial sums are per-coordinate, and None
+    when the noise moments are unknown; multiply by the space dimension for
+    squared-norm second moments.
     """
 
     regime: str
     status: str
     horizon: int
-    partial_sigma_sq: float
-    partial_gamma_sigma_sq: float
+    partial_sigma_sq: Optional[float]
+    partial_gamma_sigma_sq: Optional[float]
     tail_sigma_sq: Optional[float]
     tail_gamma_sigma_sq: Optional[float]
     messages: tuple = field(default=())
@@ -240,72 +250,55 @@ class SummabilityReport:
     def certified(self):
         return self.status == "certified"
 
+    def noise_constant(self, dim):
+        """c0 = sum gamma_n^2 E||r_n - B x_n||^2 of the gap bound: dim times
+        the partial sum plus the tail bound if any; None when unknown."""
+        if self.partial_gamma_sigma_sq is None:
+            return None
+        return dim * (self.partial_gamma_sigma_sq + (self.tail_gamma_sigma_sq or 0.0))
 
-def summability_certificate(schedule, gammas, horizon):
+
+def summability_certificate(schedule, sched, horizon, regime="almost-sure"):
     """Certify the noise/step-size summability conditions over a horizon.
 
-    For the almost-sure regime the noise variances themselves must be
-    summable; for the ergodic regime only gamma_n^2 sigma_n^2 must be.  A
-    constant-noise, constant-gamma pair in the ergodic regime is reported
-    finite-horizon (its truncated sum is still the honest constant for the
-    gap bound); constant noise in the almost-sure regime is a violation.
+    ``schedule`` is a :class:`VarianceSchedule` and ``sched`` the
+    :class:`papc.solver.Schedules` of the run.  For the almost-sure regime the
+    noise variances themselves must be summable; for the ergodic regime only
+    gamma_n^2 sigma_n^2 must be.  A constant-noise, constant-gamma pair in the
+    ergodic regime is reported finite-horizon (its truncated sum is still the
+    honest constant for the gap bound); constant noise in the almost-sure
+    regime is a violation.
     """
+    if regime not in ("almost-sure", "ergodic"):
+        raise ValueError("unknown regime %r" % regime)
     horizon = int(horizon)
-    gamma = gammas.gamma if hasattr(gammas, "gamma") else gammas
-    gamma_kind = getattr(gammas, "gamma_kind", "custom")
-
-    s_part = 0.0
-    gs_part = 0.0
-    gamma0 = float(gamma(0))
+    s_part = gs_part = 0.0
+    gamma0 = sched.gamma0
     for n in range(horizon + 1):
         s2 = schedule.sigma_sq(n)
-        g = float(gamma(n))
+        g = float(sched.gamma(n))
         s_part += s2
         gs_part += g * g * s2
 
-    messages = []
-    tail_s = None
-    tail_gs = None
-
-    zero_noise = schedule.sigma0_sq == 0.0 if schedule.kind != "table" else all(
-        v == 0.0 for v in schedule.table)
-
-    if zero_noise:
-        status = "certified"
-        tail_s = 0.0
-        tail_gs = 0.0
-        messages.append("zero noise: all sums vanish")
-    elif schedule.kind == "polynomial" and schedule.epsilon > 0:
+    tail_s = tail_gs = None
+    if schedule.sigma0_sq == 0.0:
+        status, tail_s, tail_gs, message = "certified", 0.0, 0.0, "zero noise: all sums vanish"
+    elif schedule.kind == "polynomial":
         # Integral comparison: sum_{n>N} (n+1)^{-(1+eps)} <= (N+1)^{-eps} / eps.
         eps = schedule.epsilon
         tail_s = schedule.sigma0_sq / (eps * (horizon + 1.0) ** eps)
         tail_gs = gamma0 * gamma0 * tail_s
-        status = "certified"
-        messages.append("polynomial decay: tail bounded by integral comparison")
-    elif schedule.kind == "constant":
-        if schedule.intended_regime == "almost-sure":
-            status = "violation"
-            messages.append("regime violation: constant noise variance is not summable")
-        elif gamma_kind == "harmonic":
-            # gamma_n = gamma0/(n+1): sum_{n>N} gamma_n^2 <= gamma0^2/(N+1).
-            tail_gs = schedule.sigma0_sq * gamma0 * gamma0 / (horizon + 1.0)
-            status = "certified"
-            messages.append("constant noise with square-summable steps (p-series)")
-        else:
-            status = "finite-horizon"
-            messages.append("constant noise and non-square-summable steps: "
-                            "reporting the finite-horizon sum only")
+        status, message = "certified", "polynomial decay: tail bounded by integral comparison"
+    elif regime == "almost-sure":
+        status = "violation"
+        message = "regime violation: constant noise variance is not summable"
+    elif sched.gamma_kind == "harmonic":
+        # gamma_n = gamma0/(n+1): sum_{n>N} gamma_n^2 <= gamma0^2/(N+1).
+        tail_gs = schedule.sigma0_sq * gamma0 * gamma0 / (horizon + 1.0)
+        status, message = "certified", "constant noise with square-summable steps (p-series)"
     else:
         status = "finite-horizon"
-        messages.append("table schedule: no analytic tail; finite-horizon sums only")
-
-    return SummabilityReport(
-        regime=schedule.intended_regime,
-        status=status,
-        horizon=horizon,
-        partial_sigma_sq=s_part,
-        partial_gamma_sigma_sq=gs_part,
-        tail_sigma_sq=tail_s,
-        tail_gamma_sigma_sq=tail_gs,
-        messages=tuple(messages),
-    )
+        message = ("constant noise and non-square-summable steps: "
+                   "reporting the finite-horizon sum only")
+    return SummabilityReport(regime, status, horizon, s_part, gs_part, tail_s, tail_gs,
+                             (message,))

@@ -171,9 +171,8 @@ def test_c04_fejer_monotonicity(det_runs):
     for name in ZOO_NAMES:
         data = det_runs[name]
         try:
-            phis = fejer_tracker(data["record"], (data["x_ref"], data["v_ref"]),
-                                 data["sched"], data["spec"], certificate=data["cert"],
-                                 tol=1e-10)
+            phis = fejer_tracker(data["record"], (data["x_ref"], data["v_ref"]), data["spec"],
+                                 certificate=data["cert"], tol=1e-10)
             details.append("%s: phi0=%.2e" % (name, phis[0]))
         except Exception as exc:  # FejerViolationError or CertificateError
             ok = False
@@ -259,10 +258,10 @@ def test_c07_ergodic_gap_bound(det_runs):
     inst = build_instance("lasso", {})
     spec = inst.spec
     x_ref, v_ref = oracle_solution(inst)
-    noise = VarianceSchedule.polynomial(1.0, 1.0, regime="ergodic")
+    noise = VarianceSchedule.polynomial(1.0, 1.0)
     cps = default_checkpoints(2000)
-    report = summability_certificate(noise, inst.schedules, 2000)
-    c0 = spec.B.dim * (report.partial_gamma_sigma_sq + (report.tail_gamma_sigma_sq or 0.0))
+    report = summability_certificate(noise, inst.schedules, 2000, regime="ergodic")
+    c0 = report.noise_constant(spec.B.dim)
     gapc = GapConstant(spec=spec, sched=inst.schedules, x0=np.zeros(5), v0=np.zeros(5),
                        c0=c0)
     tables = []

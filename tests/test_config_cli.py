@@ -269,6 +269,15 @@ seeds = 0
         assert "failed condition: noise summability" in captured
         with open(out / "summary.json", encoding="utf-8") as fh:
             assert json.load(fh)["status"] == "rejected"
+        # The ergodic regime runs it.  No step goes non-finite, but the trace
+        # diagnostics overflow, so every seed is diverged.
+        cfg_path.write_text(cfg_path.read_text().replace("almost-sure", "ergodic"))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        with open(out / "summary.json", encoding="utf-8") as fh:
+            seeds = json.load(fh)["seeds"]
+        assert {s: (d["status"], d["error"]) for s, d in seeds.items()} == {
+            s: ("diverged", "non-finite values in grad_gap_partial_sum at iteration %d" % n)
+            for s, n in (("0", 1806), ("1", 1915), ("2", 1922))}
 
     def test_minibatch_full_batch_matches_deterministic(self, tmp_path):
         batch = """

@@ -201,7 +201,7 @@ class TestFejerTracker:
         x, v = oracle_solution(inst)
         cert = validate_hypotheses(inst.spec, inst.schedules, 100)
         rec = run(inst.spec, inst.schedules, DeterministicOracle(inst.spec.B), x, v, 100)
-        phis = fejer_tracker(rec, (x, v), inst.schedules, inst.spec, certificate=cert)
+        phis = fejer_tracker(rec, (x, v), inst.spec, certificate=cert)
         assert np.max(phis) <= 1e-18
 
     def test_monotone_on_deterministic_run(self):
@@ -210,7 +210,7 @@ class TestFejerTracker:
         cert = validate_hypotheses(inst.spec, inst.schedules, 2000)
         rec = run(inst.spec, inst.schedules, DeterministicOracle(inst.spec.B),
                   np.ones(x.size), np.zeros(v.size), 2000)
-        phis = fejer_tracker(rec, (x, v), inst.schedules, inst.spec, certificate=cert)
+        phis = fejer_tracker(rec, (x, v), inst.spec, certificate=cert)
         assert phis[0] > 0
         assert np.all(np.diff(phis) <= 1e-10 * (1 + phis[0]))
 
@@ -220,14 +220,14 @@ class TestFejerTracker:
         rec = run(inst.spec, inst.schedules, DeterministicOracle(inst.spec.B),
                   np.ones(x.size), np.zeros(v.size), 10)
         with pytest.raises(CertificateError):
-            fejer_tracker(rec, (x, v), inst.schedules, inst.spec)
+            fejer_tracker(rec, (x, v), inst.spec)
 
     def test_stochastic_reported_without_assertion(self):
         inst = build_instance("lasso", {})
         x, v = oracle_solution(inst)
         oracle = GaussianOracle(inst.spec.B, VarianceSchedule.polynomial(1.0, 1.0), 3)
         rec = run(inst.spec, inst.schedules, oracle, np.zeros(5), np.zeros(5), 200)
-        phis = fejer_tracker(rec, (x, v), inst.schedules, inst.spec)
+        phis = fejer_tracker(rec, (x, v), inst.spec)
         assert len(phis) == len(rec.ns)
 
     def test_violation_detected_with_wrong_reference(self):
@@ -238,7 +238,7 @@ class TestFejerTracker:
         rec = run(inst.spec, inst.schedules, DeterministicOracle(inst.spec.B),
                   np.ones(x.size), np.zeros(v.size), 300)
         with pytest.raises(FejerViolationError):
-            fejer_tracker(rec, (x + 1.0, v), inst.schedules, inst.spec, certificate=cert)
+            fejer_tracker(rec, (x + 1.0, v), inst.spec, certificate=cert)
 
 
 class TestRateFit:

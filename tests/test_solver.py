@@ -6,10 +6,11 @@ from papc.linop import LinearMap, OrthoProjector, SpdOperator, norm
 from papc.monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, l1, sq_dist,
                            zero_prox, gradient_map, inverse_resolvent, quadratic_lipschitz,
                            quadratic_ls, singleton)
-from papc.solver import (ErgodicAccumulator, PapcState, ProblemSpec, Schedules,
-                         dual_resolvent, ergodic_update, papc_step, run,
+from papc.solver import (ConditionCheck, ErgodicAccumulator, PapcState, ProblemSpec,
+                         Schedules, dual_resolvent, ergodic_update, papc_step, run,
                          validate_hypotheses)
-from papc.stochastic import DeterministicOracle
+from papc.stochastic import (DeterministicOracle, GaussianOracle, MinibatchOracle,
+                             VarianceSchedule)
 from papc.zoo import build_instance, oracle_solution
 
 
@@ -81,6 +82,43 @@ class TestValidateHypotheses:
         strict = validate_hypotheses(spec, sched, 10, regime="almost-sure", margin=1e-6)
         loose = validate_hypotheses(spec, sched, 10, regime="ergodic")
         assert not strict.ok and loose.ok
+
+
+class TestNoiseGate:
+    """The oracle's summability is one more check of validate_hypotheses."""
+
+    def test_constant_gaussian_fails_almost_surely(self):
+        inst = build_instance("lasso", {})
+        oracle = GaussianOracle(inst.spec.B, VarianceSchedule.constant(1.0), seeds=0)
+        cert = validate_hypotheses(inst.spec, inst.schedules, 100, oracle=oracle)
+        assert not cert.ok
+        assert [c.name for c in cert.failed()] == ["noise summability"]
+        assert cert.summability.status == "violation"
+        ergodic = validate_hypotheses(inst.spec, inst.schedules, 100, regime="ergodic",
+                                      oracle=oracle)
+        assert ergodic.ok and ergodic.summability.status == "finite-horizon"
+
+    def test_deterministic_oracle_adds_no_check(self):
+        inst = build_instance("lasso", {})
+        plain = validate_hypotheses(inst.spec, inst.schedules, 100)
+        for oracle in (None, DeterministicOracle(inst.spec.B)):
+            cert = validate_hypotheses(inst.spec, inst.schedules, 100, oracle=oracle)
+            assert cert.checks == plain.checks and cert.summability is None
+
+    @pytest.mark.parametrize("regime,status,ok", [("almost-sure", "violation", False),
+                                                  ("ergodic", "finite-horizon", True)])
+    def test_partial_minibatch(self, regime, status, ok):
+        inst = build_instance("lasso", {})
+        D, a = inst.least_squares
+        oracle = MinibatchOracle(D, a, inst.spec.B.beta, seeds=0, batch=2)
+        cert = validate_hypotheses(inst.spec, inst.schedules, 100, regime=regime,
+                                   oracle=oracle)
+        assert cert.ok is ok
+        assert cert.checks[-1] == ConditionCheck(
+            "noise summability", ok,
+            "status %s: a batch of 2 of 5 rows leaves variance that does not vanish" % status)
+        # Minibatch moments depend on the iterate: no noise constant for the gap.
+        assert cert.summability.noise_constant(5) is None
 
 
 class TestPapcStep:

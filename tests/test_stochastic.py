@@ -145,9 +145,9 @@ class TestEmpiricalVariance:
 
 class TestSummability:
     def test_polynomial_certified_with_tail(self):
-        sched = VarianceSchedule.polynomial(1.0, 1.0, regime="almost-sure")
+        sched = VarianceSchedule.polynomial(1.0, 1.0)
         gammas = Schedules.constant(0.5, 1.0, 1.0)
-        rep = summability_certificate(sched, gammas, 1000)
+        rep = summability_certificate(sched, gammas, 1000, regime="almost-sure")
         assert rep.certified
         assert rep.tail_sigma_sq <= 1.0 / 1000
         # partial sums approach pi^2/6 from below
@@ -155,35 +155,45 @@ class TestSummability:
         assert rep.partial_sigma_sq + rep.tail_sigma_sq >= math.pi ** 2 / 6 - 1e-3
 
     def test_constant_noise_almost_sure_is_violation(self):
-        sched = VarianceSchedule.constant(1.0, regime="almost-sure")
-        rep = summability_certificate(sched, Schedules.constant(0.5, 1.0, 1.0), 100)
+        sched = VarianceSchedule.constant(1.0)
+        rep = summability_certificate(sched, Schedules.constant(0.5, 1.0, 1.0), 100,
+                                      regime="almost-sure")
         assert rep.status == "violation"
 
     def test_constant_noise_harmonic_gamma_ergodic_certified(self):
-        sched = VarianceSchedule.constant(1.0, regime="ergodic")
+        sched = VarianceSchedule.constant(1.0)
         gammas = Schedules.make(beta=1.0, gamma_kind="harmonic", gamma0=0.5)
-        rep = summability_certificate(sched, gammas, 200)
+        rep = summability_certificate(sched, gammas, 200, regime="ergodic")
         assert rep.certified
         assert rep.tail_gamma_sigma_sq is not None
 
     def test_constant_constant_ergodic_reports_finite_horizon(self):
-        sched = VarianceSchedule.constant(1.0, regime="ergodic")
-        rep = summability_certificate(sched, Schedules.constant(0.5, 1.0, 1.0), 100)
+        sched = VarianceSchedule.constant(1.0)
+        rep = summability_certificate(sched, Schedules.constant(0.5, 1.0, 1.0), 100,
+                                      regime="ergodic")
         assert rep.status == "finite-horizon"
         assert rep.partial_gamma_sigma_sq == pytest.approx(0.25 * 101)
+        # No tail: c0 is the dimension times the finite-horizon sum.
+        assert rep.noise_constant(3) == 3 * rep.partial_gamma_sigma_sq
 
     def test_zero_noise_certified(self):
         rep = summability_certificate(VarianceSchedule.polynomial(0.0),
                                       Schedules.constant(0.5, 1.0, 1.0), 10)
         assert rep.certified and rep.partial_sigma_sq == 0.0
 
+    def test_rejects_unknown_regime(self):
+        with pytest.raises(ValueError):
+            summability_certificate(VarianceSchedule.constant(1.0),
+                                    Schedules.constant(0.5, 1.0, 1.0), 10, regime="sure")
 
-class TestScheduleTable:
-    def test_table_clamps(self):
-        sched = VarianceSchedule.from_table([1.0, 0.5])
-        assert sched.sigma_sq(0) == 1.0
-        assert sched.sigma_sq(5) == 0.5
 
+class TestVarianceSchedule:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             VarianceSchedule("weird")
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.5])
+    def test_polynomial_needs_positive_epsilon(self, epsilon):
+        # 1/(n+1)^(1+epsilon) is not summable for epsilon <= 0.
+        with pytest.raises(ValueError):
+            VarianceSchedule.polynomial(1.0, epsilon)
