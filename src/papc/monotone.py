@@ -329,7 +329,9 @@ def box_support(lo, hi, dim=1):
     hi_a = np.broadcast_to(np.asarray(hi, dtype=float), (ind.dim,))
 
     def prox(lam, x):
-        return x - lam * np.clip(x / lam, lo_a, hi_a)
+        # np.clip(x / lam, lo_a, hi_a), bitwise (signed-zero ties keep
+        # x / lam, so the bound is the first operand), at about half its cost.
+        return x - lam * np.minimum(hi_a, np.maximum(lo_a, x / lam))
 
     return ProxFunction(
         ind.dim,

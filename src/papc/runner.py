@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -202,16 +203,28 @@ def _write_csv(path, header, rows):
 _CSV_CHUNK = 256
 
 
+def _constant_cell(col):
+    """The one cell of a column whose values are all the same bits (gamma_n
+    and tau_n under constant schedules); None otherwise.  Bits, not values:
+    0.0 == -0.0, but their reprs differ."""
+    bits = np.ascontiguousarray(col).view(np.int64)
+    return repr(float(col[0])) if (bits == bits[0]).all() else None
+
+
 def _write_trace(path, columns):
     """The trace CSV of one seed from its columns: the integer ``n`` column,
-    then float arrays, or None for a column left empty."""
+    then float arrays, or None for a column left empty.  A bitwise-constant
+    column is formatted once."""
     rows = len(columns[0])
+    fixed = [None if col is None else _constant_cell(col) for col in columns[1:]]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for lo in range(0, rows, _CSV_CHUNK):
             cells = [map(str, columns[0][lo:lo + _CSV_CHUNK].tolist())]
             cells += [itertools.repeat("") if col is None
-                      else map(repr, col[lo:lo + _CSV_CHUNK].tolist()) for col in columns[1:]]
+                      else itertools.repeat(cell) if cell is not None
+                      else map(repr, col[lo:lo + _CSV_CHUNK].tolist())
+                      for col, cell in zip(columns[1:], fixed)]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -272,13 +285,89 @@ def _error_fragment(seed, exc):
             "gap": None}
 
 
+def _usable_cores():
+    """The cores this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shares(items, cores):
+    """``items`` in at most ``cores`` contiguous shares, at most one per item."""
+    k = min(cores, len(items))
+    size, extra = divmod(len(items), k)
+    ends = [i * size + min(i, extra) for i in range(k + 1)]
+    return [items[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _fork_writer(write, share, inherited):
+    """A forked worker that pickles ``write(share)`` to a pipe and exits
+    (status 0 only when the whole pickle was written): (pid, read end).  It
+    closes ``inherited``, the read ends of earlier workers, so that each pipe
+    has the parent as its one reader.  None when the fork fails."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        os.close(r)
+        for fd in inherited:
+            os.close(fd)
+        with os.fdopen(w, "wb") as fh:
+            fh.write(pickle.dumps(write(share), pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _gather(workers):
+    """Each worker's unpickled result, None for one that failed (a non-zero
+    exit or a short pickle); every worker is reaped, and its read end is
+    closed first, so that no worker blocks on a full pipe."""
+    results = []
+    try:
+        while workers:
+            pid, fd = workers.pop(0)
+            try:
+                with os.fdopen(fd, "rb") as fh:
+                    data = fh.read()
+            finally:
+                status = os.waitpid(pid, 0)[1]
+            try:
+                results.append(pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0
+                               else None)
+            except (pickle.UnpicklingError, EOFError):  # a short pickle
+                results.append(None)
+    finally:
+        for pid, fd in workers:
+            os.close(fd)
+            os.waitpid(pid, 0)
+    return results
+
+
 def _run_group(bound, seeds, out_dir, oracle_xv, c0):
     """Advance a group of seeds in one batched run, then write each seed's
     trace CSV (and gap CSV when K is available) and return its summary
     fragment.  ``c0`` is the experiment's noise constant, None when unknown.
     Any failure other than divergence ends only its seed, with status
     ``error`` and the message ``"<type>: <message>"``: a batch that raises is
-    retried seed by seed."""
+    retried seed by seed.
+
+    The artifacts are written on every usable core: the seeds are split into
+    one contiguous share per core, the parent writes the first and one forked
+    worker per other share writes its own, sharing the batch copy-on-write and
+    returning its fragments through a pipe.  A worker that fails has its seeds
+    written again by the parent, to the same bytes."""
     spec = bound.instance.spec
     try:
         t0 = time.perf_counter()
@@ -292,13 +381,30 @@ def _run_group(bound, seeds, out_dir, oracle_xv, c0):
             return [_error_fragment(seeds[0], exc)]
         return [frag for seed in seeds
                 for frag in _run_group(bound, [seed], out_dir, oracle_xv, c0)]
-    fragments = []
-    for i, seed in enumerate(seeds):
-        try:
-            fragments.append(_seed_artifacts(bound, seed, batch.seed(i), wall, out_dir,
-                                             oracle_xv, c0))
-        except Exception as exc:
-            fragments.append(_error_fragment(seed, exc))
+
+    def write(share):
+        fragments = []
+        for i, seed in share:
+            try:
+                fragments.append(_seed_artifacts(bound, seed, batch.seed(i), wall, out_dir,
+                                                 oracle_xv, c0))
+            except Exception as exc:
+                fragments.append(_error_fragment(seed, exc))
+        return fragments
+
+    first, *rest = _shares(list(enumerate(seeds)), _usable_cores())
+    workers = []
+    try:
+        for share in rest:
+            workers.append(_fork_writer(write, share, [w[1] for w in workers if w]))
+        fragments = write(first)
+    except BaseException:
+        _gather([w for w in workers if w])
+        raise
+    results = iter(_gather([w for w in workers if w]))
+    for share, worker in zip(rest, workers):
+        got = next(results) if worker else None
+        fragments += write(share) if got is None else got
     return fragments
 
 

@@ -149,13 +149,15 @@ class Schedules:
 @dataclass(frozen=True)
 class PapcState:
     """The iterate before step n.  ``live`` masks the rows of (S, d) iterates
-    whose finiteness is checked; None checks every row."""
+    whose finiteness is checked; None checks every row.  ``adj_v`` is L* v,
+    which the step that made v computed; None when it is not known."""
 
     n: int
     x: np.ndarray
     v: np.ndarray
     p: Optional[np.ndarray] = None
     live: Optional[np.ndarray] = None
+    adj_v: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -266,18 +268,19 @@ def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6,
 
 def dual_resolvent(spec, lam, w):
     """J_{lam * U * A^{-1}}(w), U one scalar sigma_i per block A_i of A (one
-    block for a single A): the inversion identity of
-    :func:`papc.monotone.inverse_resolvent` once over the stacked vector,
-    w - lam U J(w / (lam U)), with J the blocks' resolvents at 1 / (lam sigma_i).
-    Each block is bitwise inverse_resolvent(A_i, lam sigma_i, w_i)."""
+    block for a single A): per block, the inversion identity of
+    :func:`papc.monotone.inverse_resolvent` with the scalar c = lam sigma_i,
+    w_i - c J_i(1 / c, w_i / c).  One block returns its result, several are
+    concatenated, so each block is bitwise inverse_resolvent(A_i, lam sigma_i, w_i)."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    lv = lam * spec.U.diag
-    y = w / lv
-    out = np.empty(y.shape)
-    for resolvent, s, e, sigma in spec._dual_blocks:
-        out[..., s:e] = resolvent(1.0 / (lam * sigma), y[..., s:e])
-    return w - lv * out
+    blocks = spec._dual_blocks
+    parts = []
+    for resolvent, s, e, sigma in blocks:
+        c = lam * sigma
+        w_i = w if len(blocks) == 1 else w[..., s:e]
+        parts.append(w_i - c * resolvent(1.0 / c, w_i / c))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 def _check_finite(arr, label, n, live):
@@ -292,7 +295,9 @@ def _check_finite(arr, label, n, live):
 
 def papc_step(state, spec, sched, oracle):
     """One iteration of the inclusion algorithm.  Draws exactly one oracle
-    sample and reuses it in the predictor and the correction line.  A
+    sample and reuses it in the predictor and the correction line, and
+    applies L* once: the returned state carries L* v_{n+1} for the next
+    step's predictor (``state.adj_v``; computed here when None).  A
     non-finite quantity in a row of ``state.live`` (in any row, when it is
     None) raises :class:`DivergenceError`, which names those rows of (S, d)
     iterates; the mask is carried to the next state."""
@@ -301,21 +306,24 @@ def papc_step(state, spec, sched, oracle):
     tau = float(sched.tau(n))
     r = oracle.sample(state.x, n)
     _check_finite(r, "r_n", n, live)
-    p = spec.P_V(state.x - gam * (spec.L.adjoint(state.v) + r))
+    adj_v = spec.L.adjoint(state.v) if state.adj_v is None else state.adj_v
+    p = spec.P_V(state.x - gam * (adj_v + r))
     _check_finite(p, "p_n", n, live)
     lam = tau / gam
     w = state.v + lam * spec.U.apply(spec.L(p))
     v1 = dual_resolvent(spec, lam, w)
     _check_finite(v1, "v_{n+1}", n, live)
-    x1 = spec.P_V(state.x - gam * (spec.L.adjoint(v1) + r))
+    adj_v1 = spec.L.adjoint(v1)
+    x1 = spec.P_V(state.x - gam * (adj_v1 + r))
     _check_finite(x1, "x_{n+1}", n, live)
-    return PapcState(n + 1, x1, v1, p, live)
+    return PapcState(n + 1, x1, v1, p, live, adj_v1)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ErgodicAccumulator:
     """Step-size-weighted running averages of (x_{n+1}, v_{n+1}) in the
-    numerically stable incremental form."""
+    numerically stable incremental form, updated in place by
+    :func:`ergodic_update`."""
 
     weight_sum: float = 0.0
     x_avg: Optional[np.ndarray] = None
@@ -323,17 +331,21 @@ class ErgodicAccumulator:
 
 
 def ergodic_update(acc, gamma_n, x_next, v_next):
+    """Fold (x_next, v_next) with weight gamma_n into ``acc``'s averages in
+    place, avg += (gamma_n / weight_sum) (x_next - avg), and return ``acc``.
+    The averages are ``acc``'s own arrays: copy them to keep a snapshot."""
     if gamma_n <= 0:
         raise ValueError("gamma_n must be positive")
-    w = acc.weight_sum + gamma_n
+    acc.weight_sum += gamma_n
     if acc.x_avg is None:
-        return ErgodicAccumulator(w, np.array(x_next), np.array(v_next))
-    frac = gamma_n / w
-    return ErgodicAccumulator(
-        w,
-        acc.x_avg + frac * (x_next - acc.x_avg),
-        acc.v_avg + frac * (v_next - acc.v_avg),
-    )
+        acc.x_avg, acc.v_avg = np.array(x_next), np.array(v_next)
+        return acc
+    frac = gamma_n / acc.weight_sum
+    for avg, new in ((acc.x_avg, x_next), (acc.v_avg, v_next)):
+        t = new - avg
+        t *= frac
+        avg += t
+    return acc
 
 
 @dataclass(frozen=True)
@@ -540,7 +552,8 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
             break
         acc = ergodic_update(acc, gam, state.x, state.v)
         if next_cp is not None and n == next_cp:
-            snaps.append(ErgodicCheckpoint(n, acc.x_avg, acc.v_avg, acc.weight_sum))
+            snaps.append(ErgodicCheckpoint(n, acc.x_avg.copy(), acc.v_avg.copy(),
+                                           acc.weight_sum))
             next_cp = next(cp_iter, None)
         if callbacks:
             cb_state = (PapcState(state.n, state.x[0], state.v[0], state.p[0]) if vector

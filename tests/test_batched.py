@@ -3,6 +3,7 @@ last axis of an (S, d) array with rows that never mix, bitwise; a batched
 run equals the runs of its seeds alone, and retires a diverging seed in place
 without touching the others."""
 
+import json
 import os
 
 import numpy as np
@@ -341,3 +342,99 @@ class TestRunnerGroups:
         for name in sorted(os.listdir(together)):
             if name.endswith(".csv"):
                 assert self._bytes(together, name) == self._bytes(split, name), name
+
+
+def stable_outputs(out):
+    """Every CSV's bytes, and summary.json without its wall times."""
+    files = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            files[name] = fh.read()
+    summary = json.loads(files.pop("summary.json"))
+    del summary["wall_time_s"]
+    for fragment in summary["seeds"].values():
+        del fragment["wall_time_s"]
+    return files, summary
+
+
+class TestArtifactWorkers:
+    """The seeds' artifacts are written by the parent and one forked worker
+    per other usable core; no worker outlives the run."""
+
+    def _run(self, tmp_path, name, monkeypatch, cores):
+        monkeypatch.setattr(runner, "_usable_cores", lambda: cores)
+        out = tmp_path / name
+        result = runner.run_experiment(BASIC, out_dir=str(out))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return result, stable_outputs(out)
+
+    def test_shares_are_contiguous_one_per_core_at_most_one_per_seed(self):
+        assert runner._shares([1, 2, 3, 4, 5], 2) == [[1, 2, 3], [4, 5]]
+        assert runner._shares([1, 2], 8) == [[1], [2]]
+        assert runner._shares([1, 2, 3], 1) == [[1, 2, 3]]
+
+    @pytest.mark.parametrize("cores", [None, 2, 3])
+    def test_core_count_changes_no_byte(self, tmp_path, monkeypatch, cores):
+        cores = runner._usable_cores() if cores is None else cores
+        _, one = self._run(tmp_path, "one", monkeypatch, 1)
+        result, many = self._run(tmp_path, "many", monkeypatch, cores)
+        assert result.exit_code == 0
+        assert many == one
+        assert sorted(many[0]) == ["config.cfg", "gap_mean.csv"] + [
+            "seed_%d_%s.csv" % (s, kind) for s in (1, 3, 7) for kind in ("gap", "trace")]
+
+    @pytest.mark.parametrize("failure", ["exit", "short pickle"])
+    def test_failed_worker_seeds_are_rewritten(self, tmp_path, monkeypatch, failure):
+        _, one = self._run(tmp_path, "one", monkeypatch, 1)
+        parent = os.getpid()
+        if failure == "exit":
+            real = runner._seed_artifacts
+
+            def artifacts(*args):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return real(*args)
+
+            monkeypatch.setattr(runner, "_seed_artifacts", artifacts)
+        else:
+            dumps = runner.pickle.dumps
+            monkeypatch.setattr(runner.pickle, "dumps", lambda *a: dumps(*a)[:-5])
+        result, many = self._run(tmp_path, "many", monkeypatch, 3)
+        assert result.exit_code == 0
+        assert many == one
+
+    def test_raising_seed_in_a_worker_is_an_error(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        real = runner._seed_artifacts
+
+        def artifacts(bound, seed, *args):
+            if seed == 7:
+                raise RuntimeError("in the %s" % ("parent" if os.getpid() == parent
+                                                  else "worker"))
+            return real(bound, seed, *args)
+
+        monkeypatch.setattr(runner, "_seed_artifacts", artifacts)
+        result, (files, summary) = self._run(tmp_path, "many", monkeypatch, 3)
+        assert result.exit_code == 1 and summary["status"] == "error"
+        assert summary["seeds"]["7"] == {"status": "error", "error": "RuntimeError: in the worker",
+                                         "terminal_dist_x": None, "terminal_dist_v": None}
+        assert summary["seeds"]["1"]["status"] == summary["seeds"]["3"]["status"] == "ok"
+        assert "seed_7_trace.csv" not in files
+
+
+def test_constant_trace_columns_are_compared_by_bits(tmp_path, rng):
+    # 0.0 == -0.0 but their reprs differ, so only a column of equal bits is
+    # formatted once; the result is the cell-by-cell repr, across chunks.
+    rows = 2 * runner._CSV_CHUNK + 7
+    signed = np.zeros(rows)
+    signed[runner._CSV_CHUNK + 3] = -0.0
+    columns = (np.arange(rows), np.full(rows, 0.1), signed, rng.standard_normal(rows), None,
+               np.full(rows, np.nan), np.full(rows, -0.0), None, np.full(rows, np.inf))
+    path = tmp_path / "trace.csv"
+    runner._write_trace(str(path), columns)
+    want = [",".join(runner.TRACE_COLUMNS)] + [
+        ",".join([str(k)] + ["" if col is None else repr(float(col[k])) for col in columns[1:]])
+        for k in range(rows)]
+    assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
+    assert "-0.0" in path.read_text(encoding="utf-8").splitlines()[runner._CSV_CHUNK + 4]

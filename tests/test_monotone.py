@@ -121,6 +121,22 @@ class TestProxLibrary:
         # sup over [-1,2]^2 of <a, y>: a=(1,-1) -> 2*1 + (-1)*(-1) = 3
         assert f.value(ARR(1.0, -1.0)) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("lam", [0.05, 0.7, 3.0])
+    @pytest.mark.parametrize("lo,hi", [(-0.3, 0.8), (0.0, 1.0), (-0.0, 0.0), (-np.inf, -0.0)])
+    def test_box_support_prox_is_the_clip_form(self, rng, lam, lo, hi):
+        # The prox clips by minimum/maximum, not np.clip: the same bytes on
+        # rows with NaN, +-inf and +-0 entries, at zero bounds too.
+        x = 3.0 * rng.standard_normal((1000, 5))
+        special = rng.random(x.shape) < 0.4
+        x[special] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, lo, hi], special.sum())
+        f = box_support(lo, hi, 5)
+        bounds = [np.broadcast_to(np.asarray(b, dtype=float), (5,)) for b in (lo, hi)]
+        with np.errstate(invalid="ignore"):
+            want = x - lam * np.clip(x / lam, *bounds)
+            got = f.prox(lam, x)
+            assert got.tobytes() == want.tobytes()
+            assert f.prox(lam, x[7]).tobytes() == want[7].tobytes()
+
     def test_quadratic_ls(self, rng):
         D = rng.standard_normal((5, 4))
         a = rng.standard_normal(5)

@@ -172,6 +172,22 @@ class TestPapcStep:
                   CountingOracle())
         assert calls == [0]
 
+    @pytest.mark.parametrize("name,params", [("lasso", {}), ("multi", {}),
+                                             ("fused", {"dim": "40"})])
+    def test_carried_adjoint_is_a_fresh_one(self, rng, name, params):
+        # A step applies L* once: the state it returns carries L* v_{n+1},
+        # and stepping from it is bitwise stepping from a state without it.
+        inst = build_instance(name, params)
+        spec, oracle = inst.spec, DeterministicOracle(inst.spec.B)
+        start = PapcState(0, rng.standard_normal((3, spec.B.dim)),
+                          rng.standard_normal((3, spec.A.dim)))
+        one = papc_step(start, spec, inst.schedules, oracle)
+        assert one.adj_v.tobytes() == spec.L.adjoint(one.v).tobytes()
+        carried = papc_step(one, spec, inst.schedules, oracle)
+        fresh = papc_step(PapcState(one.n, one.x, one.v), spec, inst.schedules, oracle)
+        for field in ("x", "v", "p", "adj_v"):
+            assert getattr(carried, field).tobytes() == getattr(fresh, field).tobytes(), field
+
     def test_divergence_detected(self):
         spec = one_dim_spec()
         sched = Schedules.constant(1e6, 0.5, 1e7)  # absurd step, explodes via overflow
@@ -336,6 +352,22 @@ class TestErgodic:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             ergodic_update(ErgodicAccumulator(), 0.0, np.zeros(1), np.zeros(1))
+
+    def test_run_checkpoints_are_snapshots(self):
+        # run averages in place, so each checkpoint must hold its own copy:
+        # the average of x_1..x_{N+1}, v_1..v_{N+1} as ergodic_update folds it.
+        inst = build_instance("lasso", {})
+        spec = inst.spec
+        rec = run(spec, inst.schedules, DeterministicOracle(spec.B), np.zeros(spec.B.dim),
+                  np.zeros(spec.A.dim), 30, checkpoints=(0, 5, 29))
+        assert [cp.N for cp in rec.checkpoints] == [0, 5, 29]
+        for cp in rec.checkpoints:
+            acc = ErgodicAccumulator()
+            for n in range(cp.N + 1):
+                ergodic_update(acc, rec.gammas[n], rec.xs[n + 1], rec.vs[n + 1])
+            assert cp.x_avg.tobytes() == acc.x_avg.tobytes()
+            assert cp.v_avg.tobytes() == acc.v_avg.tobytes()
+            assert cp.sum_gamma == acc.weight_sum
 
 
 class TestRun:
