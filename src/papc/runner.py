@@ -3,13 +3,14 @@ CSVs, gap tables, and a summary JSON.
 
 The seeds of an experiment advance together, a group at a time, in one
 batched :func:`papc.solver.run`; rows never mix, so each seed's outputs are
-those of a run of that seed alone.  Trace and gap CSVs are byte-stable for a
-fixed config and seed (floats are written with shortest round-trip repr and
-all randomness is keyed by seed and iteration: the gaussian noise by
-(seed, block of NOISE_BLOCK iterations), the minibatch draws by
-(seed, iteration)); the summary JSON additionally
-records the wall time of the experiment and of each seed's group, the
-intentionally non-stable fields.
+those of a run of that seed alone.  Each group's artifacts are then written
+on every usable core, by the process and one forked worker per other core.
+Trace and gap CSVs are byte-stable for a fixed config and seed (floats
+are written with shortest round-trip repr and all randomness is keyed by
+seed and iteration: the gaussian noise by (seed, block of NOISE_BLOCK
+iterations), the minibatch draws by (seed, iteration)); the summary JSON
+additionally records the wall time of the experiment and of each seed's
+group, the intentionally non-stable fields.
 """
 
 from __future__ import annotations
