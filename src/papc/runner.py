@@ -15,6 +15,8 @@ group, the intentionally non-stable fields.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -56,7 +58,7 @@ def default_checkpoints(horizon, count=48):
     horizon = int(horizon)
     if horizon <= 1:
         return (0,)
-    pts = np.unique(np.geomspace(1, horizon - 1, count).astype(int))
+    pts = np.geomspace(1, horizon - 1, count).astype(int)
     return tuple(sorted({0, *pts.tolist()}))
 
 
@@ -212,25 +214,43 @@ def _constant_cell(col):
     return repr(float(col[0])) if (bits == bits[0]).all() else None
 
 
-def _write_trace(path, columns):
-    """The trace CSV of one seed from its columns: the integer ``n`` column,
-    then float arrays, or None for a column left empty.  A bitwise-constant
-    column is formatted once."""
-    rows = len(columns[0])
-    fixed = [None if col is None else _constant_cell(col) for col in columns[1:]]
+def _write_trace(path, blocks):
+    """The trace CSV of one seed from its blocks of rows, each the columns of
+    its rows: the integer ``n`` column, then float arrays, or None for a
+    column left empty.  A column bitwise constant over a block is formatted
+    once for the block."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for lo in range(0, rows, _CSV_CHUNK):
-            cells = [map(str, columns[0][lo:lo + _CSV_CHUNK].tolist())]
-            cells += [itertools.repeat("") if col is None
-                      else itertools.repeat(cell) if cell is not None
-                      else map(repr, col[lo:lo + _CSV_CHUNK].tolist())
-                      for col, cell in zip(columns[1:], fixed)]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for columns in blocks:
+            fixed = [None if col is None else _constant_cell(col) for col in columns[1:]]
+            for lo in range(0, len(columns[0]), _CSV_CHUNK):
+                cells = [map(str, columns[0][lo:lo + _CSV_CHUNK].tolist())]
+                cells += [itertools.repeat("") if col is None
+                          else itertools.repeat(cell) if cell is not None
+                          else map(repr, col[lo:lo + _CSV_CHUNK].tolist())
+                          for col, cell in zip(columns[1:], fixed)]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+# Stored trace rows whose diagnostics and CSV lines are computed at a time, so
+# a seed's artifacts need memory of the order of one block, not of its trace.
+_ROW_BLOCK = 2048
+
+
+def _row_blocks(record):
+    """The record's stored rows in blocks of _ROW_BLOCK, each a RunRecord."""
+    gg = record.grad_gap_partial
+    for lo in range(0, len(record.ns), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        yield dataclasses.replace(
+            record, ns=record.ns[rows], xs=record.xs[rows], vs=record.vs[rows],
+            gammas=record.gammas[rows], taus=record.taus[rows],
+            grad_gap_partial=None if gg is None else gg[rows])
 
 
 def _trace_columns(bound, record, oracle_xv):
-    """Diagnostic columns over all stored trace rows of one seed at once.
+    """Diagnostic columns over the stored trace rows of a record; every one
+    acts row by row, so a block of rows gives its rows' cells.
     Oracle-relative columns are left empty when no reference solution
     exists."""
     spec = bound.instance.spec
@@ -428,12 +448,27 @@ def _overflow(columns):
 
 def _seed_artifacts(bound, seed, record, wall, out_dir, oracle_xv, c0):
     """A seed that ran its whole horizon but whose trace diagnostics overflow
-    is diverged too, with the first non-finite cell as its error."""
+    is diverged too, with the first non-finite cell as its error.  The trace
+    is computed and written a block of rows at a time; a diagnostic that
+    raises leaves no trace file."""
     spec = bound.instance.spec
-    columns = _trace_columns(bound, record, oracle_xv)
-    error = record.error or _overflow(columns)
+    error = record.error
+
+    def blocks():
+        nonlocal error
+        for block in _row_blocks(record):
+            columns = _trace_columns(bound, block, oracle_xv)
+            error = error or _overflow(columns)
+            yield columns
+
+    path = os.path.join(out_dir, "seed_%d_trace.csv" % seed)
+    try:
+        _write_trace(path, blocks())
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+        raise
     status = "ok" if error is None else "diverged"
-    _write_trace(os.path.join(out_dir, "seed_%d_trace.csv" % seed), columns)
 
     gap_rows = None
     if status == "ok" and record.checkpoints and oracle_xv is not None and c0 is not None:

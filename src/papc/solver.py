@@ -268,19 +268,23 @@ def validate_hypotheses(spec, sched, horizon, regime="almost-sure", margin=1e-6,
 
 def dual_resolvent(spec, lam, w):
     """J_{lam * U * A^{-1}}(w), U one scalar sigma_i per block A_i of A (one
-    block for a single A): per block, the inversion identity of
-    :func:`papc.monotone.inverse_resolvent` with the scalar c = lam sigma_i,
-    w_i - c J_i(1 / c, w_i / c).  One block returns its result, several are
-    concatenated, so each block is bitwise inverse_resolvent(A_i, lam sigma_i, w_i)."""
+    block for a single A): the inversion identity of
+    :func:`papc.monotone.inverse_resolvent` with c = lam sigma_i on block i,
+    w - c J(1 / c, w / c).  Several blocks scale by c = lam U's diagonal on
+    the whole vector and concatenate the blocks' resolvents, each on its slice
+    of w / c; elementwise the same operations, so each block is bitwise
+    inverse_resolvent(A_i, lam sigma_i, w_i)."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     blocks = spec._dual_blocks
-    parts = []
-    for resolvent, s, e, sigma in blocks:
+    if len(blocks) == 1:
+        resolvent, _, _, sigma = blocks[0]
         c = lam * sigma
-        w_i = w if len(blocks) == 1 else w[..., s:e]
-        parts.append(w_i - c * resolvent(1.0 / c, w_i / c))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        return w - c * resolvent(1.0 / c, w / c)
+    c = lam * spec.U.diag
+    u = w / c
+    return w - c * np.concatenate([resolvent(1.0 / (lam * sigma), u[..., s:e])
+                                   for resolvent, s, e, sigma in blocks], axis=-1)
 
 
 def _check_finite(arr, label, n, live):
@@ -452,15 +456,15 @@ class TraceBuffer:
         self.grad_gap = np.empty((seeds, rows)) if grad_gap else None
         self.rows = 0
 
-    def store(self, n, x, v, gamma, tau, grad_gap=None):
+    def store(self, n, x, v, gamma, tau):
+        """Row n's iterates and parameters; its grad-gap sums, when kept, are
+        written by :class:`_GradGapSums`."""
         k = self.rows
         self.ns[k] = n
         self.xs[:, k] = x
         self.vs[:, k] = v
         self.gammas[k] = gamma
         self.taus[k] = tau
-        if self.grad_gap is not None:
-            self.grad_gap[:, k] = grad_gap
         self.rows = k + 1
 
     def batch(self, checkpoints, stochastic, stops, errors):
@@ -472,6 +476,52 @@ class TraceBuffer:
                            None if self.grad_gap is None else self.grad_gap[:, :k])
 
 
+# Steps whose iterates are held for one grad-gap fold.
+_GRAD_GAP_BLOCK = 256
+
+
+class _GradGapSums:
+    """The partial sums sum_{k<=n} ||B x_k - B x_ref||^2 of S runs, folded a
+    block of steps at a time.  :meth:`add` holds a copy of x_n; :meth:`fold`
+    applies B and the inner product to the held (K, S, d) block as one
+    (K S, d) array and adds the K terms in step order onto the carry with
+    ``np.cumsum``, which gives the bits of a running ``sum += term``, and
+    writes the sums of the trace rows the block covers."""
+
+    def __init__(self, spec, ref_val, trace):
+        self.B, self.ref_val, self.wH = spec.B, ref_val, spec.primal_weights
+        self.trace = trace
+        seeds, _, dim = trace.xs.shape
+        self.held = np.empty((_GRAD_GAP_BLOCK, seeds, dim))
+        self.count = 0
+        self.rows = []  # (position in the block, trace row)
+        self.carry = np.zeros(seeds)
+
+    def add(self, x, row):
+        """Hold x_n; ``row`` is the trace row that stores step n, if any."""
+        self.held[self.count] = x
+        if row is not None:
+            self.rows.append((self.count, row))
+        self.count += 1
+        if self.count == len(self.held):
+            self.fold()
+
+    def fold(self):
+        k = self.count
+        if not k:
+            return
+        _, seeds, dim = self.held.shape
+        d = self.B.apply(self.held[:k].reshape(k * seeds, dim)) - self.ref_val
+        terms = inner(d, d, self.wH).reshape(k, seeds)
+        np.add(self.carry, terms[0], out=terms[0])
+        sums = np.cumsum(terms, axis=0)
+        self.carry = sums[-1]
+        for pos, row in self.rows:
+            self.trace.grad_gap[:, row] = sums[pos]
+        self.rows.clear()
+        self.count = 0
+
+
 def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
         grad_gap_reference=None):
     """Iterate the algorithm for ``horizon`` steps and record the trace.
@@ -480,8 +530,7 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
     p_0 and x_1 are unchanged).  ``checkpoints`` are ergodic indices N >= 0
     (a negative one is a ValueError) at which the running weighted averages
     are snapshotted; when ``grad_gap_reference`` is given, the true partial
-    sums of ||B x_n - B x_ref||^2 are accumulated online and stored per
-    trace row.
+    sums of ||B x_n - B x_ref||^2 are stored per trace row.
 
     With (S, d) arrays ``x0``, ``v0`` this advances S runs, one per seed of
     the oracle, by one papc_step per step and returns a BatchRecord.  A row
@@ -508,30 +557,28 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
     cp_iter = iter(cps)
     next_cp = next(cp_iter, None)
 
-    ref_val = None
-    if grad_gap_reference is not None:
-        ref_val = spec.B.apply(np.asarray(grad_gap_reference, dtype=float))
-    wH = spec.primal_weights
-
     trace = TraceBuffer(horizon, seeds, x0.shape[-1], v0.shape[-1],
-                        grad_gap=ref_val is not None)
+                        grad_gap=grad_gap_reference is not None)
+    gaps = None
+    if grad_gap_reference is not None:
+        gaps = _GradGapSums(spec, spec.B.apply(np.asarray(grad_gap_reference, dtype=float)),
+                            trace)
     stride = trace.stride
     stochastic = not getattr(oracle, "is_deterministic", False)
     snaps = []
     acc = ErgodicAccumulator()
-    gg = np.zeros(seeds)
     stops, errors = [horizon] * seeds, [None] * seeds
     failure = None
 
     def _store(n, st):
-        trace.store(n, st.x, st.v, float(sched.gamma(n)), float(sched.tau(n)), gg)
+        row = trace.rows if n == horizon or n % stride == 0 else None
+        if row is not None:
+            trace.store(n, st.x, st.v, float(sched.gamma(n)), float(sched.tau(n)))
+        if gaps is not None:
+            gaps.add(st.x, row)
 
     for n in range(horizon):
-        if ref_val is not None:
-            d = spec.B.apply(state.x) - ref_val
-            gg += inner(d, d, wH)
-        if n % stride == 0:
-            _store(n, state)
+        _store(n, state)
         gam = float(sched.gamma(n))
         while True:
             try:
@@ -561,10 +608,9 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
             for cb in callbacks:
                 cb(n, cb_state, gam, float(sched.tau(n)))
     else:
-        if ref_val is not None:
-            d = spec.B.apply(state.x) - ref_val
-            gg += inner(d, d, wH)
         _store(horizon, state)
+    if gaps is not None:
+        gaps.fold()
 
     batch = trace.batch(snaps, stochastic, stops, errors)
     if not vector:

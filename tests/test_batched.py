@@ -11,7 +11,7 @@ import pytest
 
 from papc import runner
 from papc.cli import main as cli_main
-from papc import composite
+from papc import composite, solver
 from papc.composite import lift, stack
 from papc.diagnostics import kkt_residual
 from papc.errors import DivergenceError, StepSizeViolationError
@@ -299,6 +299,71 @@ class TestBatchedRun:
         assert np.allclose(records[0].xs[0], records[1].xs[0], rtol=0, atol=1e-14)
 
 
+class TestGradGapFold:
+    """The grad-gap sums, folded a block of steps at a time, equal a running
+    per-step sum bit for bit."""
+
+    @staticmethod
+    def _run(monkeypatch, oracle, rows, horizon, block=7):
+        """The record and the iterates x_0, x_1, ... of a run whose grad-gap
+        block holds ``block`` steps; a vector run's record comes from its
+        error when it diverges."""
+        monkeypatch.setattr(solver, "_GRAD_GAP_BLOCK", block)
+        xs = []
+        keep = [lambda n, st, gam, tau: xs.append(np.array(st.x, ndmin=2))]
+        try:
+            record = zoo_run(oracle, rows, horizon, callbacks=keep)
+        except DivergenceError as exc:
+            record = exc.record
+        return record, [record.xs[:, 0] if rows else record.xs[:1]] + xs
+
+    @staticmethod
+    def _assert_per_step(record, xs):
+        """Each stored row's sums are the running sum over steps 0..n."""
+        spec = build_instance("lasso", {}).spec
+        ref_val = spec.B.apply(oracle_solution(build_instance("lasso", {}))[0])
+        sums, gg = [], np.zeros(len(xs[0]))
+        for x in xs:
+            d = spec.B.apply(x) - ref_val
+            gg += inner(d, d, spec.primal_weights)
+            sums.append(gg.copy())
+        seeds = [record] if not hasattr(record, "seed") else [
+            record.seed(i) for i in range(len(record))]
+        for i, rec in enumerate(seeds):
+            want = np.array([sums[n][i] for n in rec.ns])
+            assert rec.grad_gap_partial.tobytes() == want.tobytes(), i
+
+    def test_horizon_not_a_multiple_of_the_block(self, monkeypatch):
+        B = build_instance("lasso", {}).spec.B
+        oracle = GaussianOracle(B, VarianceSchedule.polynomial(1.0, 1.0), (4, 0, 9))
+        record, xs = self._run(monkeypatch, oracle, 3, 40)
+        assert len(xs) == 41 and 41 % 7
+        self._assert_per_step(record, xs)
+        assert record.grad_gap_partial.tobytes() == self._run(
+            monkeypatch, oracle, 3, 40, block=solver._GRAD_GAP_BLOCK)[0].grad_gap_partial.tobytes()
+
+    def test_row_retired_mid_block(self, monkeypatch):
+        record, xs = self._run(monkeypatch, PoisonedOracle((0, 1, 2), {1: 10}), 3, 40)
+        assert record.stops == (40, 10, 40) and 10 % 7
+        self._assert_per_step(record, xs)
+
+    def test_every_row_diverging(self, monkeypatch):
+        # The batch breaks at step 12, inside the block of steps 7..13; the
+        # vector run raises with its record.
+        record, xs = self._run(monkeypatch, PoisonedOracle((0, 1), {0: 9, 1: 12}), 2, 40)
+        assert record.stops == (9, 12) and len(xs) == 13
+        self._assert_per_step(record, xs)
+        record, xs = self._run(monkeypatch, PoisonedOracle(1, {1: 12}), 0, 40)
+        assert record.diverged and record.ns[-1] == 12
+        self._assert_per_step(record, xs)
+
+    def test_stride_above_one(self, monkeypatch):
+        monkeypatch.setattr(solver, "_trace_stride", lambda horizon: 3)
+        record, xs = self._run(monkeypatch, PoisonedOracle((0, 1), {1: 20}), 2, 40)
+        assert record.stride == 3 and record.ns.tolist() == list(range(0, 40, 3)) + [40]
+        self._assert_per_step(record, xs)
+
+
 BASIC = """
 [problem]
 name = lasso
@@ -423,6 +488,68 @@ class TestArtifactWorkers:
         assert "seed_7_trace.csv" not in files
 
 
+class TestRowBlocks:
+    """A seed's trace computed and written a block of rows at a time equals
+    the one-block write: the same bytes, statuses and errors."""
+
+    def _outputs(self, tmp_path, monkeypatch, text, block, **kwargs):
+        monkeypatch.setattr(runner, "_ROW_BLOCK", block)
+        out = tmp_path / ("rows%d" % block)
+        result = runner.run_experiment(text, out_dir=str(out), **kwargs)
+        return result.exit_code, stable_outputs(out)
+
+    def _assert_blocks_change_no_byte(self, tmp_path, monkeypatch, text, block, **kwargs):
+        one = self._outputs(tmp_path, monkeypatch, text, 10 ** 9, **kwargs)
+        assert self._outputs(tmp_path, monkeypatch, text, block, **kwargs) == one
+        code, (files, summary) = one
+        return code, files, {s: (d["status"], d["error"]) for s, d in summary["seeds"].items()}
+
+    def test_seed_retired_mid_run(self, tmp_path, monkeypatch):
+        # Past gamma0 < beta seed 0 goes non-finite at step 1113; seed 1 runs
+        # on, and its trace overflows.
+        text = BASIC.replace("[noise]", "[schedules]\ngamma0 = 2.2\n\n[noise]").replace(
+            "horizon = 300\nseeds = 1 3 7", "horizon = 1120\nseeds = 0 1")
+        code, files, seeds = self._assert_blocks_change_no_byte(tmp_path, monkeypatch, text,
+                                                                 7, force=True)
+        assert code == 1 and seeds == {
+            "0": ("diverged", "non-finite values in p_n at iteration 1113"),
+            "1": ("diverged", "non-finite values in grad_gap_partial_sum at iteration 571")}
+
+    def test_overflow_in_a_later_block(self, tmp_path, monkeypatch):
+        # The ergodic fused batch-4 run: the first non-finite rows lie in the
+        # fourth block of 500 rows.
+        text = ("[problem]\nname = fused\n\n[noise]\nkind = minibatch\nbatch_schedule = 4\n"
+                "regime = ergodic\n\n[run]\nhorizon = 3000\nseeds = 0 1 2\n")
+        code, files, seeds = self._assert_blocks_change_no_byte(tmp_path, monkeypatch, text,
+                                                                 500)
+        assert code == 1 and seeds == {
+            s: ("diverged", "non-finite values in grad_gap_partial_sum at iteration %d" % n)
+            for s, n in (("0", 1806), ("1", 1915), ("2", 1922))}
+
+    def test_seed_override(self, tmp_path, monkeypatch):
+        code, files, seeds = self._assert_blocks_change_no_byte(tmp_path, monkeypatch, BASIC,
+                                                                 16, seed_override=3)
+        assert code == 0 and seeds == {"3": ("ok", None)}
+        assert "seed_3_gap.csv" in files
+
+    def test_stride_above_one(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver, "_trace_stride", lambda horizon: 3)
+        code, files, seeds = self._assert_blocks_change_no_byte(tmp_path, monkeypatch, BASIC, 5)
+        assert code == 0 and set(seeds.values()) == {("ok", None)}
+        lines = files["seed_1_trace.csv"].decode().splitlines()
+        assert [line.split(",")[0] for line in lines[-2:]] == ["297", "300"]
+
+    def test_raising_diagnostic_leaves_no_trace(self, tmp_path, monkeypatch):
+        # tau_cap = 5 turns the weighted norm negative after row 0, so the
+        # first block of one row is written before the second raises.
+        text = ("[problem]\nname = lasso\n\n[schedules]\ntau_cap = 5.0\n\n"
+                "[noise]\nkind = none\n\n[run]\nhorizon = 50\nseeds = 0 1\n")
+        code, files, seeds = self._assert_blocks_change_no_byte(tmp_path, monkeypatch, text,
+                                                                 1, force=True)
+        assert code == 1 and sorted(files) == ["config.cfg"]
+        assert {status for status, _ in seeds.values()} == {"error"}
+
+
 def test_constant_trace_columns_are_compared_by_bits(tmp_path, rng):
     # 0.0 == -0.0 but their reprs differ, so only a column of equal bits is
     # formatted once; the result is the cell-by-cell repr, across chunks.
@@ -432,9 +559,25 @@ def test_constant_trace_columns_are_compared_by_bits(tmp_path, rng):
     columns = (np.arange(rows), np.full(rows, 0.1), signed, rng.standard_normal(rows), None,
                np.full(rows, np.nan), np.full(rows, -0.0), None, np.full(rows, np.inf))
     path = tmp_path / "trace.csv"
-    runner._write_trace(str(path), columns)
+    runner._write_trace(str(path), [columns])
     want = [",".join(runner.TRACE_COLUMNS)] + [
         ",".join([str(k)] + ["" if col is None else repr(float(col[k])) for col in columns[1:]])
         for k in range(rows)]
     assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
     assert "-0.0" in path.read_text(encoding="utf-8").splitlines()[runner._CSV_CHUNK + 4]
+
+
+def test_trace_blocks_write_the_same_bytes(tmp_path, rng):
+    # A column constant over one block but not over the trace is formatted
+    # once in that block only.
+    rows = 23
+    signed = np.zeros(rows)
+    signed[12] = -0.0
+    columns = (np.arange(rows), np.full(rows, 0.1), signed, rng.standard_normal(rows), None,
+               np.full(rows, np.nan), np.full(rows, -0.0), None, np.full(rows, np.inf))
+    whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+    runner._write_trace(str(whole), [columns])
+    runner._write_trace(str(blocked), (tuple(None if col is None else col[lo:lo + 5]
+                                             for col in columns)
+                                       for lo in range(0, rows, 5)))
+    assert blocked.read_bytes() == whole.read_bytes()
