@@ -2,12 +2,14 @@
 and in the working tree.
 
     python3 scripts/compare_outputs.py --base HEAD configs/*.cfg [--keep DIR]
+        [--force] [--seed-override S]
 
 Extracts the committed files of ``--base`` (``git archive``, as
 ``scripts/bench_pairs.py`` does) into a temporary directory, then runs both
 commands on every config, once with that checkout's ``src`` and once with
 the working tree's.  Both sides read the same config file and write to their
-own output directory.  For each CSV the run writes, it prints ``identical``
+own output directory; ``--force`` and ``--seed-override S`` are passed to
+``papc run`` on both sides, so a config past its certificate still runs.  For each CSV the run writes, it prints ``identical``
 when the bytes agree, and otherwise the largest absolute difference in each
 column (``text`` for a column whose cells differ but do not parse as
 numbers).  It prints the exit codes when they differ and a diff of the
@@ -132,7 +134,7 @@ def compare_summaries(base_dir, change_dir):
     return False
 
 
-def compare_config(base, config, out):
+def compare_config(base, config, out, run_args=()):
     print(config)
     same = True
     validated = {side: papc(checkout, "validate", "--config", config)
@@ -148,7 +150,7 @@ def compare_config(base, config, out):
     codes = {}
     for side, checkout in (("base", base), ("change", ROOT)):
         codes[side], _ = papc(checkout, "run", "--config", config,
-                              "--out", str(out / side))
+                              "--out", str(out / side), *run_args)
     if codes["base"] != codes["change"]:
         same = False
         print("  run: exit %d -> %d" % (codes["base"], codes["change"]))
@@ -161,8 +163,15 @@ def main(argv=None):
     parser.add_argument("--base", default="HEAD")
     parser.add_argument("--keep", default=None,
                         help="write the runs' outputs under this directory and keep them")
+    parser.add_argument("--force", action="store_true",
+                        help="run configs past their certificate")
+    parser.add_argument("--seed-override", default=None, metavar="S",
+                        help="run seed S alone")
     parser.add_argument("configs", nargs="+")
     args = parser.parse_args(argv)
+    run_args = ["--force"] if args.force else []
+    if args.seed_override is not None:
+        run_args += ["--seed-override", args.seed_override]
 
     base_rev = git("rev-parse", args.base)
     print("base %s, change: the working tree" % base_rev)
@@ -172,7 +181,8 @@ def main(argv=None):
         extract(base_rev, base)
         outputs = Path(args.keep).resolve() if args.keep else Path(tmp) / "out"
         for i, config in enumerate(args.configs):
-            same &= compare_config(base, str(Path(config).resolve()), outputs / str(i))
+            same &= compare_config(base, str(Path(config).resolve()), outputs / str(i),
+                                   run_args)
     print("all identical" if same else "differences found")
     return 0 if same else 1
 

@@ -1,22 +1,21 @@
 """Config-driven experiment runner: multi-seed orchestration, per-seed trace
 CSVs, gap tables, and a summary JSON.
 
-The seeds of an experiment advance together, a group at a time, in one
-batched :func:`papc.solver.run`; rows never mix, so each seed's outputs are
-those of a run of that seed alone.  Each group's artifacts are then written
-on every usable core, by the process and one forked worker per other core.
-Trace and gap CSVs are byte-stable for a fixed config and seed (floats
-are written with shortest round-trip repr and all randomness is keyed by
-seed and iteration: the gaussian noise by (seed, block of NOISE_BLOCK
-iterations), the minibatch draws by (seed, iteration)); the summary JSON
-additionally records the wall time of the experiment and of each seed's
-group, the intentionally non-stable fields.
+The seeds of an experiment are split into one contiguous share per usable
+core, and each share runs in the process or in one forked worker, from its
+first step to its last CSV line: one batched :func:`papc.solver.run` whose
+sink computes the trace diagnostics and CSV lines of each block of rows as
+it arrives.  Rows never mix, so each seed's outputs are those of a run of
+that seed alone.  Trace and gap CSVs are byte-stable for a fixed config and
+seed (floats are written with shortest round-trip repr and all randomness is
+keyed by seed and iteration: the gaussian noise by (seed, block of
+NOISE_BLOCK iterations), the minibatch draws by (seed, iteration)); the
+summary JSON additionally records the wall time of the experiment and of
+each seed's share, the intentionally non-stable fields.
 """
 
 from __future__ import annotations
 
-import contextlib
-import dataclasses
 import itertools
 import json
 import math
@@ -36,7 +35,7 @@ from .errors import ConfigError, DivergenceError
 from .linop import (LinearMap, OrthoProjector, SpdOperator, coupling_lambda_max, norm,
                     read_matrix)
 from .monotone import MonotoneBlock, gradient_map
-from .solver import ProblemSpec, Schedules, run, trace_rows, validate_hypotheses
+from .solver import ProblemSpec, Schedules, run, validate_hypotheses
 from .stochastic import DeterministicOracle, GaussianOracle, MinibatchOracle, VarianceSchedule
 from . import zoo as zoo_mod
 
@@ -202,10 +201,6 @@ def _write_csv(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
-# Rows formatted at a time, so a long trace never holds all its strings.
-_CSV_CHUNK = 256
-
-
 def _constant_cell(col):
     """The one cell of a column whose values are all the same bits (gamma_n
     and tau_n under constant schedules); None otherwise.  Bits, not values:
@@ -214,38 +209,17 @@ def _constant_cell(col):
     return repr(float(col[0])) if (bits == bits[0]).all() else None
 
 
-def _write_trace(path, blocks):
-    """The trace CSV of one seed from its blocks of rows, each the columns of
-    its rows: the integer ``n`` column, then float arrays, or None for a
-    column left empty.  A column bitwise constant over a block is formatted
-    once for the block."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for columns in blocks:
-            fixed = [None if col is None else _constant_cell(col) for col in columns[1:]]
-            for lo in range(0, len(columns[0]), _CSV_CHUNK):
-                cells = [map(str, columns[0][lo:lo + _CSV_CHUNK].tolist())]
-                cells += [itertools.repeat("") if col is None
-                          else itertools.repeat(cell) if cell is not None
-                          else map(repr, col[lo:lo + _CSV_CHUNK].tolist())
-                          for col, cell in zip(columns[1:], fixed)]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-
-
-# Stored trace rows whose diagnostics and CSV lines are computed at a time, so
-# a seed's artifacts need memory of the order of one block, not of its trace.
-_ROW_BLOCK = 2048
-
-
-def _row_blocks(record):
-    """The record's stored rows in blocks of _ROW_BLOCK, each a RunRecord."""
-    gg = record.grad_gap_partial
-    for lo in range(0, len(record.ns), _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        yield dataclasses.replace(
-            record, ns=record.ns[rows], xs=record.xs[rows], vs=record.vs[rows],
-            gammas=record.gammas[rows], taus=record.taus[rows],
-            grad_gap_partial=None if gg is None else gg[rows])
+def _write_rows(fh, columns):
+    """Trace CSV lines from the columns of a block of rows: the integer ``n``
+    column, then float arrays, or None for a column left empty.  A column
+    bitwise constant over the block is formatted once."""
+    fixed = [None if col is None else _constant_cell(col) for col in columns[1:]]
+    cells = [map(str, columns[0].tolist())]
+    cells += [itertools.repeat("") if col is None
+              else itertools.repeat(cell) if cell is not None
+              else map(repr, col.tolist())
+              for col, cell in zip(columns[1:], fixed)]
+    fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _trace_columns(bound, record, oracle_xv):
@@ -288,18 +262,6 @@ def _gap_csv_rows(rows):
     return out
 
 
-# Trace buffer bytes of one group of seeds advanced together.
-_GROUP_BYTES = 64 * 2 ** 20
-
-
-def _seed_groups(bound, seeds):
-    """The seeds in groups whose trace buffers stay within _GROUP_BYTES."""
-    spec = bound.instance.spec
-    per_seed = 8 * trace_rows(bound.cfg.horizon) * (spec.B.dim + spec.A.dim + 1)
-    size = max(1, _GROUP_BYTES // per_seed)
-    return [seeds[i:i + size] for i in range(0, len(seeds), size)]
-
-
 def _error_fragment(seed, exc):
     return {"seed": seed, "status": "error", "error": "%s: %s" % (type(exc).__name__, exc),
             "terminal_dist_x": None, "terminal_dist_v": None, "wall_time_s": None,
@@ -324,8 +286,8 @@ def _shares(items, cores):
     return [items[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def _fork_writer(write, share, inherited):
-    """A forked worker that pickles ``write(share)`` to a pipe and exits
+def _fork_writer(work, share, inherited):
+    """A forked worker that pickles ``work(share)`` to a pipe and exits
     (status 0 only when the whole pickle was written): (pid, read end).  It
     closes ``inherited``, the read ends of earlier workers, so that each pipe
     has the parent as its one reader.  None when the fork fails."""
@@ -345,7 +307,7 @@ def _fork_writer(write, share, inherited):
         for fd in inherited:
             os.close(fd)
         with os.fdopen(w, "wb") as fh:
-            fh.write(pickle.dumps(write(share), pickle.HIGHEST_PROTOCOL))
+            fh.write(pickle.dumps(work(share), pickle.HIGHEST_PROTOCOL))
         code = 0
     finally:
         os._exit(code)
@@ -376,63 +338,110 @@ def _gather(workers):
     return results
 
 
-def _run_group(bound, seeds, out_dir, oracle_xv, c0):
-    """Advance a group of seeds in one batched run, then write each seed's
-    trace CSV (and gap CSV when K is available) and return its summary
-    fragment.  ``c0`` is the experiment's noise constant, None when unknown.
-    Any failure other than divergence ends only its seed, with status
-    ``error`` and the message ``"<type>: <message>"``: a batch that raises is
-    retried seed by seed.
+def _run_seeds(bound, seeds, out_dir, oracle_xv, c0):
+    """Every seed's summary fragment, in seed order, its files written.  The
+    seeds are split into one contiguous share per usable core: the process
+    runs the first share and one forked worker per other share runs its own,
+    each from its first step to its last CSV line, and returns its fragments
+    through a pipe.  A worker that fails has its share run again by the
+    process, to the same bytes."""
+    def work(share):
+        return _run_share(bound, share, out_dir, oracle_xv, c0)
 
-    The artifacts are written on every usable core: the seeds are split into
-    one contiguous share per core, the parent writes the first and one forked
-    worker per other share writes its own, sharing the batch copy-on-write and
-    returning its fragments through a pipe.  A worker that fails has its seeds
-    written again by the parent, to the same bytes."""
-    spec = bound.instance.spec
-    try:
-        t0 = time.perf_counter()
-        batch = run(spec, bound.schedules, bound.oracle(seeds),
-                    np.zeros((len(seeds), spec.B.dim)), np.zeros((len(seeds), spec.A.dim)),
-                    bound.cfg.horizon, checkpoints=_resolve_checkpoints(bound.cfg),
-                    grad_gap_reference=None if oracle_xv is None else oracle_xv[0])
-        wall = time.perf_counter() - t0
-    except Exception as exc:  # one seed's failure must not cost the others
-        if len(seeds) == 1:
-            return [_error_fragment(seeds[0], exc)]
-        return [frag for seed in seeds
-                for frag in _run_group(bound, [seed], out_dir, oracle_xv, c0)]
-
-    def write(share):
-        fragments = []
-        for i, seed in share:
-            try:
-                fragments.append(_seed_artifacts(bound, seed, batch.seed(i), wall, out_dir,
-                                                 oracle_xv, c0))
-            except Exception as exc:
-                fragments.append(_error_fragment(seed, exc))
-        return fragments
-
-    first, *rest = _shares(list(enumerate(seeds)), _usable_cores())
+    first, *rest = _shares(seeds, _usable_cores())
     workers = []
     try:
         for share in rest:
-            workers.append(_fork_writer(write, share, [w[1] for w in workers if w]))
-        fragments = write(first)
+            workers.append(_fork_writer(work, share, [w[1] for w in workers if w]))
+        fragments = work(first)
     except BaseException:
         _gather([w for w in workers if w])
         raise
     results = iter(_gather([w for w in workers if w]))
     for share, worker in zip(rest, workers):
         got = next(results) if worker else None
-        fragments += write(share) if got is None else got
+        fragments += work(share) if got is None else got
+    return fragments
+
+
+def _run_share(bound, seeds, out_dir, oracle_xv, c0):
+    """Advance a share of seeds in one batched run whose sink writes each
+    seed's trace CSV a block of rows at a time, then write each seed's gap
+    CSV (when K is available) and return its summary fragment.  ``c0`` is the
+    experiment's noise constant, None when unknown.
+
+    A seed that ran its whole horizon but whose trace diagnostics overflow is
+    diverged too, with the first non-finite cell as its error.  Any failure
+    other than divergence ends only its seed, with status ``error``, the
+    message ``"<type>: <message>"`` and no trace file: a diagnostic that
+    raises ends its seed in the sink, and a batch that raises is run again
+    seed by seed, each rewriting its files from the start."""
+    spec = bound.instance.spec
+    t0 = time.perf_counter()
+    paths = [os.path.join(out_dir, "seed_%d_trace.csv" % seed) for seed in seeds]
+    files = {}  # seed index -> its open trace file, while the seed is written
+    failed = {}  # seed index -> the exception that ended it
+    overflow = [None] * len(seeds)
+    last = [None] * len(seeds)  # the dist_x and dist_v cells of each seed's last row
+
+    def discard(i):
+        files.pop(i).close()
+        os.remove(paths[i])
+
+    def sink(block):
+        for i in list(files):
+            record = block.seed(i)
+            if not len(record.ns):
+                continue
+            try:
+                columns = _trace_columns(bound, record, oracle_xv)
+                overflow[i] = overflow[i] or _overflow(columns)
+                _write_rows(files[i], columns)
+            except Exception as exc:
+                failed[i] = exc
+                discard(i)
+            else:
+                last[i] = [None if col is None else col[-1] for col in columns[6:8]]
+
+    try:
+        for i, path in enumerate(paths):
+            files[i] = open(path, "w", encoding="utf-8")
+            files[i].write(",".join(TRACE_COLUMNS) + "\n")
+        batch = run(spec, bound.schedules, bound.oracle(seeds),
+                    np.zeros((len(seeds), spec.B.dim)), np.zeros((len(seeds), spec.A.dim)),
+                    bound.cfg.horizon, sink=sink, checkpoints=_resolve_checkpoints(bound.cfg),
+                    grad_gap_reference=None if oracle_xv is None else oracle_xv[0])
+    except BaseException as exc:
+        for i in list(files):
+            discard(i)
+        if not isinstance(exc, Exception):
+            raise
+        if len(seeds) == 1:  # one seed's failure must not cost the others
+            return [_error_fragment(seeds[0], exc)]
+        return [frag for seed in seeds
+                for frag in _run_share(bound, [seed], out_dir, oracle_xv, c0)]
+    for fh in files.values():
+        fh.close()
+    wall = time.perf_counter() - t0
+
+    fragments = []
+    for i, seed in enumerate(seeds):
+        if i in failed:
+            fragments.append(_error_fragment(seed, failed[i]))
+            continue
+        try:
+            fragments.append(_seed_fragment(bound, seed, batch.seed(i), overflow[i], last[i],
+                                            wall, out_dir, oracle_xv, c0))
+        except Exception as exc:
+            os.remove(paths[i])
+            fragments.append(_error_fragment(seed, exc))
     return fragments
 
 
 def _finite(value):
-    """A distance for the summary: None when it overflowed, since strict JSON
-    has no infinity."""
-    return value if math.isfinite(value) else None
+    """A distance for the summary: None when it is not known or overflowed
+    (strict JSON has no infinity)."""
+    return value if value is not None and math.isfinite(value) else None
 
 
 def _overflow(columns):
@@ -446,48 +455,24 @@ def _overflow(columns):
     return str(DivergenceError(TRACE_COLUMNS[i], columns[0][row]))
 
 
-def _seed_artifacts(bound, seed, record, wall, out_dir, oracle_xv, c0):
-    """A seed that ran its whole horizon but whose trace diagnostics overflow
-    is diverged too, with the first non-finite cell as its error.  The trace
-    is computed and written a block of rows at a time; a diagnostic that
-    raises leaves no trace file."""
-    spec = bound.instance.spec
-    error = record.error
-
-    def blocks():
-        nonlocal error
-        for block in _row_blocks(record):
-            columns = _trace_columns(bound, block, oracle_xv)
-            error = error or _overflow(columns)
-            yield columns
-
-    path = os.path.join(out_dir, "seed_%d_trace.csv" % seed)
-    try:
-        _write_trace(path, blocks())
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(path)
-        raise
+def _seed_fragment(bound, seed, record, overflow, last, wall, out_dir, oracle_xv, c0):
+    """The summary fragment of a seed whose trace is written, from its
+    record's checkpoints, the first overflow of its trace and the oracle
+    distances of its last row; its gap CSV is written when it is ``ok``."""
+    error = record.error or overflow
     status = "ok" if error is None else "diverged"
-
     gap_rows = None
     if status == "ok" and record.checkpoints and oracle_xv is not None and c0 is not None:
         rows = _gap_rows(bound, record, oracle_xv, c0)
         _write_csv(os.path.join(out_dir, "seed_%d_gap.csv" % seed), GAP_COLUMNS,
                    _gap_csv_rows(rows))
         gap_rows = [(r.N, r.gap, r.bound, r.sum_gamma) for r in rows]
-
-    dist_x = dist_v = None
-    if oracle_xv is not None:
-        x_ref, v_ref = oracle_xv
-        dist_x = _finite(norm(record.terminal_x - x_ref, spec.primal_weights))
-        dist_v = _finite(norm(record.terminal_v - v_ref, spec.dual_weights))
     return {
         "seed": seed,
         "status": status,
         "error": error,
-        "terminal_dist_x": dist_x,
-        "terminal_dist_v": dist_v,
+        "terminal_dist_x": _finite(last[0]),
+        "terminal_dist_v": _finite(last[1]),
         "wall_time_s": wall,
         "gap": gap_rows,
     }
@@ -540,8 +525,7 @@ def run_experiment(cfg, out_dir=None, force=False, seed_override=None):
     # so do the diagnostics of its last trace rows (they read inf); its status
     # records the divergence, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        per_seed = [frag for group in _seed_groups(bound, seeds)
-                    for frag in _run_group(bound, group, out_dir, oracle_xv, c0)]
+        per_seed = _run_seeds(bound, seeds, out_dir, oracle_xv, c0)
 
     dists = [d["terminal_dist_x"] for d in per_seed if d["terminal_dist_x"] is not None]
     statuses = {d["status"] for d in per_seed}

@@ -393,11 +393,6 @@ def _trace_stride(horizon):
     return 1 if horizon <= 100000 else math.ceil(horizon / 100000)
 
 
-def trace_rows(horizon):
-    """Rows of a run's trace: one every stride steps plus the terminal row."""
-    return len(range(0, horizon, _trace_stride(horizon))) + 1
-
-
 @dataclass(frozen=True)
 class BatchRecord:
     """The traces of a batched run, seed axis first: ``xs``, ``vs`` and
@@ -441,13 +436,14 @@ class BatchRecord:
 
 
 class TraceBuffer:
-    """The trace rows of S runs, allocated once for the horizon: one row
-    every ``stride`` steps plus the terminal row."""
+    """The trace rows of S runs, one every ``stride`` steps plus the terminal
+    row: all of them, or at most ``cap`` at a time."""
 
-    def __init__(self, horizon, seeds, x_dim, v_dim, grad_gap=False):
-        rows = trace_rows(horizon)
+    def __init__(self, horizon, seeds, x_dim, v_dim, grad_gap=False, cap=None):
         self.horizon = horizon
         self.stride = _trace_stride(horizon)
+        rows = len(range(0, horizon, self.stride)) + 1
+        rows = rows if cap is None else min(rows, cap)
         self.ns = np.empty(rows, dtype=int)
         self.xs = np.empty((seeds, rows, x_dim))
         self.vs = np.empty((seeds, rows, v_dim))
@@ -468,7 +464,8 @@ class TraceBuffer:
         self.rows = k + 1
 
     def batch(self, checkpoints, stochastic, stops, errors):
-        """The rows written so far, as the record of a batched run."""
+        """The rows held, as the record of a batched run; its arrays are views
+        of the buffer."""
         k = self.rows
         return BatchRecord(self.ns[:k], self.xs[:, :k], self.vs[:, :k], self.gammas[:k],
                            self.taus[:k], tuple(checkpoints), stochastic, self.horizon,
@@ -476,8 +473,9 @@ class TraceBuffer:
                            None if self.grad_gap is None else self.grad_gap[:, :k])
 
 
-# Steps whose iterates are held for one grad-gap fold.
-_GRAD_GAP_BLOCK = 256
+# Trace rows a sink receives at a time, and steps whose iterates are held for
+# one grad-gap fold.
+_BLOCK = 1024
 
 
 class _GradGapSums:
@@ -485,14 +483,15 @@ class _GradGapSums:
     block of steps at a time.  :meth:`add` holds a copy of x_n; :meth:`fold`
     applies B and the inner product to the held (K, S, d) block as one
     (K S, d) array and adds the K terms in step order onto the carry with
-    ``np.cumsum``, which gives the bits of a running ``sum += term``, and
-    writes the sums of the trace rows the block covers."""
+    ``np.cumsum``, which gives the bits of a running ``sum += term`` however
+    the steps are split into blocks, and writes the sums of the trace rows
+    the block covers."""
 
-    def __init__(self, spec, ref_val, trace):
+    def __init__(self, spec, ref_val, trace, steps):
         self.B, self.ref_val, self.wH = spec.B, ref_val, spec.primal_weights
         self.trace = trace
         seeds, _, dim = trace.xs.shape
-        self.held = np.empty((_GRAD_GAP_BLOCK, seeds, dim))
+        self.held = np.empty((steps, seeds, dim))
         self.count = 0
         self.rows = []  # (position in the block, trace row)
         self.carry = np.zeros(seeds)
@@ -522,7 +521,7 @@ class _GradGapSums:
         self.count = 0
 
 
-def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
+def run(spec, sched, oracle, x0, v0, horizon, sink=None, checkpoints=(),
         grad_gap_reference=None):
     """Iterate the algorithm for ``horizon`` steps and record the trace.
 
@@ -539,8 +538,14 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
     checks, and step n is taken again, which changes no bit of the other
     rows, since rows never mix and the oracle is keyed by (seed, n).
     Vectors ``x0``, ``v0`` are the one-row batch of a one-seed oracle: the
-    result is its RunRecord, callbacks see vectors, and divergence raises the
-    row's DivergenceError with that record attached.
+    result is its RunRecord, and divergence raises the row's DivergenceError
+    with that record attached.
+
+    Given a ``sink``, the trace is held _BLOCK rows at a time: each time
+    the rows fill the buffer, and once after the last row, ``sink(block)``
+    receives them as a BatchRecord (its stops and errors as of that step,
+    no checkpoints, arrays that are views of a buffer reused once the sink
+    returns), and the returned record holds no rows.
     """
     horizon = int(horizon)
     x0 = spec.P_V(np.array(x0, dtype=float))
@@ -558,11 +563,12 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
     next_cp = next(cp_iter, None)
 
     trace = TraceBuffer(horizon, seeds, x0.shape[-1], v0.shape[-1],
-                        grad_gap=grad_gap_reference is not None)
+                        grad_gap=grad_gap_reference is not None,
+                        cap=None if sink is None else _BLOCK)
     gaps = None
     if grad_gap_reference is not None:
         gaps = _GradGapSums(spec, spec.B.apply(np.asarray(grad_gap_reference, dtype=float)),
-                            trace)
+                            trace, min(horizon + 1, _BLOCK))
     stride = trace.stride
     stochastic = not getattr(oracle, "is_deterministic", False)
     snaps = []
@@ -570,12 +576,21 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
     stops, errors = [horizon] * seeds, [None] * seeds
     failure = None
 
+    def _flush():
+        if gaps is not None:
+            gaps.fold()
+        if sink is not None and trace.rows:
+            sink(trace.batch((), stochastic, stops, errors))
+            trace.rows = 0
+
     def _store(n, st):
         row = trace.rows if n == horizon or n % stride == 0 else None
         if row is not None:
             trace.store(n, st.x, st.v, float(sched.gamma(n)), float(sched.tau(n)))
         if gaps is not None:
             gaps.add(st.x, row)
+        if trace.rows == len(trace.ns):
+            _flush()
 
     for n in range(horizon):
         _store(n, state)
@@ -602,15 +617,9 @@ def run(spec, sched, oracle, x0, v0, horizon, callbacks=(), checkpoints=(),
             snaps.append(ErgodicCheckpoint(n, acc.x_avg.copy(), acc.v_avg.copy(),
                                            acc.weight_sum))
             next_cp = next(cp_iter, None)
-        if callbacks:
-            cb_state = (PapcState(state.n, state.x[0], state.v[0], state.p[0]) if vector
-                        else state)
-            for cb in callbacks:
-                cb(n, cb_state, gam, float(sched.tau(n)))
     else:
         _store(horizon, state)
-    if gaps is not None:
-        gaps.fold()
+    _flush()
 
     batch = trace.batch(snaps, stochastic, stops, errors)
     if not vector:

@@ -3,8 +3,10 @@ last axis of an (S, d) array with rows that never mix, bitwise; a batched
 run equals the runs of its seeds alone, and retires a diverging seed in place
 without touching the others."""
 
+import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +301,48 @@ class TestBatchedRun:
         assert np.allclose(records[0].xs[0], records[1].xs[0], rtol=0, atol=1e-14)
 
 
+class TestSink:
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_blocks_join_to_the_record(self, monkeypatch, stride):
+        # Blocks of 7 rows; seed 1 retires at step 10, in the second block
+        # (stride 1) or the first (stride 3), and its later rows are dropped.
+        monkeypatch.setattr(solver, "_BLOCK", 7)
+        monkeypatch.setattr(solver, "_trace_stride", lambda horizon: stride)
+        whole = zoo_run(PoisonedOracle((0, 1, 2), {1: 10}), 3)
+        fields = ("ns", "xs", "vs", "gammas", "taus", "grad_gap_partial")
+        blocks = []
+
+        def sink(block):
+            assert len(block.ns) <= 7
+            blocks.append([{f: getattr(block.seed(i), f).copy() for f in fields}
+                           for i in range(3)])
+
+        streamed = zoo_run(PoisonedOracle((0, 1, 2), {1: 10}), 3, sink=sink)
+        assert len(streamed.ns) == 0 and streamed.xs.shape == (3, 0, whole.xs.shape[-1])
+        assert (streamed.stops, streamed.errors) == (whole.stops, whole.errors) == (
+            (40, 10, 40), (None, "non-finite values in r_n at iteration 10", None))
+        for i in range(3):
+            rec = whole.seed(i)
+            for f in fields:
+                joined = np.concatenate([block[i][f] for block in blocks])
+                assert joined.tobytes() == getattr(rec, f).tobytes(), (i, f)
+            assert [(cp.N, bits(cp.x_avg), bits(cp.v_avg)) for cp in rec.checkpoints] == [
+                (cp.N, bits(cp.x_avg), bits(cp.v_avg)) for cp in streamed.seed(i).checkpoints]
+
+
+class RecordingOracle:
+    """An oracle that keeps x_n as first passed to its sample at step n (a
+    retaken step passes the retired rows as NaN)."""
+
+    def __init__(self, inner):
+        self.inner, self.xs = inner, {}
+        self.is_deterministic = getattr(inner, "is_deterministic", False)
+
+    def sample(self, x, n, t=0):
+        self.xs.setdefault(n, np.array(x, ndmin=2))
+        return self.inner.sample(x, n, t)
+
+
 class TestGradGapFold:
     """The grad-gap sums, folded a block of steps at a time, equal a running
     per-step sum bit for bit."""
@@ -308,14 +352,16 @@ class TestGradGapFold:
         """The record and the iterates x_0, x_1, ... of a run whose grad-gap
         block holds ``block`` steps; a vector run's record comes from its
         error when it diverges."""
-        monkeypatch.setattr(solver, "_GRAD_GAP_BLOCK", block)
-        xs = []
-        keep = [lambda n, st, gam, tau: xs.append(np.array(st.x, ndmin=2))]
+        monkeypatch.setattr(solver, "_BLOCK", block)
+        oracle = RecordingOracle(oracle)
         try:
-            record = zoo_run(oracle, rows, horizon, callbacks=keep)
+            record = zoo_run(oracle, rows, horizon)
         except DivergenceError as exc:
             record = exc.record
-        return record, [record.xs[:, 0] if rows else record.xs[:1]] + xs
+        xs = [oracle.xs[n] for n in sorted(oracle.xs)]
+        if record.ns[-1] == horizon:
+            xs.append(np.array(record.xs[..., -1, :], ndmin=2))
+        return record, xs
 
     @staticmethod
     def _assert_per_step(record, xs):
@@ -334,13 +380,14 @@ class TestGradGapFold:
             assert rec.grad_gap_partial.tobytes() == want.tobytes(), i
 
     def test_horizon_not_a_multiple_of_the_block(self, monkeypatch):
+        default = solver._BLOCK
         B = build_instance("lasso", {}).spec.B
         oracle = GaussianOracle(B, VarianceSchedule.polynomial(1.0, 1.0), (4, 0, 9))
         record, xs = self._run(monkeypatch, oracle, 3, 40)
         assert len(xs) == 41 and 41 % 7
         self._assert_per_step(record, xs)
         assert record.grad_gap_partial.tobytes() == self._run(
-            monkeypatch, oracle, 3, 40, block=solver._GRAD_GAP_BLOCK)[0].grad_gap_partial.tobytes()
+            monkeypatch, oracle, 3, 40, block=default)[0].grad_gap_partial.tobytes()
 
     def test_row_retired_mid_block(self, monkeypatch):
         record, xs = self._run(monkeypatch, PoisonedOracle((0, 1, 2), {1: 10}), 3, 40)
@@ -400,13 +447,21 @@ class TestRunnerGroups:
         for name in ("seed_3_trace.csv", "seed_3_gap.csv"):
             assert self._bytes(together, name) == self._bytes(alone, name)
 
-    def test_group_size_changes_no_byte(self, tmp_path, monkeypatch):
-        together = self._run(tmp_path, "all")
-        monkeypatch.setattr(runner, "_GROUP_BYTES", 1)
-        split = self._run(tmp_path, "split")
-        for name in sorted(os.listdir(together)):
-            if name.endswith(".csv"):
-                assert self._bytes(together, name) == self._bytes(split, name), name
+
+class RaisingOracle:
+    """A config's oracle whose batch raises a non-divergence error at step
+    ``at`` when it holds ``seed``."""
+
+    def __init__(self, inner, seed, at):
+        self.inner, self.seed, self.at = inner, seed, at
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def sample(self, x, n, t=0):
+        if n == self.at and self.seed in self.inner.seeds:
+            raise RuntimeError("sample failed at step %d" % n)
+        return self.inner.sample(x, n, t)
 
 
 def stable_outputs(out):
@@ -423,8 +478,9 @@ def stable_outputs(out):
 
 
 class TestArtifactWorkers:
-    """The seeds' artifacts are written by the parent and one forked worker
-    per other usable core; no worker outlives the run."""
+    """The seeds are run and written in one contiguous share per usable core,
+    by the parent and one forked worker per other share; no worker outlives
+    the run."""
 
     def _run(self, tmp_path, name, monkeypatch, cores):
         monkeypatch.setattr(runner, "_usable_cores", lambda: cores)
@@ -454,14 +510,14 @@ class TestArtifactWorkers:
         _, one = self._run(tmp_path, "one", monkeypatch, 1)
         parent = os.getpid()
         if failure == "exit":
-            real = runner._seed_artifacts
+            real = runner._run_share
 
-            def artifacts(*args):
+            def share(*args):
                 if os.getpid() != parent:
                     os._exit(3)
                 return real(*args)
 
-            monkeypatch.setattr(runner, "_seed_artifacts", artifacts)
+            monkeypatch.setattr(runner, "_run_share", share)
         else:
             dumps = runner.pickle.dumps
             monkeypatch.setattr(runner.pickle, "dumps", lambda *a: dumps(*a)[:-5])
@@ -471,15 +527,15 @@ class TestArtifactWorkers:
 
     def test_raising_seed_in_a_worker_is_an_error(self, tmp_path, monkeypatch):
         parent = os.getpid()
-        real = runner._seed_artifacts
+        real = runner._write_rows
 
-        def artifacts(bound, seed, *args):
-            if seed == 7:
+        def write_rows(fh, columns):
+            if fh.name.endswith("seed_7_trace.csv"):
                 raise RuntimeError("in the %s" % ("parent" if os.getpid() == parent
                                                   else "worker"))
-            return real(bound, seed, *args)
+            return real(fh, columns)
 
-        monkeypatch.setattr(runner, "_seed_artifacts", artifacts)
+        monkeypatch.setattr(runner, "_write_rows", write_rows)
         result, (files, summary) = self._run(tmp_path, "many", monkeypatch, 3)
         assert result.exit_code == 1 and summary["status"] == "error"
         assert summary["seeds"]["7"] == {"status": "error", "error": "RuntimeError: in the worker",
@@ -487,13 +543,60 @@ class TestArtifactWorkers:
         assert summary["seeds"]["1"]["status"] == summary["seeds"]["3"]["status"] == "ok"
         assert "seed_7_trace.csv" not in files
 
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_share_raising_mid_run_ends_only_its_seed(self, tmp_path, monkeypatch, cores):
+        # Seed 3's batch raises at step 50, after the first flush of 16 rows:
+        # on one core the share of all three seeds runs again seed by seed.
+        monkeypatch.setattr(solver, "_BLOCK", 16)
+        _, (clean, clean_summary) = self._run(tmp_path, "clean", monkeypatch, cores)
+        bind = runner.bind
+
+        def raising_bind(cfg):
+            bound = bind(cfg)
+            make = bound.oracle
+            return dataclasses.replace(bound,
+                                       oracle=lambda seeds: RaisingOracle(make(seeds), 3, 50))
+
+        monkeypatch.setattr(runner, "bind", raising_bind)
+        result, (files, summary) = self._run(tmp_path, "raised", monkeypatch, cores)
+        assert result.exit_code == 1 and summary["status"] == "error"
+        assert summary["seeds"]["3"] == {
+            "status": "error", "error": "RuntimeError: sample failed at step 50",
+            "terminal_dist_x": None, "terminal_dist_v": None}
+        assert not {"seed_3_trace.csv", "seed_3_gap.csv"} & set(files)
+        for seed in ("1", "7"):
+            assert summary["seeds"][seed] == clean_summary["seeds"][seed]
+            for kind in ("trace", "gap"):
+                name = "seed_%s_%s.csv" % (seed, kind)
+                assert files[name] == clean[name]
+
+
+def test_memory_does_not_grow_with_the_horizon(tmp_path, monkeypatch):
+    # The trace is streamed a block of rows at a time, so a run of 4H steps
+    # needs no more memory than one of H once H exceeds the block.  (The
+    # gate's schedule arrays, about 40 bytes per step, stay below the run's
+    # peak at these horizons.)
+    monkeypatch.setattr(solver, "_BLOCK", 64)
+    text = ("[problem]\nname = lasso\n\n[noise]\nkind = none\n\n"
+            "[run]\nhorizon = %d\nseeds = 0\ncheckpoints = log\n")
+    runner.run_experiment(text % 500, out_dir=str(tmp_path / "warm"))
+    peaks = []
+    for horizon in (500, 2000):
+        tracemalloc.start()
+        try:
+            runner.run_experiment(text % horizon, out_dir=str(tmp_path / str(horizon)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
+
 
 class TestRowBlocks:
-    """A seed's trace computed and written a block of rows at a time equals
+    """A seed's trace streamed to its CSV a block of rows at a time equals
     the one-block write: the same bytes, statuses and errors."""
 
     def _outputs(self, tmp_path, monkeypatch, text, block, **kwargs):
-        monkeypatch.setattr(runner, "_ROW_BLOCK", block)
+        monkeypatch.setattr(solver, "_BLOCK", block)
         out = tmp_path / ("rows%d" % block)
         result = runner.run_experiment(text, out_dir=str(out), **kwargs)
         return result.exit_code, stable_outputs(out)
@@ -550,34 +653,42 @@ class TestRowBlocks:
         assert {status for status, _ in seeds.values()} == {"error"}
 
 
+def write_trace(path, blocks):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(runner.TRACE_COLUMNS) + "\n")
+        for columns in blocks:
+            runner._write_rows(fh, columns)
+
+
+def mixed_columns(rng, rows=23):
+    """Trace columns of every kind: constant, -0.0 in a column of 0.0,
+    varying, empty, NaN, inf."""
+    signed = np.zeros(rows)
+    signed[12] = -0.0
+    return (np.arange(rows), np.full(rows, 0.1), signed, rng.standard_normal(rows), None,
+            np.full(rows, np.nan), np.full(rows, -0.0), None, np.full(rows, np.inf))
+
+
 def test_constant_trace_columns_are_compared_by_bits(tmp_path, rng):
     # 0.0 == -0.0 but their reprs differ, so only a column of equal bits is
-    # formatted once; the result is the cell-by-cell repr, across chunks.
-    rows = 2 * runner._CSV_CHUNK + 7
-    signed = np.zeros(rows)
-    signed[runner._CSV_CHUNK + 3] = -0.0
-    columns = (np.arange(rows), np.full(rows, 0.1), signed, rng.standard_normal(rows), None,
-               np.full(rows, np.nan), np.full(rows, -0.0), None, np.full(rows, np.inf))
+    # formatted once; the result is the cell-by-cell repr.
+    columns = mixed_columns(rng)
     path = tmp_path / "trace.csv"
-    runner._write_trace(str(path), [columns])
+    write_trace(str(path), [columns])
     want = [",".join(runner.TRACE_COLUMNS)] + [
         ",".join([str(k)] + ["" if col is None else repr(float(col[k])) for col in columns[1:]])
-        for k in range(rows)]
+        for k in range(len(columns[0]))]
     assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
-    assert "-0.0" in path.read_text(encoding="utf-8").splitlines()[runner._CSV_CHUNK + 4]
+    assert "-0.0" in path.read_text(encoding="utf-8").splitlines()[13]
 
 
 def test_trace_blocks_write_the_same_bytes(tmp_path, rng):
     # A column constant over one block but not over the trace is formatted
     # once in that block only.
-    rows = 23
-    signed = np.zeros(rows)
-    signed[12] = -0.0
-    columns = (np.arange(rows), np.full(rows, 0.1), signed, rng.standard_normal(rows), None,
-               np.full(rows, np.nan), np.full(rows, -0.0), None, np.full(rows, np.inf))
+    columns = mixed_columns(rng)
     whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
-    runner._write_trace(str(whole), [columns])
-    runner._write_trace(str(blocked), (tuple(None if col is None else col[lo:lo + 5]
-                                             for col in columns)
-                                       for lo in range(0, rows, 5)))
+    write_trace(str(whole), [columns])
+    write_trace(str(blocked), (tuple(None if col is None else col[lo:lo + 5]
+                                     for col in columns)
+                               for lo in range(0, len(columns[0]), 5)))
     assert blocked.read_bytes() == whole.read_bytes()

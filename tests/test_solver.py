@@ -424,15 +424,6 @@ class TestRun:
         assert exc.value.record is not None
         assert exc.value.record.diverged
 
-    def test_callbacks_see_every_iteration(self):
-        spec = zero_spec()
-        seen = []
-        run(spec, Schedules.constant(0.5, 0.5, 1.0), DeterministicOracle(spec.B),
-            np.zeros(2), np.zeros(2), 7,
-            callbacks=(lambda n, s, g, t: seen.append((n, s.x.shape, s.v.shape)),))
-        # A vector run's callbacks see vectors.
-        assert seen == [(n, (2,), (2,)) for n in range(7)]
-
     def test_stride_for_long_horizons(self):
         spec = zero_spec()
         rec = run(spec, Schedules.constant(0.5, 0.5, 1.0), DeterministicOracle(spec.B),
