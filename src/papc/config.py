@@ -15,6 +15,8 @@ Sections and keys::
                 gamma0     = <float> | auto        (auto = 0.9 * beta)
                 tau_kind   = constant | ramp
                 tau_cap    = <float> > 0 | auto    (auto = certified cap)
+                gamma_n: constant gamma0, harmonic_floor (gamma0/2)(1 + 1/(n+1)),
+                harmonic gamma0/(n+1); tau_n: constant tau_cap, ramp tau_cap (n+1)/(n+2)
     [noise]     kind    = none | gaussian | minibatch
                 sigma0  = <float> >= 0   (per-coordinate variance sigma_0^2)
                 epsilon = <float> >= 0   (polynomial decay exponent, 0 = constant)

@@ -158,9 +158,8 @@ def bind(cfg):
     base = inst.schedules
     gamma0 = cfg.gamma0 if cfg.gamma0 is not None else base.gamma0
     tau_cap = cfg.tau_cap if cfg.tau_cap is not None else base.tau_cap
-    beta = base.beta
-    sched = Schedules.make(beta, gamma_kind=cfg.gamma_kind, gamma0=gamma0,
-                           tau_kind=cfg.tau_kind, tau_cap=tau_cap)
+    sched = Schedules(base.beta, gamma_kind=cfg.gamma_kind, gamma0=gamma0,
+                      tau_kind=cfg.tau_kind, tau_cap=tau_cap)
     B = inst.spec.B
     if cfg.noise_kind == "gaussian":
         noise = (VarianceSchedule.polynomial(cfg.sigma0_sq, cfg.epsilon) if cfg.epsilon > 0

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from papc.errors import DimensionMismatchError, DivergenceError
 from papc.linop import LinearMap, OrthoProjector, SpdOperator, norm
@@ -60,18 +63,16 @@ class TestValidateHypotheses:
         # Decreasing gamma with a positive floor, increasing capped tau.
         inst = build_instance("lasso", {})
         beta = inst.spec.B.beta
-        sched = Schedules(
-            gamma=lambda n: 0.45 * beta * (1.0 + 1.0 / (n + 1.0)),
-            tau=lambda n: 0.9 * (1.0 - 1.0 / (n + 2.0)),
-            tau_cap=0.9, beta=beta)
+        sched = Schedules(beta, gamma_kind="harmonic_floor", gamma0=0.9 * beta,
+                          tau_kind="ramp", tau_cap=0.9)
         cert = validate_hypotheses(inst.spec, sched, 500)
         assert cert.ok, cert.failed()
 
     def test_increasing_gamma_rejected(self):
+        # harmonic_floor with a negative gamma0 rises towards gamma0 / 2.
         inst = build_instance("lasso", {})
         beta = inst.spec.B.beta
-        sched = Schedules(gamma=lambda n: 0.1 * beta * (1 + n / 100.0),
-                          tau=lambda n: 0.9, tau_cap=0.9, beta=beta)
+        sched = Schedules(beta, gamma_kind="harmonic_floor", gamma0=-0.1 * beta, tau_cap=0.9)
         cert = validate_hypotheses(inst.spec, sched, 50)
         assert any(c.name == "gamma non-increasing" for c in cert.failed())
 
@@ -82,6 +83,88 @@ class TestValidateHypotheses:
         strict = validate_hypotheses(spec, sched, 10, regime="almost-sure", margin=1e-6)
         loose = validate_hypotheses(spec, sched, 10, regime="ergodic")
         assert not strict.ok and loose.ok
+
+
+def sampled_step_checks(spec, sched, horizon, regime):
+    """The step-size checks decided from the whole sampled sequences, as the
+    gate once did: the reference for its O(1) form."""
+    gammas = np.array([float(sched.gamma(n)) for n in range(horizon + 1)])
+    taus = np.array([float(sched.tau(n)) for n in range(horizon + 1)])
+    slack = 1e-15
+    beta = min(sched.beta, spec.B.beta)
+    checks = [
+        ("gamma non-increasing",
+         bool(np.all(np.diff(gammas) <= slack * np.maximum(gammas[:-1], 1.0))),
+         "gamma must not increase over the horizon"),
+        ("tau non-decreasing",
+         bool(np.all(np.diff(taus) >= -slack * np.maximum(taus[:-1], 1.0))),
+         "tau must not decrease over the horizon"),
+        ("tau capped",
+         bool(np.max(taus) <= sched.tau_cap * (1.0 + 1e-12)),
+         "max tau %.6g vs cap %.6g" % (float(np.max(taus)), sched.tau_cap)),
+        ("gamma0 below beta", bool(gammas[0] < beta),
+         "gamma0=%.6g beta=%.6g" % (gammas[0], beta)),
+        ("gamma positive", bool(np.min(gammas) > 0.0),
+         "all step sizes must be strictly positive"),
+    ]
+    if regime == "almost-sure":
+        checks.append(("inf gamma positive",
+                       bool(np.min(gammas) > 0.0 and np.min(gammas) >= 1e-12 * gammas[0]),
+                       "inf gamma %.6g over the horizon" % float(np.min(gammas))))
+    return checks
+
+
+class TestStepSizeGate:
+    """The step-size checks read a family's first step and endpoints only."""
+
+    @settings(max_examples=300)
+    @given(gamma_kind=st.sampled_from(["constant", "harmonic_floor", "harmonic"]),
+           tau_kind=st.sampled_from(["constant", "ramp"]),
+           gamma0=st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False),
+                            st.floats(1e-300, 1e-12), st.floats(-1e-12, -1e-300)),
+           tau_cap=st.one_of(st.floats(1e-300, 1e6), st.floats(0.5, 2.0)),
+           horizon=st.integers(0, 5000),
+           regime=st.sampled_from(["almost-sure", "ergodic"]))
+    # The first two rise within the slack per step but not over the horizon;
+    # the third has subnormal gamma0 and tau_cap.
+    @example("harmonic_floor", "constant", -3e-15, 0.9, 5000, "almost-sure")
+    @example("harmonic", "ramp", -1.5e-15, 0.9, 5000, "ergodic")
+    @example("harmonic", "ramp", -5e-324, 5e-324, 1, "almost-sure")
+    def test_matches_sampled_checks(self, gamma_kind, tau_kind, gamma0, tau_cap, horizon,
+                                    regime):
+        spec = one_dim_spec()
+        sched = Schedules(1.0, gamma_kind=gamma_kind, gamma0=gamma0, tau_kind=tau_kind,
+                          tau_cap=tau_cap)
+        ref = sampled_step_checks(spec, sched, horizon, regime)
+        cert = validate_hypotheses(spec, sched, horizon, regime=regime)
+        assert [(c.name, c.ok, c.detail) for c in cert.checks[:len(ref)]] == ref
+
+    def test_memory_flat_in_horizon(self):
+        inst = build_instance("lasso", {})
+        sched = Schedules(inst.spec.B.beta, gamma_kind="harmonic_floor", tau_kind="ramp",
+                          tau_cap=inst.schedules.tau_cap)
+
+        def peak(horizon):
+            tracemalloc.start()
+            try:
+                validate_hypotheses(inst.spec, sched, horizon)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2000)  # warm-up: first-call caches are not the gate's
+        assert abs(peak(10 ** 6) - peak(2000)) < 64 * 1024
+
+    @pytest.mark.parametrize("gamma_kind", ["constant", "harmonic"])
+    def test_negative_horizon_is_named(self, gamma_kind):
+        sched = Schedules(1.0, gamma_kind=gamma_kind, gamma0=0.5, tau_cap=0.5)
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            validate_hypotheses(one_dim_spec(), sched, -1)
+
+    @pytest.mark.parametrize("kinds", [{"gamma_kind": "bogus"}, {"tau_kind": "bogus"}])
+    def test_unknown_kind_rejected(self, kinds):
+        with pytest.raises(ValueError, match="unknown"):
+            Schedules(1.0, **kinds)
 
 
 class TestNoiseGate:

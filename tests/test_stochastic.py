@@ -162,7 +162,7 @@ class TestSummability:
 
     def test_constant_noise_harmonic_gamma_ergodic_certified(self):
         sched = VarianceSchedule.constant(1.0)
-        gammas = Schedules.make(beta=1.0, gamma_kind="harmonic", gamma0=0.5)
+        gammas = Schedules(beta=1.0, gamma_kind="harmonic", gamma0=0.5)
         rep = summability_certificate(sched, gammas, 200, regime="ergodic")
         assert rep.certified
         assert rep.tail_gamma_sigma_sq is not None
