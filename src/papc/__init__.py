@@ -7,16 +7,16 @@ distance tracking, ergodic duality gaps with their O(1/sum gamma) bound)
 needed to verify the convergence behaviour empirically.
 """
 
-from .linop import (LinearMap, OrthoProjector, SpdOperator, adjoint_consistency_check,
-                    certify_tau, coupling_lambda_max, weighted_norm_sq)
+from .linop import (LinearMap, OrthoProjector, SpdOperator, certify_tau, coupling_lambda_max,
+                    weighted_norm_sq)
 from .monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, ProxFunction,
                        inverse_resolvent)
 from .solver import (BatchRecord, ErgodicAccumulator, PapcState, ProblemSpec, RunRecord,
                      Schedules, ergodic_update, papc_step, run, validate_hypotheses)
-from .composite import CompositeBlock, CompositeProblem, lift, lift_flat_equivalence, stack
-from .diagnostics import (GapConstant, SaddleFunction, epsilon_saddle_check, fejer_tracker,
-                          gap_and_bound, kkt_residual, rate_fit, saddle_value)
+from .composite import CompositeBlock, CompositeProblem, lift, stack
+from .diagnostics import (GapConstant, SaddleFunction, fejer_tracker, gap_and_bound,
+                          kkt_residual, rate_fit, saddle_value)
 from .stochastic import (DeterministicOracle, GaussianOracle, MinibatchOracle,
-                         VarianceSchedule, empirical_variance, summability_certificate)
+                         VarianceSchedule, summability_certificate)
 
 __version__ = "0.1.0"

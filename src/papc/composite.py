@@ -9,7 +9,9 @@ applies its blocks one by one.  :func:`lift` builds the independent
 reference, the single-block inclusion on H^m with the w-weighted inner
 product, the diagonal subspace as constraint, and block-diagonal operators;
 the two are equivalent step by step when the lifted oracle replicates one
-base-space sample across the m copies.
+base-space sample across the m copies.  A base point x lifts to the
+diagonal point (x, ..., x), whose first copy reads it back; dual vectors
+share the stacked layout of the flat iteration, so they compare directly.
 """
 
 from __future__ import annotations
@@ -23,18 +25,14 @@ from .errors import DimensionMismatchError
 from .linop import LinearMap, OrthoProjector, SpdOperator
 from .monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, ProxFunction,
                        inverse_resolvent)
-from .solver import PapcState, ProblemSpec, papc_step
-from .stochastic import DeterministicOracle, GaussianOracle
+from .solver import ProblemSpec
 
 __all__ = [
     "CompositeBlock",
     "CompositeProblem",
-    "LiftedProblem",
     "stack",
     "lift",
-    "lift_flat_equivalence",
     "composite_dual_residuals",
-    "ReplicatedOracle",
     "DENSE_STACK_ENTRIES",
 ]
 
@@ -88,7 +86,8 @@ class CompositeProblem:
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or len(self.blocks) != w.size:
             raise DimensionMismatchError("one weight per block required")
-        if np.any(w <= 0) or np.any(w > 1) or abs(float(w.sum()) - 1.0) > 1e-12:
+        # Written so that a NaN weight fails it: every comparison with NaN is False.
+        if not np.all((w > 0) & (w <= 1)) or abs(float(w.sum()) - 1.0) > 1e-12:
             raise DimensionMismatchError("weights must lie in (0,1] and sum to 1")
         for blk in self.blocks:
             if blk.L.domain_dim != self.C.dim:
@@ -118,32 +117,6 @@ class CompositeProblem:
 
     def split_dual(self, v):
         return [v[s:e] for s, e in self.dual_offsets]
-
-    def stack_dual(self, parts):
-        return np.concatenate([np.asarray(p, dtype=float) for p in parts])
-
-
-@dataclass(frozen=True)
-class LiftedProblem:
-    """The lifted single-block spec plus the embeddings between base and
-    product coordinates.  Dual vectors share the stacked layout of the flat
-    iteration, so they compare directly."""
-
-    spec: ProblemSpec
-    m: int
-    base_dim: int
-    weights: np.ndarray
-
-    def embed_primal(self, x):
-        return np.tile(np.asarray(x, dtype=float), self.m)
-
-    def extract_primal(self, bold_x):
-        # Any diagonal coordinate works; read the first copy.
-        return np.asarray(bold_x, dtype=float)[: self.base_dim]
-
-    def average_primal(self, bold_x):
-        blocks = np.asarray(bold_x, dtype=float).reshape(self.m, self.base_dim)
-        return self.weights @ blocks
 
 
 def _stacked_dual(cp):
@@ -222,7 +195,7 @@ def _matrix_free_stack(cp):
 
 
 def lift(cp):
-    """Build the lifted spec of a composite problem.
+    """The lifted spec of a composite problem, on H^m.
 
     Both product spaces carry the weight-induced inner product; the lifted
     coupling acts blockwise, the projector is the weighted averaging onto the
@@ -273,64 +246,8 @@ def lift(cp):
 
         bold_h = ProxFunction(m * d, value=h_value, gradient=grad, name="lifted-h")
 
-    spec = ProblemSpec(B=bold_B, A=bold_A, L=bold_L, P_V=P, U=bold_U,
+    return ProblemSpec(B=bold_B, A=bold_A, L=bold_L, P_V=P, U=bold_U,
                        g=bold_g, h=bold_h, name="lifted-" + (cp.name or "composite"))
-    return LiftedProblem(spec=spec, m=m, base_dim=d, weights=omega)
-
-
-class ReplicatedOracle:
-    """Lifted oracle that replicates one base-space sample across the copies,
-    r_n = (r_n, ..., r_n), as required for exact flat/lifted equivalence."""
-
-    def __init__(self, base_oracle, m, base_dim):
-        self.inner = base_oracle
-        self.m = int(m)
-        self.base_dim = int(base_dim)
-        self.dim = self.m * self.base_dim
-        self.is_deterministic = getattr(base_oracle, "is_deterministic", False)
-
-    def sample(self, bold_x, n, t=0):
-        r = self.inner.sample(bold_x[..., : self.base_dim], n, t)
-        return np.tile(r, (1,) * (r.ndim - 1) + (self.m,))
-
-
-def lift_flat_equivalence(cp, sched, seed, steps, noise=None, x0=None, vs0=None):
-    """Step papc_step on the stacked spec and on the lifted spec in lockstep
-    from the same seed and return the largest relative coordinate deviation
-    over all steps.
-
-    The lifted oracle replicates the base-space sample across copies, so with
-    exact arithmetic the trajectories coincide; deviations beyond float
-    round-off indicate a broken stacking or lifting.
-    """
-    if noise is None:
-        flat_oracle = DeterministicOracle(cp.C)
-        base_for_lift = DeterministicOracle(cp.C)
-    else:
-        flat_oracle = GaussianOracle(cp.C, noise, seed)
-        base_for_lift = GaussianOracle(cp.C, noise, seed)
-
-    spec = stack(cp)
-    lp = lift(cp)
-    lifted_oracle = ReplicatedOracle(base_for_lift, cp.m, cp.base_dim)
-
-    x = np.zeros(cp.base_dim) if x0 is None else np.array(x0, dtype=float)
-    v = np.zeros(sum(cp.dual_dims)) if vs0 is None else cp.stack_dual(vs0)
-    flat = PapcState(0, x.copy(), v.copy())
-    bold = PapcState(0, lp.embed_primal(x), v.copy())
-
-    worst = 0.0
-    for _ in range(int(steps)):
-        flat = papc_step(flat, spec, sched, flat_oracle)
-        bold = papc_step(bold, lp.spec, sched, lifted_oracle)
-        mag = max(float(np.max(np.abs(flat.x))), float(np.max(np.abs(flat.v))), 0.0)
-        dev_v = float(np.max(np.abs(bold.v - flat.v)))
-        dev_x = 0.0
-        for k in range(cp.m):
-            blockk = bold.x[k * cp.base_dim:(k + 1) * cp.base_dim]
-            dev_x = max(dev_x, float(np.max(np.abs(blockk - flat.x))))
-        worst = max(worst, max(dev_x, dev_v) / (1.0 + mag))
-    return worst
 
 
 def composite_dual_residuals(cp, x, vs):

@@ -274,18 +274,32 @@ def _load_vector(value, base_dir):
         return mat.ravel()
 
 
+def _parse_tag(tag):
+    """The name and keyword arguments of a prox tag."""
+    match = _TAG_RE.match(tag)
+    if not match:
+        raise ConfigError("malformed prox tag %r" % tag)
+    return match.group(1), _parse_kwargs(match.group(2))
+
+
+def _quadratic_data(kw, base_dir):
+    """(D, a) of a ``quadratic(D=<path>, a=<path>)`` tag (or A=, b=)."""
+    mat_key = "A" if "A" in kw else "D"
+    vec_key = "b" if "b" in kw else "a"
+    if mat_key not in kw or vec_key not in kw:
+        raise ConfigError("quadratic(...) needs A=<path> and b=<path>")
+    D = read_matrix(os.path.join(base_dir, kw[mat_key]))
+    a = read_matrix(os.path.join(base_dir, kw[vec_key])).ravel()
+    return D, a
+
+
 def parse_prox_spec(tag, dim, base_dir="."):
     """Build a ProxFunction from a config tag like ``l1(weight=0.5)``.
 
     Scalar arguments broadcast to the target dimension; path arguments load
     matrices/vectors from the plain-text matrix format.
     """
-    match = _TAG_RE.match(tag)
-    if not match:
-        raise ConfigError("malformed prox tag %r" % tag)
-    name, body = match.group(1), match.group(2)
-    kw = _parse_kwargs(body)
-
+    name, kw = _parse_tag(tag)
     if name == "zero":
         return zero_prox(dim)
     if name == "l1":
@@ -301,13 +315,7 @@ def parse_prox_spec(tag, dim, base_dir="."):
         b = _load_vector(kw.get("b", "0.0"), base_dir)
         return sq_dist(b, dim=dim if np.size(b) == 1 else None)
     if name == "quadratic":
-        mat_key = "A" if "A" in kw else "D"
-        vec_key = "b" if "b" in kw else "a"
-        if mat_key not in kw or vec_key not in kw:
-            raise ConfigError("quadratic(...) needs A=<path> and b=<path>")
-        D = read_matrix(os.path.join(base_dir, kw[mat_key]))
-        a = read_matrix(os.path.join(base_dir, kw[vec_key])).ravel()
-        return quadratic_ls(D, a)
+        return quadratic_ls(*_quadratic_data(kw, base_dir))
     raise ConfigError("unknown prox tag %r; known: zero, l1, box, box_support, "
                       "singleton, sq_dist, quadratic" % name)
 
@@ -316,13 +324,11 @@ def parse_smooth_spec(tag, dim, base_dir="."):
     """Parse a smooth-term tag, returning (ProxFunction, gradient Lipschitz
     constant).  Custom problems need an analytic constant, so only the
     quadratic family (and the zero function) qualifies."""
+    name, kw = _parse_tag(tag)
+    if name == "quadratic":
+        D, a = _quadratic_data(kw, base_dir)
+        return quadratic_ls(D, a), quadratic_lipschitz(D)
     f = parse_prox_spec(tag, dim, base_dir)
-    if f.name == "quadratic_ls":
-        match = _TAG_RE.match(tag)
-        kw = _parse_kwargs(match.group(2))
-        mat_key = "A" if "A" in kw else "D"
-        D = read_matrix(os.path.join(base_dir, kw[mat_key]))
-        return f, quadratic_lipschitz(D)
     if f.name == "sq_dist":
         return f, 1.0
     if f.name == "zero":
@@ -349,6 +355,8 @@ def parse_projector_spec(spec, dim, base_dir="."):
         return OrthoProjector.from_basis(basis)
     if spec.startswith("averaging:"):
         m = int(spec.split(":", 1)[1])
+        if m < 1:
+            raise ConfigError("projector %r: the number of copies must be at least 1" % spec)
         if dim % m != 0:
             raise ConfigError("averaging:%d does not divide dimension %d" % (m, dim))
         return OrthoProjector.averaging(m, dim // m)

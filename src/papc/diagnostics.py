@@ -1,6 +1,6 @@
 """Convergence measurement: KKT residuals, saddle values and duality gaps
-with their ergodic bound, epsilon-saddle certification, distance tracking in
-the step-dependent metric, and log-log rate fitting."""
+with their ergodic bound, distance tracking in the step-dependent metric,
+and log-log rate fitting."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ __all__ = [
     "kkt_residual",
     "saddle_value",
     "gap_and_bound",
-    "epsilon_saddle_check",
     "fejer_tracker",
     "rate_fit",
 ]
@@ -140,25 +139,6 @@ def gap_and_bound(record, K, reference, gapc):
             finite = False
         rows.append(GapRow(int(cp.N), float(gap), float(bound), float(cp.sum_gamma), finite))
     return rows
-
-
-def epsilon_saddle_check(tables, eps):
-    """Smallest checkpoint N whose gap, supped over the supplied saddle set,
-    is at most eps; ``None`` when the horizon never reaches it."""
-    tables = [list(t) for t in tables]
-    if not tables or not tables[0]:
-        raise ValueError("empty saddle set (or empty gap tables)")
-    length = len(tables[0])
-    if any(len(t) != length for t in tables):
-        raise ValueError("gap tables must share their checkpoints")
-    for k in range(length):
-        ns = {t[k].N for t in tables}
-        if len(ns) != 1:
-            raise ValueError("gap tables must share their checkpoints")
-        sup = max((t[k].gap if t[k].finite else math.inf) for t in tables)
-        if sup <= eps:
-            return tables[0][k].N
-    return None
 
 
 def fejer_tracker(record, reference, spec, certificate=None, check_monotone=True, tol=1e-10):

@@ -35,8 +35,6 @@ __all__ = [
     "inner",
     "norm",
     "matvec",
-    "as_rng",
-    "adjoint_consistency_check",
     "coupling_matrix",
     "coupling_lambda_max",
     "lambda_max",
@@ -45,12 +43,6 @@ __all__ = [
     "read_matrix",
     "write_matrix",
 ]
-
-def as_rng(rng):
-    """Return a numpy Generator; ints (or None) seed a fresh one."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def matvec(mat, x):
@@ -299,20 +291,6 @@ class SpdOperator:
 
     def sqrt_apply(self, v):
         return self._sqrt * v
-
-
-def adjoint_consistency_check(L, trials, rng, tol=1e-10):
-    """True iff sampled pairs satisfy <Lx, y> == <x, L*y> to tolerance."""
-    gen = as_rng(rng)
-    for _ in range(int(trials)):
-        x = gen.standard_normal(L.domain_dim)
-        y = gen.standard_normal(L.codomain_dim)
-        lhs = inner(L(x), y, L.codomain_weights)
-        rhs = inner(x, L.adjoint(y), L.domain_weights)
-        bound = tol * (1.0 + norm(x, L.domain_weights) * norm(y, L.codomain_weights))
-        if abs(lhs - rhs) > bound:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

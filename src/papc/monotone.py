@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linop import as_rng, inner, matvec
+from .linop import matvec
 
 __all__ = [
     "MonotoneBlock",
@@ -29,9 +29,6 @@ __all__ = [
     "ProxFunction",
     "CocoerciveMap",
     "inverse_resolvent",
-    "prox_inequality_check",
-    "firm_nonexpansiveness_check",
-    "cocoercivity_check",
     "zero_prox",
     "sq_dist",
     "l1",
@@ -40,7 +37,6 @@ __all__ = [
     "box_support",
     "quadratic_ls",
     "gradient_map",
-    "PROX_LIBRARY",
 ]
 
 INF = math.inf
@@ -154,73 +150,6 @@ def inverse_resolvent(A, lam, x):
     if lam <= 0:
         raise ValueError("lam must be positive")
     return x - lam * A.resolvent(1.0 / lam, x / lam)
-
-
-@dataclass(frozen=True)
-class ProxInequalityReport:
-    max_violation: float
-    passed: bool
-    samples: int
-
-
-def prox_inequality_check(f, u, samples=100, rng=0, scale=2.0, tol=1e-9):
-    """Check f(p) - f(y) <= <y - p, u (p - x)> with p = prox_{f/u}(x) on samples.
-
-    Half of the test points y are prox images, so indicator domains are
-    exercised with finite values as well.
-    """
-    gen = as_rng(rng)
-    worst = -INF
-    for k in range(int(samples)):
-        x = scale * gen.standard_normal(f.dim)
-        y = scale * gen.standard_normal(f.dim)
-        if k % 2 == 1:
-            y = f.prox(1.0 / u, y)
-        p = f.prox(1.0 / u, x)
-        fy = f.value(y)
-        if math.isinf(fy):
-            continue  # rhs is -inf <= anything
-        lhs = f.value(p) - fy
-        rhs = inner(y - p, u * (p - x))
-        worst = max(worst, lhs - rhs)
-    if worst == -INF:
-        worst = 0.0
-    return ProxInequalityReport(worst, worst <= tol, int(samples))
-
-
-@dataclass(frozen=True)
-class PairwiseCheckReport:
-    max_excess: float
-    passed: bool
-    pairs: int
-
-
-def firm_nonexpansiveness_check(op, dim, pairs=200, rng=0, tol=1e-10, scale=2.0, weights=None):
-    """Check ||Tx - Ty||^2 <= <x - y, Tx - Ty> on sampled pairs."""
-    gen = as_rng(rng)
-    worst = 0.0
-    for _ in range(int(pairs)):
-        x = scale * gen.standard_normal(dim)
-        y = scale * gen.standard_normal(dim)
-        tx, ty = op(x), op(y)
-        d = tx - ty
-        worst = max(worst, inner(d, d, weights) - inner(x - y, d, weights))
-    return PairwiseCheckReport(worst, worst <= tol, int(pairs))
-
-
-def cocoercivity_check(B, pairs=200, rng=0, tol=1e-10, scale=2.0):
-    """Check <Bx - By, x - y> >= beta * ||Bx - By||^2 on sampled pairs."""
-    gen = as_rng(rng)
-    w = B.weights
-    worst = 0.0
-    for _ in range(int(pairs)):
-        x = scale * gen.standard_normal(B.dim)
-        y = scale * gen.standard_normal(B.dim)
-        d = B.apply(x) - B.apply(y)
-        gap = B.beta * inner(d, d, w) - inner(d, x - y, w)
-        slack = tol * (1.0 + inner(x - y, x - y, w))
-        worst = max(worst, gap - slack)
-    return PairwiseCheckReport(worst, worst <= 0.0, int(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +319,3 @@ def gradient_map(f, lipschitz, weights=None):
         raise ValueError("%s has no gradient oracle" % (f.name or "f"))
     return CocoerciveMap(f.dim, f.gradient, beta=1.0 / float(lipschitz),
                          weights=weights, name=(f.name or "f") + "-grad")
-
-
-def PROX_LIBRARY(dim=3):
-    """Named constructors of the shipped prox functions at a given dimension,
-    used by checks that sweep 'every shipped prox'."""
-    rng = np.random.default_rng(7)
-    b = rng.standard_normal(dim)
-    return {
-        "zero": zero_prox(dim),
-        "sq_dist": sq_dist(b),
-        "l1": l1(0.7, dim),
-        "box": box(-1.0, 1.0, dim),
-        "singleton": singleton(b),
-        "box_support": box_support(-0.5, 1.5, dim),
-        "quadratic_ls": quadratic_ls(np.eye(dim) + 0.2 * rng.standard_normal((dim, dim)), b),
-    }

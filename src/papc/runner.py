@@ -22,7 +22,7 @@ import math
 import os
 import pickle
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -494,7 +494,7 @@ def run_experiment(cfg, out_dir=None, force=False, seed_override=None):
         cfg = parse_config(cfg)
     cfg.validate()
     if seed_override is not None:
-        cfg.seeds = (int(seed_override),)
+        cfg = replace(cfg, seeds=(int(seed_override),))
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
 

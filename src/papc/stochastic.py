@@ -1,15 +1,15 @@
 """Stochastic oracles for the cocoercive operator: unbiased noise models,
 variance schedules, and summability certificates.
 
-Every oracle answers ``sample(x, n, t=0)``, and its noise is a fixed
-function of (seed, n, t): the same key gives the same bits, whatever was
-asked before.  The gaussian oracle draws its standard normals in blocks of
-NOISE_BLOCK steps, block n // NOISE_BLOCK from an RNG keyed by
-(seed, n // NOISE_BLOCK, t); the minibatch oracle draws each step's batch
-from an RNG keyed by (seed, n, t).  Either way the noise at step n is
-independent of x_n, which depends only on the noise of steps before n, so
-given the history the sample is unbiased with the scheduled variance.  A run
-draws t = 0; other t give independent replicates at the same step.
+Every oracle answers ``sample(x, n)``, and its noise is a fixed function of
+(seed, n): the same key gives the same bits, whatever was asked before.  The
+gaussian oracle draws its standard normals in blocks of NOISE_BLOCK steps,
+block n // NOISE_BLOCK from an RNG keyed by (seed, n // NOISE_BLOCK, 0); the
+minibatch oracle draws each step's batch from an RNG keyed by (seed, n, 0).
+Either way the noise at step n is independent of x_n, which depends only on
+the noise of steps before n, so given the history the sample is unbiased
+with the scheduled variance.  Independent replicates at one step come from
+distinct seeds.
 
 A noisy oracle holds a tuple of seeds, one per row: ``x`` may be a vector
 (drawn with the first seed) or an (S, d) array whose row i is drawn with
@@ -41,7 +41,6 @@ __all__ = [
     "MinibatchOracle",
     "SummabilityReport",
     "summability_certificate",
-    "empirical_variance",
 ]
 
 # Steps of gaussian noise drawn at once per seed: 128 * dim doubles each.
@@ -91,7 +90,7 @@ class DeterministicOracle:
         self.base = B
         self.dim = B.dim
 
-    def sample(self, x, n, t=0):
+    def sample(self, x, n):
         return self.base.apply(x)
 
     def summability(self, sched, horizon, regime):
@@ -119,7 +118,7 @@ class GaussianOracle(_SeededOracle):
     The per-coordinate error variance is sigma_n^2 from the schedule, so the
     full squared-norm second moment is dim * sigma_n^2.  The z_n of one seed
     are drawn NOISE_BLOCK steps at a time: block b = n // NOISE_BLOCK is a
-    (NOISE_BLOCK, dim) array from ``default_rng((seed, b, t))`` and z_n is
+    (NOISE_BLOCK, dim) array from ``default_rng((seed, b, 0))`` and z_n is
     its row n % NOISE_BLOCK.  The oracle keeps the block it drew last for
     every seed and redraws on a miss, so any n may be asked for in any order.
     """
@@ -129,11 +128,11 @@ class GaussianOracle(_SeededOracle):
         self.base = B
         self.schedule = schedule
         self.dim = B.dim
-        # The block of z drawn last, (NOISE_BLOCK, dim) per seed, and its (b, t).
+        # The block of z drawn last, (NOISE_BLOCK, dim) per seed, and its b.
         self._block = np.empty((len(self.seeds), NOISE_BLOCK, self.dim))
         self._key = None
 
-    def sample(self, x, n, t=0):
+    def sample(self, x, n):
         mean = self.base.apply(x)
         s2 = self.schedule.sigma_sq(n)
         if s2 == 0.0:
@@ -141,11 +140,12 @@ class GaussianOracle(_SeededOracle):
         if x.ndim > 1:
             self._row_seeds(x)  # one row per seed
         b, k = divmod(int(n), NOISE_BLOCK)
-        key = (b, int(t))
-        if self._key != key:
+        if self._key != b:
+            # The trailing 0 is part of the key of every recorded stream:
+            # without it every stochastic trace would change its bits.
             for out, seed in zip(self._block, self.seeds):
-                np.random.default_rng((seed,) + key).standard_normal(out=out)
-            self._key = key
+                np.random.default_rng((seed, b, 0)).standard_normal(out=out)
+            self._key = b
         z = self._block[:, k]
         return mean + math.sqrt(s2) * (z[0] if x.ndim == 1 else z)
 
@@ -159,7 +159,7 @@ class MinibatchOracle(_SeededOracle):
 
     ``D`` is a :class:`~papc.linop.LinearMap` from R^d to R^m.  Each step
     draws ``batch`` = k of the m rows without replacement, from
-    ``default_rng((seed, n, t)).choice(m, k, replace=False)``; c_n is m/k on
+    ``default_rng((seed, n, 0)).choice(m, k, replace=False)``; c_n is m/k on
     them and 0 elsewhere, so the sample is unbiased for ``base``, the full
     gradient D*(Dx - a).  A batch of m rows or more (and ``batch=None``) is
     ``base`` exactly, with no draw.  One call covers every row of an (S, d)
@@ -181,7 +181,7 @@ class MinibatchOracle(_SeededOracle):
         self.base = CocoerciveMap(self.dim, lambda x: D.adjoint(D(x) - self.a), beta=beta,
                                   name="minibatch-mean")
 
-    def sample(self, x, n, t=0):
+    def sample(self, x, n):
         if self.batch == self.m:
             return self.base.apply(x)
         seeds = self.seeds[:1] if x.ndim == 1 else self._row_seeds(x)
@@ -189,7 +189,9 @@ class MinibatchOracle(_SeededOracle):
         # is then m (x_i - a_i) / k, the rounding of a per-row loop.
         c = np.zeros((len(seeds), self.m))
         for row, seed in zip(c, seeds):
-            idx = np.random.default_rng((seed, int(n), int(t))).choice(
+            # The trailing 0 keeps the recorded key, as in the gaussian
+            # oracle, so every minibatch trace keeps its bits.
+            idx = np.random.default_rng((seed, int(n), 0)).choice(
                 self.m, size=self.batch, replace=False)
             row[idx] = self.m
         residual = self.D(x) - self.a
@@ -207,22 +209,6 @@ class MinibatchOracle(_SeededOracle):
                        % (self.batch, self.m))
         return SummabilityReport(regime, status, int(horizon), None, None, None, None,
                                  (message,))
-
-
-def empirical_variance(oracle, x, n, trials):
-    """Unbiased sample variance of the error components of r_n - B x_n.
-
-    All error coordinates across trials are pooled; for the gaussian model
-    this estimates the scheduled per-coordinate sigma_n^2.
-    """
-    trials = int(trials)
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    mean = oracle.base.apply(x)
-    errs = np.empty((trials, oracle.dim))
-    for t in range(trials):
-        errs[t] = oracle.sample(x, n, t) - mean
-    return float(np.var(errs.ravel(), ddof=1))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .composite import CompositeBlock, CompositeProblem, LiftedProblem, lift, stack
+from .composite import CompositeBlock, CompositeProblem, lift, stack
 from .diagnostics import SaddleFunction, kkt_residual
 from .errors import ConfigError, OracleError
 from .linop import LinearMap, OrthoProjector, SpdOperator, coupling_lambda_max
@@ -44,7 +44,8 @@ __all__ = [
 class ZooInstance:
     """A built problem.  ``spec`` is what the solver runs: the problem itself,
     or the stacked spec of ``composite``; ``lifted`` is a composite's
-    independent reference, where its oracle needs one.  ``oracle`` computes
+    independent reference, the spec of :func:`~papc.composite.lift` on H^m,
+    where its oracle needs one.  ``oracle`` computes
     the reference pair (x, v) on ``spec`` (None when there is none).
     ``least_squares`` is (D, a), D a :class:`LinearMap`: the smooth term is
     0.5||Dx - a||^2, whose rows the minibatch oracle samples."""
@@ -55,7 +56,7 @@ class ZooInstance:
     spec: ProblemSpec
     oracle: Optional[Callable] = None
     composite: Optional[CompositeProblem] = None
-    lifted: Optional[LiftedProblem] = None
+    lifted: Optional[ProblemSpec] = None
     least_squares: Optional[tuple] = None
 
 
@@ -90,16 +91,6 @@ def _getdim(params, default, minimum):
     if dim < minimum:
         raise ConfigError("[problem] dim: must be at least %d" % minimum)
     return dim
-
-
-def _difference_matrix(dim):
-    """Dense first-difference matrix; the reference that the matrix-free
-    :meth:`LinearMap.difference` is tested against."""
-    mat = np.zeros((dim - 1, dim))
-    for i in range(dim - 1):
-        mat[i, i] = -1.0
-        mat[i, i + 1] = 1.0
-    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +285,7 @@ def _build_multi(params):
 
     cp = CompositeProblem(weights=np.array([0.5, 0.3, 0.2]), C=C,
                           blocks=tuple(blocks), h=h, name="multi")
-    lp = lift(cp)
+    lifted = lift(cp)
     sched = Schedules.constant(0.9 * mu, 0.9, mu)
 
     def oracle():
@@ -302,11 +293,11 @@ def _build_multi(params):
         # the symmetrized lifted spectrum is at most 1 and tau = 0.5 is
         # conservative.  The lifted run is accepted under its own KKT check;
         # the base-space primal is its first diagonal copy.
-        bold_x, v = long_run_oracle(lp.spec, mu, 0.5)
-        return lp.extract_primal(bold_x), v
+        bold_x, v = long_run_oracle(lifted, mu, 0.5)
+        return bold_x[:dim], v
 
     return ZooInstance("multi", sched, tuple(sorted(params.items())), stack(cp),
-                       oracle=oracle, composite=cp, lifted=lp,
+                       oracle=oracle, composite=cp, lifted=lifted,
                        least_squares=(LinearMap.from_matrix(D), a))
 
 

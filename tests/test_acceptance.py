@@ -9,20 +9,22 @@ import time
 import numpy as np
 import pytest
 
-from papc.composite import composite_dual_residuals, lift_flat_equivalence
+from papc.composite import composite_dual_residuals
 from papc.config import parse_config
 from papc.diagnostics import (GapConstant, fejer_tracker, gap_and_bound, kkt_residual,
                               rate_fit)
-from papc.linop import (LinearMap, OrthoProjector, SpdOperator, adjoint_consistency_check,
-                        certify_tau, coupling_lambda_max, inner, norm)
-from papc.monotone import (PROX_LIBRARY, MonotoneBlock, box, box_support,
-                           firm_nonexpansiveness_check, inverse_resolvent, l1, singleton,
+from papc.linop import (LinearMap, OrthoProjector, SpdOperator, certify_tau,
+                        coupling_lambda_max, inner, norm)
+from papc.monotone import (MonotoneBlock, box, box_support, inverse_resolvent, l1, singleton,
                            sq_dist, zero_prox)
 from papc.runner import default_checkpoints, run_experiment
 from papc.solver import Schedules, run, validate_hypotheses
 from papc.stochastic import DeterministicOracle, GaussianOracle, VarianceSchedule, \
     summability_certificate
 from papc.zoo import build_instance, oracle_solution, saddle_function
+
+from checks import (PROX_LIBRARY, adjoint_consistency_check, firm_nonexpansiveness_check,
+                    lift_flat_equivalence)
 
 ZOO_NAMES = ("cls", "lasso", "fused", "multi")
 HORIZON = 10 ** 4
@@ -80,7 +82,7 @@ def test_c01_operator_calculus_suite(rng):
     maps = [LinearMap.from_matrix(rng.standard_normal((4, 6))),
             LinearMap.from_matrix(np.array([[1.0, 2.0], [3.0, 4.0]])),
             build_instance("fused", {}).spec.L,
-            build_instance("multi", {}).lifted.spec.L]
+            build_instance("multi", {}).lifted.L]
     for L in maps:
         ok &= adjoint_consistency_check(L, 100, rng=3, tol=1e-10)
 

@@ -18,12 +18,14 @@ from papc.composite import lift, stack
 from papc.diagnostics import kkt_residual
 from papc.errors import DivergenceError, StepSizeViolationError
 from papc.linop import LinearMap, OrthoProjector, SpdOperator, inner, norm, weighted_norm_sq
-from papc.monotone import (PROX_LIBRARY, MonotoneBlock, ProductMonotoneBlock,
-                           inverse_resolvent, l1, quadratic_ls)
+from papc.monotone import (MonotoneBlock, ProductMonotoneBlock, inverse_resolvent, l1,
+                           quadratic_ls)
 from papc.solver import PapcState, papc_step, run
 from papc.stochastic import (NOISE_BLOCK, DeterministicOracle, GaussianOracle, MinibatchOracle,
                              VarianceSchedule)
 from papc.zoo import build_instance, oracle_solution
+
+from checks import PROX_LIBRARY
 
 ROWS = 4
 
@@ -57,7 +59,7 @@ def maps(rng):
         # Above the dense bound the stack applies its blocks one by one.
         "stack": build_instance("multi", {"dim": "60"}).spec.L,
         "stacked-dense": build_instance("multi", {}).spec.L,
-        "lifted": lift(cp).spec.L,
+        "lifted": lift(cp).L,
     }
 
 
@@ -111,7 +113,7 @@ class TestRowsNeverMix:
         for name in ("cls", "lasso", "fused", "multi"):
             B = build_instance(name, {}).spec.B
             assert_rows(B.apply, batch(rng, B.dim))
-        bold_B = build_instance("multi", {}).lifted.spec.B
+        bold_B = build_instance("multi", {}).lifted.B
         assert_rows(bold_B.apply, batch(rng, bold_B.dim))
         h = quadratic_ls(rng.standard_normal((7, 5)), rng.standard_normal(7))
         assert_rows(h.gradient, batch(rng, 5))
@@ -183,8 +185,8 @@ class PoisonedOracle:
     def seeds(self):
         return self.inner.seeds
 
-    def sample(self, x, n, t=0):
-        r = self.inner.sample(x, n, t)
+    def sample(self, x, n):
+        r = self.inner.sample(x, n)
         for i, seed in enumerate(self.seeds):
             if self.at.get(seed) == n:
                 r[i] = np.nan
@@ -338,9 +340,9 @@ class RecordingOracle:
         self.inner, self.xs = inner, {}
         self.is_deterministic = getattr(inner, "is_deterministic", False)
 
-    def sample(self, x, n, t=0):
+    def sample(self, x, n):
         self.xs.setdefault(n, np.array(x, ndmin=2))
-        return self.inner.sample(x, n, t)
+        return self.inner.sample(x, n)
 
 
 class TestGradGapFold:
@@ -458,10 +460,10 @@ class RaisingOracle:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def sample(self, x, n, t=0):
+    def sample(self, x, n):
         if n == self.at and self.seed in self.inner.seeds:
             raise RuntimeError("sample failed at step %d" % n)
-        return self.inner.sample(x, n, t)
+        return self.inner.sample(x, n)
 
 
 def stable_outputs(out):

@@ -5,17 +5,19 @@ import pytest
 
 from papc import composite
 from papc.composite import (DENSE_STACK_ENTRIES, CompositeBlock, CompositeProblem,
-                            ReplicatedOracle, composite_dual_residuals, lift,
-                            lift_flat_equivalence, stack)
+                            composite_dual_residuals, lift, stack)
 from papc.config import parse_config
 from papc.errors import DimensionMismatchError
-from papc.linop import LinearMap, adjoint_consistency_check, norm, write_matrix
+from papc.linop import LinearMap, norm, write_matrix
 from papc.runner import bind
-from papc.monotone import (MonotoneBlock, cocoercivity_check, gradient_map, l1,
-                           quadratic_lipschitz, quadratic_ls, sq_dist, zero_prox)
+from papc.monotone import (MonotoneBlock, gradient_map, l1, quadratic_lipschitz, quadratic_ls,
+                           sq_dist, zero_prox)
 from papc.solver import PapcState, Schedules, papc_step, run, validate_hypotheses
 from papc.stochastic import DeterministicOracle, GaussianOracle, VarianceSchedule
 from papc.zoo import build_instance, oracle_solution
+
+from checks import (ReplicatedOracle, adjoint_consistency_check, cocoercivity_check,
+                    lift_flat_equivalence)
 
 
 def single_block_problem(dim=3, seed=2):
@@ -33,32 +35,28 @@ def single_block_problem(dim=3, seed=2):
 class TestLift:
     def test_single_block_is_base_problem(self):
         cp, _ = single_block_problem()
-        lp = lift(cp)
-        assert lp.spec.B.dim == cp.base_dim
+        lifted = lift(cp)
+        assert lifted.B.dim == cp.base_dim
         x = np.array([0.3, -0.2, 0.9])
-        np.testing.assert_array_equal(lp.spec.P_V(x), x)  # V = H for m = 1
+        np.testing.assert_array_equal(lifted.P_V(x), x)  # V = H for m = 1
 
     def test_averaging_examples(self):
         cp = build_instance("multi", {}).composite
-        lp = lift(cp)
         # uniform two-block mean is checked at the projector level in linop;
-        # here: the weighted average of the lifted diagonal is the base point.
-        x = np.arange(cp.base_dim, dtype=float)
-        bold = lp.embed_primal(x)
-        np.testing.assert_allclose(lp.average_primal(bold), x)
-        np.testing.assert_allclose(lp.spec.P_V(bold), bold, atol=1e-14)
+        # here: the lifted diagonal is fixed by the weighted averaging.
+        bold = np.tile(np.arange(cp.base_dim, dtype=float), cp.m)
+        np.testing.assert_allclose(lift(cp).P_V(bold), bold, atol=1e-14)
 
     def test_lifted_cocoercivity_constant(self):
         inst = build_instance("multi", {})
-        rep = cocoercivity_check(inst.lifted.spec.B, pairs=200, rng=13)
+        rep = cocoercivity_check(inst.lifted.B, pairs=200, rng=13)
         assert rep.passed
 
     def test_blockwise_resolvent_of_lifted_dual(self):
         inst = build_instance("multi", {})
-        lp = inst.lifted
         cp = inst.composite
         v = np.random.default_rng(0).standard_normal(sum(cp.dual_dims))
-        out = lp.spec.A.resolvent(0.7, v)
+        out = inst.lifted.A.resolvent(0.7, v)
         parts = [blk.A.resolvent(0.7, vi) for blk, vi in zip(cp.blocks, cp.split_dual(v))]
         np.testing.assert_array_equal(out, np.concatenate(parts))
 
@@ -141,7 +139,7 @@ class TestCompositeStep:
     def test_m1_bitwise_equals_papc_step(self):
         cp, sched = single_block_problem()
         spec = stack(cp)
-        lp = lift(cp)
+        lifted = lift(cp)
         oracle = GaussianOracle(cp.C, VarianceSchedule.polynomial(1.0, 1.0), seeds=3)
         lifted_oracle = ReplicatedOracle(GaussianOracle(
             cp.C, VarianceSchedule.polynomial(1.0, 1.0), seeds=3), 1, cp.base_dim)
@@ -149,7 +147,7 @@ class TestCompositeStep:
         b = PapcState(0, np.zeros(3), np.zeros(3))
         for _ in range(50):
             a = papc_step(a, spec, sched, oracle)
-            b = papc_step(b, lp.spec, sched, lifted_oracle)
+            b = papc_step(b, lifted, sched, lifted_oracle)
             assert np.array_equal(a.x, b.x)
             assert np.array_equal(a.v, b.v)
 
@@ -172,9 +170,9 @@ class TestCompositeStep:
         cp = inst.composite
         flat = papc_step(PapcState(0, np.zeros(cp.base_dim), np.zeros(sum(cp.dual_dims))),
                          inst.spec, inst.schedules, DeterministicOracle(cp.C))
-        lp = inst.lifted
-        bold = papc_step(PapcState(0, np.zeros(lp.spec.B.dim), np.zeros(lp.spec.A.dim)),
-                         lp.spec, inst.schedules,
+        lifted = inst.lifted
+        bold = papc_step(PapcState(0, np.zeros(lifted.B.dim), np.zeros(lifted.A.dim)),
+                         lifted, inst.schedules,
                          ReplicatedOracle(DeterministicOracle(cp.C), cp.m, cp.base_dim))
         np.testing.assert_allclose(bold.x[:cp.base_dim], flat.x, atol=1e-14)
         np.testing.assert_allclose(bold.v, flat.v, atol=1e-14)
@@ -198,15 +196,15 @@ class TestEquivalence:
         cp = inst.composite
         wrong = CompositeProblem(weights=np.array([0.2, 0.3, 0.5]), C=cp.C,
                                  blocks=cp.blocks, h=cp.h)
-        lp_right = lift(cp)
+        lifted_right = lift(cp)
         oracle = DeterministicOracle(cp.C)
         rep = ReplicatedOracle(DeterministicOracle(cp.C), cp.m, cp.base_dim)
         flat = PapcState(0, np.zeros(cp.base_dim), np.zeros(sum(cp.dual_dims)))
-        bold = PapcState(0, np.zeros(lp_right.spec.B.dim), np.zeros(lp_right.spec.A.dim))
+        bold = PapcState(0, np.zeros(lifted_right.B.dim), np.zeros(lifted_right.A.dim))
         wrong_spec = stack(wrong)
         for _ in range(20):
             flat = papc_step(flat, wrong_spec, inst.schedules, oracle)
-            bold = papc_step(bold, lp_right.spec, inst.schedules, rep)
+            bold = papc_step(bold, lifted_right, inst.schedules, rep)
         dev = np.max(np.abs(bold.x[:cp.base_dim] - flat.x))
         assert dev > 1e-6
 

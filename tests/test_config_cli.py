@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import papc
-from papc import runner
+from papc import config, runner
 from papc.cli import main as cli_main
 from papc.config import (ExperimentConfig, parse_config, parse_prox_spec,
-                         parse_projector_spec, serialize_config)
+                         parse_projector_spec, parse_smooth_spec, serialize_config)
 from papc.errors import ConfigError
 from papc.linop import write_matrix
+from papc.monotone import quadratic_lipschitz
 from papc.runner import default_checkpoints, run_experiment, validate_only
 
 BASIC = """
@@ -91,6 +92,17 @@ class TestProxSpecs:
         with pytest.raises(ConfigError):
             parse_prox_spec("mystery()", 2)
 
+    def test_smooth_quadratic_reads_each_file_once(self, tmp_path, monkeypatch):
+        D = np.array([[2.0, 1.0], [0.0, 1.0]])
+        write_matrix(tmp_path / "D.txt", D)
+        write_matrix(tmp_path / "a.txt", np.array([[1.0], [2.0]]))
+        read, paths = config.read_matrix, []
+        monkeypatch.setattr(config, "read_matrix", lambda path: paths.append(path) or read(path))
+        f, lipschitz = parse_smooth_spec("quadratic(D=D.txt, a=a.txt)", 2, str(tmp_path))
+        assert len(paths) == 2
+        assert lipschitz == quadratic_lipschitz(D)
+        np.testing.assert_allclose(f.gradient(np.zeros(2)), -D.T @ [1.0, 2.0])
+
 
 class TestProjectorSpecs:
     def test_full(self):
@@ -150,6 +162,13 @@ class TestRunner:
         res = run_experiment(cfg, out_dir=str(tmp_path / "t"))
         header = open(os.path.join(res.out_dir, "seed_0_gap.csv")).readline().strip()
         assert header == "N,gap,bound,sum_gamma,slope_window"
+
+    def test_seed_override_leaves_the_config_alone(self, tmp_path):
+        cfg = parse_config(BASIC.replace("horizon = 500", "horizon = 20"))
+        run_experiment(cfg, out_dir=str(tmp_path / "a"), seed_override=5)
+        assert cfg.seeds == (0, 1)
+        assert sorted(run_experiment(cfg, out_dir=str(tmp_path / "b")).summary["seeds"]) == [
+            "0", "1"]
 
     def test_rejected_schedule_exit_2(self, tmp_path):
         text = BASIC.replace("gamma0 = auto", "gamma0 = 100.0")
@@ -389,6 +408,14 @@ class TestCli:
         ("problem", "name = custom\nh = sq_dist(b=0.0)\ng = l1(weight=abc)", ""),
         ("schedules", "gamma0 = x", "config error: [schedules] gamma0: could not"),
         ("run", "seeds = 0 x", "config error: [run] seeds: invalid literal"),
+        ("problem", "name = custom\nh = sq_dist(b=0.0)\nprojector = averaging:0",
+         "config error: projector 'averaging:0': the number of copies must be at least 1"),
+        ("problem", "name = custom\nh = sq_dist(b=0.0)\nprojector = averaging:-2",
+         "config error: projector 'averaging:-2': the number of copies must be at least 1"),
+        # Every comparison with NaN is False, so a NaN weight once passed the check.
+        ("problem", "name = custom_composite\nh = sq_dist(b=0.5)\nblock1.g = l1(weight=0.3)\n"
+         "block1.omega = nan\nblock2.g = sq_dist(b=0.1)\nblock2.omega = 1.0",
+         "config error: weights must lie in (0,1] and sum to 1"),
     ]
 
     @pytest.mark.parametrize("section,entries,cause", OUT_OF_RANGE,

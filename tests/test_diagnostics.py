@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from papc.diagnostics import (GapConstant, GapRow, SaddleFunction, epsilon_saddle_check,
-                              fejer_tracker, gap_and_bound, kkt_residual, rate_fit,
-                              saddle_value)
+from papc.diagnostics import (GapConstant, GapRow, SaddleFunction, fejer_tracker,
+                              gap_and_bound, kkt_residual, rate_fit, saddle_value)
 from papc.errors import CertificateError, FejerViolationError, IndeterminateValueError
 from papc.linop import LinearMap, OrthoProjector, SpdOperator
 from papc.monotone import MonotoneBlock, CocoerciveMap, l1, sq_dist, zero_prox, singleton
@@ -13,6 +12,8 @@ from papc.solver import ProblemSpec, Schedules, run, validate_hypotheses
 from papc.stochastic import DeterministicOracle, GaussianOracle, VarianceSchedule
 from papc.zoo import build_instance, oracle_solution, saddle_function
 from papc.runner import default_checkpoints
+
+from checks import epsilon_saddle_check
 
 
 def degenerate_spec(dim=2):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from papc.errors import DimensionMismatchError, StepSizeViolationError
-from papc.linop import (LinearMap, OrthoProjector, SpdOperator, adjoint_consistency_check,
-                        certify_tau, coupling_lambda_max, inner, norm, read_matrix,
-                        weighted_norm_sq, write_matrix)
-from papc.zoo import _difference_matrix, build_instance
+from papc.linop import (LinearMap, OrthoProjector, SpdOperator, certify_tau,
+                        coupling_lambda_max, inner, norm, read_matrix, weighted_norm_sq,
+                        write_matrix)
+from papc.zoo import build_instance
+
+from checks import adjoint_consistency_check, difference_matrix
 
 
 def random_projectors(dim, rng):
@@ -47,7 +49,7 @@ class TestDifference:
     @pytest.mark.parametrize("dim", [2, 3, 12, 257])
     def test_matches_dense_matrix(self, dim):
         L = LinearMap.difference(dim)
-        mat = _difference_matrix(dim)
+        mat = difference_matrix(dim)
         rng = np.random.default_rng(dim)
         assert adjoint_consistency_check(L, 10, rng=rng)
         assert L.matrix is None
@@ -59,7 +61,7 @@ class TestDifference:
 
     @pytest.mark.parametrize("dim", [2, 3, 12, 257])
     def test_closed_form_norm(self, dim):
-        mat = _difference_matrix(dim)
+        mat = difference_matrix(dim)
         lmax = np.linalg.eigvalsh(mat @ mat.T)[-1]
         norm_bound = LinearMap.difference(dim).norm_bound()
         assert norm_bound ** 2 == pytest.approx(lmax, rel=1e-12)
@@ -106,19 +108,19 @@ class TestCouplingLambdaMax:
         # self-adjoint only in the weighted dual space, so the reference is
         # the unsymmetrized dense product and its general eigenvalues.
         inst = build_instance("multi", {})
-        lp, cp = inst.lifted, inst.composite
-        m, d = lp.m, lp.base_dim
-        blocks = (np.eye(d), _difference_matrix(d), cp.blocks[2].L.matrix)
+        lifted, cp = inst.lifted, inst.composite
+        m, d = cp.m, cp.base_dim
+        blocks = (np.eye(d), difference_matrix(d), cp.blocks[2].L.matrix)
         Ld = np.zeros((sum(cp.dual_dims), m * d))
         for i, (mat, (s, e)) in enumerate(zip(blocks, cp.dual_offsets)):
             Ld[s:e, i * d:(i + 1) * d] = mat
         Pd = np.kron(np.ones((m, 1)) @ cp.weights[None, :], np.eye(d))
-        wH, wG = lp.spec.L.domain_weights, lp.spec.L.codomain_weights
+        wH, wG = lifted.L.domain_weights, lifted.L.codomain_weights
         adjoint = np.diag(1.0 / wH) @ Ld.T @ np.diag(wG)
-        root = np.diag(np.sqrt(lp.spec.U.diag))
+        root = np.diag(np.sqrt(lifted.U.diag))
         dense = root @ Ld @ Pd @ adjoint @ root
         expected = np.max(np.linalg.eigvals(dense).real)
-        lam = coupling_lambda_max(lp.spec.U, lp.spec.L, lp.spec.P_V)
+        lam = coupling_lambda_max(lifted.U, lifted.L, lifted.P_V)
         assert lam == pytest.approx(expected, rel=1e-12)
 
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from papc.monotone import (PROX_LIBRARY, CocoerciveMap, MonotoneBlock, ProductMonotoneBlock,
-                           ProxFunction, box, box_support, cocoercivity_check,
-                           firm_nonexpansiveness_check, gradient_map, inverse_resolvent, l1,
-                           prox_inequality_check, quadratic_lipschitz, quadratic_ls,
-                           singleton, sq_dist, zero_prox)
+from papc.monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, ProxFunction,
+                           box, box_support, gradient_map, inverse_resolvent, l1,
+                           quadratic_lipschitz, quadratic_ls, singleton, sq_dist, zero_prox)
+
+from checks import (PROX_LIBRARY, cocoercivity_check, firm_nonexpansiveness_check,
+                    prox_inequality_check)
 
 ARR = lambda *vals: np.array(vals, dtype=float)
 

@@ -7,8 +7,10 @@ from papc.linop import LinearMap, norm
 from papc.monotone import CocoerciveMap
 from papc.solver import Schedules
 from papc.stochastic import (NOISE_BLOCK, DeterministicOracle, GaussianOracle, MinibatchOracle,
-                             VarianceSchedule, empirical_variance, summability_certificate)
+                             VarianceSchedule, summability_certificate)
 from papc.zoo import build_instance
+
+from checks import empirical_variance
 
 
 def linear_map(dim=3, scale=1.0):
@@ -29,22 +31,25 @@ class TestSample:
 
     def test_gaussian_std_per_coordinate(self):
         # sigma_n^2 = 1/(n+1)^2: at n = 3 the per-coordinate std is 1/4.
+        # Each replicate is a one-seed oracle with its own seed.
         sched = VarianceSchedule.polynomial(1.0, 1.0)
         assert math.sqrt(sched.sigma_sq(3)) == pytest.approx(0.25)
-        oracle = GaussianOracle(linear_map(1), sched, seeds=42)
+        B = linear_map(1)
         x = np.array([0.7])
         trials = 10 ** 5
-        vals = np.array([oracle.sample(x, 3, t)[0] for t in range(trials)])
+        vals = np.array([GaussianOracle(B, sched, seeds=s).sample(x, 3)[0]
+                         for s in range(trials)])
         se = 0.25 / math.sqrt(trials)
         assert abs(vals.mean() - x[0]) <= 3 * se
 
     def test_unbiasedness_minibatch(self):
         D = LinearMap.from_matrix([[1.0], [3.0], [-1.0], [0.5]])
-        oracle = MinibatchOracle(D, [0.0, 1.0, 2.0, -4.0], beta=0.1, seeds=9, batch=2)
+        a = [0.0, 1.0, 2.0, -4.0]
         x = np.array([1.0])
-        mean = oracle.base.apply(x)
+        mean = MinibatchOracle(D, a, beta=0.1, seeds=0).base.apply(x)
         trials = 10 ** 5
-        vals = np.array([oracle.sample(x, 0, t)[0] for t in range(trials)])
+        vals = np.array([MinibatchOracle(D, a, beta=0.1, seeds=s, batch=2).sample(x, 0)[0]
+                         for s in range(trials)])
         se = vals.std(ddof=1) / math.sqrt(trials)
         assert abs(vals.mean() - mean[0]) <= 3 * se
 
@@ -61,7 +66,7 @@ class TestSample:
 
 class TestBlockStream:
     """The gaussian noise is drawn NOISE_BLOCK steps at a time, yet each
-    (seed, n, t) still names one sample."""
+    (seed, n) still names one sample."""
 
     # Constant variance, so two steps share a sample only if they share noise.
     SCHED = VarianceSchedule.constant(1.0)
@@ -90,18 +95,10 @@ class TestBlockStream:
             assert rows[0].tobytes() == first.sample(xs[0], n).tobytes() == vector.tobytes(), n
             assert rows[1].tobytes() == second.sample(xs[1], n).tobytes(), n
 
-    def test_replicates_differ(self):
-        x = np.array([0.1, 0.2, 0.3])
-        oracle = self.oracle(7)
-        for n in self.NS:
-            t0 = oracle.sample(x, n)
-            assert not np.array_equal(t0, oracle.sample(x, n, 1)), n
-            assert oracle.sample(x, n).tobytes() == t0.tobytes(), n
-
 
 class TestMinibatchRows:
     """A minibatch sample is (m/k) sum_{i in I} d_i (d_i^T x - a_i) over the rows
-    I = default_rng((seed, n, t)).choice(m, k, replace=False) of 0.5||Dx - a||^2."""
+    I = default_rng((seed, n, 0)).choice(m, k, replace=False) of 0.5||Dx - a||^2."""
 
     @pytest.mark.parametrize("name", ["cls", "fused"])
     def test_sample_is_the_drawn_rows_gradient(self, name):
@@ -122,25 +119,27 @@ class TestMinibatchRows:
 class TestEmpiricalVariance:
     def test_zero_noise(self):
         oracle = DeterministicOracle(linear_map())
-        assert empirical_variance(oracle, np.zeros(3), 0, 10) == 0.0
+        assert empirical_variance([oracle] * 10, np.zeros(3), 0) == 0.0
 
     def test_gaussian_quarter(self):
         sched = VarianceSchedule.constant(0.25)
-        oracle = GaussianOracle(linear_map(1), sched, seeds=3)
+        B = linear_map(1)
         trials = 10 ** 5
-        est = empirical_variance(oracle, np.array([0.4]), 0, trials)
+        est = empirical_variance((GaussianOracle(B, sched, seeds=s) for s in range(trials)),
+                                 np.array([0.4]), 0)
         rel_se = math.sqrt(2.0 / (trials - 1))  # chi-square moments
         assert abs(est - 0.25) <= 5 * 0.25 * rel_se
 
     def test_identical_components_have_zero_variance(self):
         D = LinearMap.from_matrix([[1.0, -2.0]] * 4)
-        oracle = MinibatchOracle(D, [0.5] * 4, beta=0.05, seeds=0, batch=2)
-        assert empirical_variance(oracle, np.ones(2), 0, 32) == 0.0
+        oracles = (MinibatchOracle(D, [0.5] * 4, beta=0.05, seeds=s, batch=2)
+                   for s in range(32))
+        assert empirical_variance(oracles, np.ones(2), 0) == 0.0
 
     def test_requires_two_trials(self):
         oracle = DeterministicOracle(linear_map())
         with pytest.raises(ValueError):
-            empirical_variance(oracle, np.zeros(3), 0, 1)
+            empirical_variance([oracle], np.zeros(3), 0)
 
 
 class TestSummability:

@@ -11,6 +11,8 @@ from papc.stochastic import DeterministicOracle
 from papc.zoo import (build_instance, cls_kkt_oracle, lasso_sign_oracle, long_run_oracle,
                       oracle_solution, saddle_function, zoo)
 
+from checks import difference_matrix
+
 ALL_NAMES = ("cls", "lasso", "fused", "multi")
 
 
@@ -37,7 +39,7 @@ class TestOracleSelfChecks:
         if inst.lifted is not None:
             # The lifted problem is the reference the composite oracle is
             # computed on; the solution must check there too.
-            pres, dres = kkt_residual(inst.lifted.embed_primal(x), v, inst.lifted.spec)
+            pres, dres = kkt_residual(np.tile(x, inst.composite.m), v, inst.lifted)
             assert max(pres, dres) <= 1e-8
 
 
@@ -90,12 +92,11 @@ class TestFusedExamples:
         from papc.linop import LinearMap, OrthoProjector, SpdOperator
         from papc.monotone import MonotoneBlock, gradient_map, l1, quadratic_ls
         from papc.solver import ProblemSpec
-        from papc.zoo import _difference_matrix
         dim = 8
         a = np.full(dim, 1.7)
         h = quadratic_ls(np.eye(dim), a)
         g = l1(0.3, dim - 1)
-        Lmat = _difference_matrix(dim)
+        Lmat = difference_matrix(dim)
         spec = ProblemSpec(B=gradient_map(h, 1.0), A=MonotoneBlock.from_prox(g),
                            L=LinearMap.from_matrix(Lmat),
                            P_V=OrthoProjector.full(dim),
@@ -108,10 +109,9 @@ class TestFusedExamples:
 
     def test_closed_form_step_size(self):
         # tau = 0.9 / lambda_max(L L*), with the dense eigendecomposition as the reference.
-        from papc.zoo import _difference_matrix
         for dim in (2, 12, 200):
             inst = build_instance("fused", {"dim": str(dim)})
-            mat = _difference_matrix(dim)
+            mat = difference_matrix(dim)
             lmax = float(np.linalg.eigvalsh(mat @ mat.T)[-1])
             assert inst.schedules.tau_cap == pytest.approx(0.9 / lmax, rel=1e-12)
 
