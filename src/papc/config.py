@@ -274,12 +274,41 @@ def _load_vector(value, base_dir):
         return mat.ravel()
 
 
+# The keys each prox tag accepts.
+_TAG_KEYS = {
+    "zero": (),
+    "l1": ("weight",),
+    "box": ("lo", "hi"),
+    "box_support": ("lo", "hi"),
+    "singleton": ("c",),
+    "sq_dist": ("b",),
+    "quadratic": ("A", "D", "b", "a"),
+}
+
+
 def _parse_tag(tag):
-    """The name and keyword arguments of a prox tag."""
+    """The name and keyword arguments of a prox tag; a key the tag does not
+    accept is a config error naming both."""
     match = _TAG_RE.match(tag)
     if not match:
         raise ConfigError("malformed prox tag %r" % tag)
-    return match.group(1), _parse_kwargs(match.group(2))
+    name, kw = match.group(1), _parse_kwargs(match.group(2))
+    accepted = _TAG_KEYS.get(name)
+    if accepted is not None:
+        for key in kw:
+            if key not in accepted:
+                raise ConfigError("prox tag %s: unknown key %r (accepted: %s)"
+                                  % (name, key, ", ".join(accepted) or "none"))
+    return name, kw
+
+
+def _tag_float(name, kw, key, default):
+    """A tag's number; a value that does not convert is a config error
+    naming the tag and the key."""
+    try:
+        return float(kw.get(key, default))
+    except ValueError as exc:
+        raise ConfigError("prox tag %s: %s: %s" % (name, key, exc)) from exc
 
 
 def _quadratic_data(kw, base_dir):
@@ -303,11 +332,12 @@ def parse_prox_spec(tag, dim, base_dir="."):
     if name == "zero":
         return zero_prox(dim)
     if name == "l1":
-        return l1(float(kw.get("weight", 1.0)), dim)
+        return l1(_tag_float(name, kw, "weight", 1.0), dim)
     if name == "box":
-        return box(float(kw.get("lo", -1.0)), float(kw.get("hi", 1.0)), dim)
+        return box(_tag_float(name, kw, "lo", -1.0), _tag_float(name, kw, "hi", 1.0), dim)
     if name == "box_support":
-        return box_support(float(kw.get("lo", -1.0)), float(kw.get("hi", 1.0)), dim)
+        return box_support(_tag_float(name, kw, "lo", -1.0), _tag_float(name, kw, "hi", 1.0),
+                           dim)
     if name == "singleton":
         c = _load_vector(kw.get("c", "0.0"), base_dir)
         return singleton(c, dim=dim if np.isscalar(c) or np.size(c) == 1 else None)
@@ -316,8 +346,7 @@ def parse_prox_spec(tag, dim, base_dir="."):
         return sq_dist(b, dim=dim if np.size(b) == 1 else None)
     if name == "quadratic":
         return quadratic_ls(*_quadratic_data(kw, base_dir))
-    raise ConfigError("unknown prox tag %r; known: zero, l1, box, box_support, "
-                      "singleton, sq_dist, quadratic" % name)
+    raise ConfigError("unknown prox tag %r; known: %s" % (name, ", ".join(_TAG_KEYS)))
 
 
 def parse_smooth_spec(tag, dim, base_dir="."):
@@ -354,7 +383,10 @@ def parse_projector_spec(spec, dim, base_dir="."):
             raise ConfigError("projector basis must have %d rows" % dim)
         return OrthoProjector.from_basis(basis)
     if spec.startswith("averaging:"):
-        m = int(spec.split(":", 1)[1])
+        try:
+            m = int(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise ConfigError("projector %r: the number of copies: %s" % (spec, exc)) from exc
         if m < 1:
             raise ConfigError("projector %r: the number of copies must be at least 1" % spec)
         if dim % m != 0:

@@ -16,8 +16,8 @@ problem min_x h(x) + g(Lx) is the case A = the subdifferential of g
 The iterates are vectors, or (S, d) arrays of S independent runs (one per
 seed of the oracle): every operator acts on the last axis and its rows never
 mix, so one step advances all S runs and each row is bitwise the run of its
-seed alone.  :func:`run` always iterates (S, d) arrays; a vector run is the
-one-row batch.
+seed alone.  :func:`run` always records (S, d) traces, a vector run being
+the one-row batch, and steps a one-row batch on its vectors.
 """
 
 from __future__ import annotations
@@ -60,8 +60,11 @@ class ProblemSpec:
     the gap diagnostics.
 
     U's blocks must be A's (one for a single MonotoneBlock), or
-    :class:`DimensionMismatchError` is raised; each block's (resolvent,
-    start, stop, sigma) is resolved here, once, for :func:`dual_resolvent`."""
+    :class:`DimensionMismatchError` is raised.  The step plan is resolved
+    here, once: each block's (resolvent, start, stop, sigma) for
+    :func:`dual_resolvent`, whether P_V is full (the identity) and whether U
+    is the identity (every sigma_i is 1.0); :func:`papc_step` skips both
+    identities, which changes no bit."""
 
     B: CocoerciveMap
     A: MonotoneBlock | ProductMonotoneBlock
@@ -72,6 +75,8 @@ class ProblemSpec:
     h: Optional[ProxFunction] = None
     name: str = ""
     _dual_blocks: tuple = field(init=False, repr=False, compare=False)
+    _full_P: bool = field(init=False, repr=False, compare=False)
+    _unit_U: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.B.dim == self.L.domain_dim == self.P_V.dim):
@@ -85,6 +90,9 @@ class ProblemSpec:
             raise DimensionMismatchError("U's blocks must be A's blocks %s" % (offsets,))
         object.__setattr__(self, "_dual_blocks", tuple(
             (blk.resolvent, s, e, sigma) for blk, (s, e, sigma) in zip(parts, self.U.blocks)))
+        object.__setattr__(self, "_full_P", self.P_V.kind == "full")
+        object.__setattr__(self, "_unit_U",
+                           all(sigma == 1.0 for _, _, sigma in self.U.blocks))
 
     @property
     def primal_weights(self):
@@ -287,6 +295,39 @@ def _check_finite(arr, label, n, live):
             raise DivergenceError(label, n, rows=np.flatnonzero(bad))
 
 
+_sum = np.add.reduce
+
+
+def _step(state, spec, sched, oracle, checked):
+    """The arithmetic of one step; ``checked`` checks r_n, p_n, v_{n+1} and
+    x_{n+1} as they are made.  A full P_V and a unit U are skipped."""
+    n, live = state.n, state.live
+    gam = float(sched.gamma(n))
+    tau = float(sched.tau(n))
+    r = oracle.sample(state.x, n)
+    if checked:
+        _check_finite(r, "r_n", n, live)
+    adj_v = spec.L.adjoint(state.v) if state.adj_v is None else state.adj_v
+    p = state.x - gam * (adj_v + r)
+    if not spec._full_P:
+        p = spec.P_V(p)
+    if checked:
+        _check_finite(p, "p_n", n, live)
+    lam = tau / gam
+    Lp = spec.L(p)
+    w = state.v + lam * (Lp if spec._unit_U else spec.U.apply(Lp))
+    v1 = dual_resolvent(spec, lam, w)
+    if checked:
+        _check_finite(v1, "v_{n+1}", n, live)
+    adj_v1 = spec.L.adjoint(v1)
+    x1 = state.x - gam * (adj_v1 + r)
+    if not spec._full_P:
+        x1 = spec.P_V(x1)
+    if checked:
+        _check_finite(x1, "x_{n+1}", n, live)
+    return PapcState(n + 1, x1, v1, p, live, adj_v1)
+
+
 def papc_step(state, spec, sched, oracle):
     """One iteration of the inclusion algorithm.  Draws exactly one oracle
     sample and reuses it in the predictor and the correction line, and
@@ -294,23 +335,28 @@ def papc_step(state, spec, sched, oracle):
     step's predictor (``state.adj_v``; computed here when None).  A
     non-finite quantity in a row of ``state.live`` (in any row, when it is
     None) raises :class:`DivergenceError`, which names those rows of (S, d)
-    iterates; the mask is carried to the next state."""
-    n, live = state.n, state.live
-    gam = float(sched.gamma(n))
-    tau = float(sched.tau(n))
-    r = oracle.sample(state.x, n)
-    _check_finite(r, "r_n", n, live)
-    adj_v = spec.L.adjoint(state.v) if state.adj_v is None else state.adj_v
-    p = spec.P_V(state.x - gam * (adj_v + r))
-    _check_finite(p, "p_n", n, live)
-    lam = tau / gam
-    w = state.v + lam * spec.U.apply(spec.L(p))
-    v1 = dual_resolvent(spec, lam, w)
-    _check_finite(v1, "v_{n+1}", n, live)
-    adj_v1 = spec.L.adjoint(v1)
-    x1 = spec.P_V(state.x - gam * (adj_v1 + r))
-    _check_finite(x1, "x_{n+1}", n, live)
-    return PapcState(n + 1, x1, v1, p, live, adj_v1)
+    iterates; the mask is carried to the next state.
+
+    The step is first taken with floating-point overflow, division by zero
+    and invalid operations raised, and only v_{n+1} and x_{n+1} checked,
+    over the live rows.  If either check fails or an error is raised, it is
+    taken again from the same state, under the caller's error state, with
+    r_n, p_n, v_{n+1} and x_{n+1} each checked as it is made: so the error
+    names the first non-finite quantity, and a warning is what the caller's
+    error state makes of it.  The oracle is keyed by (seed, n), so the
+    second take draws the same sample."""
+    live = state.live
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = _step(state, spec, sched, oracle, False)
+            x1, v1 = (out.x, out.v) if live is None else (out.x[live], out.v[live])
+            # A sum is finite exactly when its terms are, short of an
+            # overflow, which raises: the step is taken again either way.
+            if math.isfinite(_sum(x1, axis=None) + _sum(v1, axis=None)):
+                return out
+    except FloatingPointError:
+        pass
+    return _step(state, spec, sched, oracle, True)
 
 
 @dataclass
@@ -529,7 +575,10 @@ def run(spec, sched, oracle, x0, v0, horizon, sink=None, checkpoints=(),
     rows, since rows never mix and the oracle is keyed by (seed, n).
     Vectors ``x0``, ``v0`` are the one-row batch of a one-seed oracle: the
     result is its RunRecord, and divergence raises the row's DivergenceError
-    with that record attached.
+    with that record attached.  A one-row batch is stepped on its row as a
+    vector, which gives the row's bits faster; its trace and checkpoint
+    averages are still (1, d).  Each step is papc_step's: two finiteness
+    checks, and the step taken again with four when one fails.
 
     Given a ``sink``, the trace is held _BLOCK rows at a time: each time
     the rows fill the buffer, and once after the last row, ``sink(block)``
@@ -544,7 +593,12 @@ def run(spec, sched, oracle, x0, v0, horizon, sink=None, checkpoints=(),
     if vector:
         x0, v0 = x0[None], v0[None]
     seeds = len(x0)
-    state = PapcState(0, x0, v0)
+    if seeds == 1 and len(getattr(oracle, "seeds", ())) > 1:
+        # A vector sample would be drawn with the first seed alone.
+        raise DimensionMismatchError("1 rows for %d seeds" % len(oracle.seeds))
+    # One seed steps on vectors, whose bits are its row's (rows never mix)
+    # and which numpy steps faster than a one-row array.
+    state = PapcState(0, x0[0], v0[0]) if seeds == 1 else PapcState(0, x0, v0)
 
     cps = sorted(set(int(c) for c in checkpoints))
     if cps and cps[0] < 0:
@@ -604,7 +658,8 @@ def run(spec, sched, oracle, x0, v0, horizon, sink=None, checkpoints=(),
             break
         acc = ergodic_update(acc, gam, state.x, state.v)
         if next_cp is not None and n == next_cp:
-            snaps.append(ErgodicCheckpoint(n, acc.x_avg.copy(), acc.v_avg.copy(),
+            snaps.append(ErgodicCheckpoint(n, acc.x_avg.reshape(seeds, -1).copy(),
+                                           acc.v_avg.reshape(seeds, -1).copy(),
                                            acc.weight_sum))
             next_cp = next(cp_iter, None)
     else:

@@ -16,7 +16,7 @@ from papc.cli import main as cli_main
 from papc import composite, solver
 from papc.composite import lift, stack
 from papc.diagnostics import kkt_residual
-from papc.errors import DivergenceError, StepSizeViolationError
+from papc.errors import DimensionMismatchError, DivergenceError, StepSizeViolationError
 from papc.linop import LinearMap, OrthoProjector, SpdOperator, inner, norm, weighted_norm_sq
 from papc.monotone import (MonotoneBlock, ProductMonotoneBlock, inverse_resolvent, l1,
                            quadratic_ls)
@@ -222,6 +222,59 @@ class TestBatchedRun:
             batched = zoo_run(oracle((1, 2)), 2, name=name)
             for i, seed in enumerate((1, 2)):
                 assert_same_record(batched.seed(i), zoo_run(oracle(seed), 0, name=name))
+
+    @pytest.mark.parametrize("name", ["lasso", "cls", "multi", "fused"])
+    def test_one_seed_steps_on_vectors(self, monkeypatch, name):
+        # A one-row run steps its row as a vector and records what the row
+        # of that seed records in a batch, with (1, d) checkpoint averages.
+        inst = build_instance(name, {})
+        shapes = []
+
+        def recording(state, *args):
+            shapes.append(state.x.shape)
+            return papc_step(state, *args)
+
+        def oracle(seeds):
+            return MinibatchOracle(*inst.least_squares, inst.spec.B.beta, seeds, batch=2)
+
+        batched = zoo_run(oracle((7, 8, 9)), 3, name=name)
+        monkeypatch.setattr(solver, "papc_step", recording)
+        one = zoo_run(oracle(8), 1, name=name)
+        assert set(shapes) == {(inst.spec.B.dim,)} and len(shapes) == 40
+        assert_same_record(one.seed(0), batched.seed(1))
+        for cp in one.checkpoints:
+            assert cp.x_avg.shape == (1, inst.spec.B.dim)
+            assert cp.v_avg.shape == (1, inst.spec.A.dim)
+
+    def test_one_row_needs_a_one_seed_oracle(self):
+        B = build_instance("lasso", {}).spec.B
+        oracle = GaussianOracle(B, VarianceSchedule.polynomial(1.0, 1.0), (0, 1))
+        for rows in (0, 1):
+            with pytest.raises(DimensionMismatchError, match="1 rows for 2 seeds"):
+                zoo_run(oracle, rows)
+
+    def test_retired_row_replays_no_later_step(self, monkeypatch):
+        # Seed 1's sample turns NaN at step 5: papc_step takes that step
+        # with the four checks once, and no later step, since the retired
+        # row's NaNs are masked from the two checks.
+        checked = []
+        step = solver._step
+
+        def counting(state, spec, sched, oracle, check):
+            if check:
+                checked.append(state.n)
+            return step(state, spec, sched, oracle, check)
+
+        monkeypatch.setattr(solver, "_step", counting)
+        batched = zoo_run(PoisonedOracle((0, 1, 2), {1: 5}), 3, horizon=60)
+        assert batched.stops == (60, 5, 60)
+        assert checked == [5]
+
+    def test_one_seed_divergence_names_row_zero(self):
+        with pytest.raises(DivergenceError) as exc:
+            zoo_run(PoisonedOracle((5,), {5: 3}), 0)
+        assert exc.value.rows.tolist() == [0]
+        assert str(exc.value) == "non-finite values in r_n at iteration 3"
 
     def test_diverged_seed_is_retired(self):
         # Seed 1 retires inside the first noise block, so the survivors take

@@ -92,6 +92,23 @@ class TestProxSpecs:
         with pytest.raises(ConfigError):
             parse_prox_spec("mystery()", 2)
 
+    @pytest.mark.parametrize("tag,key", [
+        ("zero(weight=1)", "weight"), ("l1(lo=x)", "lo"), ("box(weight=1)", "weight"),
+        ("box_support(low=0)", "low"), ("singleton(b=0)", "b"), ("sq_dist(c=0)", "c"),
+        ("quadratic(D=D.txt, a=a.txt, c=1)", "c")])
+    def test_tag_rejects_keys_outside_its_own(self, tmp_path, tag, key):
+        name = tag.split("(")[0]
+        with pytest.raises(ConfigError, match="prox tag %s: unknown key '%s'" % (name, key)):
+            parse_prox_spec(tag, 2, base_dir=str(tmp_path))
+
+    def test_quadratic_tag_accepts_both_spellings(self, tmp_path):
+        write_matrix(tmp_path / "D.txt", np.eye(2))
+        write_matrix(tmp_path / "a.txt", np.array([[1.0], [2.0]]))
+        for tag in ("quadratic(D=D.txt, a=a.txt)", "quadratic(A=D.txt, b=a.txt)",
+                    "quadratic(A=D.txt, a=a.txt)"):
+            f = parse_prox_spec(tag, 2, base_dir=str(tmp_path))
+            np.testing.assert_allclose(f.gradient(np.zeros(2)), [-1.0, -2.0])
+
     def test_smooth_quadratic_reads_each_file_once(self, tmp_path, monkeypatch):
         D = np.array([[2.0, 1.0], [0.0, 1.0]])
         write_matrix(tmp_path / "D.txt", D)
@@ -405,7 +422,17 @@ class TestCli:
         ("run", "checkpoints = -1 10 20", "config error: checkpoints must be nonnegative"),
         ("run", "checkpoints = 10 100 200",
          "config error: [run] checkpoints: 200 is not below the horizon 20"),
-        ("problem", "name = custom\nh = sq_dist(b=0.0)\ng = l1(weight=abc)", ""),
+        ("problem", "name = custom\nh = sq_dist(b=0.0)\ng = l1(weight=abc)",
+         "config error: prox tag l1: weight: could not convert string to float: 'abc'"),
+        ("problem", "name = custom\nh = sq_dist(b=0.0)\ng = box(lo=0, hi=z)",
+         "config error: prox tag box: hi: could not convert"),
+        ("problem", "name = custom\nh = sq_dist(b=0.0)\nprojector = averaging:abc",
+         "config error: projector 'averaging:abc': the number of copies: invalid literal"),
+        # A key the tag does not accept once ran the tag's default.
+        ("problem", "name = custom\nh = sq_dist(b=0.0)\ng = l1(lo=x)",
+         "config error: prox tag l1: unknown key 'lo' (accepted: weight)"),
+        ("problem", "name = custom\nh = sq_dist(bb=0.0)",
+         "config error: prox tag sq_dist: unknown key 'bb' (accepted: b)"),
         ("schedules", "gamma0 = x", "config error: [schedules] gamma0: could not"),
         ("run", "seeds = 0 x", "config error: [run] seeds: invalid literal"),
         ("problem", "name = custom\nh = sq_dist(b=0.0)\nprojector = averaging:0",

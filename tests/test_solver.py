@@ -280,6 +280,17 @@ class TestPapcStep:
             for _ in range(10):
                 state = papc_step(state, spec, sched, oracle)
 
+    def test_divergence_detected_under_the_warning_filter(self):
+        # The same run as above without the caller's errstate: the overflow
+        # warning is what the error::RuntimeWarning filter makes an error.
+        spec = one_dim_spec()
+        sched = Schedules.constant(1e6, 0.5, 1e7)
+        oracle = DeterministicOracle(CocoerciveMap(1, lambda x: x * 1e300, beta=1.0))
+        state = PapcState(0, np.array([1e300]), np.array([0.0]))
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            for _ in range(10):
+                state = papc_step(state, spec, sched, oracle)
+
     def test_nonscalar_metric_rejected(self):
         with pytest.raises(DimensionMismatchError):
             ProblemSpec(
@@ -513,3 +524,133 @@ class TestRun:
                   np.zeros(2), np.zeros(2), 200001)
         assert rec.stride == 3
         assert rec.ns[-1] == 200001
+
+
+class FixedOracle:
+    """r_n = ``scale`` x_n, except the rows ``poison`` of an (S, d) x_n at
+    step ``at``, which are ``value``."""
+
+    is_deterministic = True
+
+    def __init__(self, scale=1.0, poison=(), at=0, value=np.nan):
+        self.scale, self.poison, self.at, self.value = scale, tuple(poison), at, value
+
+    def sample(self, x, n):
+        r = self.scale * x
+        if n == self.at and x.ndim == 2:
+            for i in self.poison:
+                r[i] = self.value
+        return r
+
+
+def ignoring_map():
+    """A matrix-free L: R^2 -> R^1 that reads coordinate 0 and ignores 1."""
+    def adjoint(y):
+        return np.concatenate([y, np.zeros(y.shape[:-1] + (1,))], axis=-1)
+    return LinearMap(lambda x: x[..., :1], adjoint, 2, 1, name="ignoring")
+
+
+def free_dual_spec(L=None):
+    """A 2-d spec with B = Id whose dual step is the free update
+    v_{n+1} = w (g the indicator of {0}, so A^{-1} = 0)."""
+    L = L if L is not None else LinearMap.identity(2)
+    g = singleton(0.0, dim=L.codomain_dim)
+    return ProblemSpec(B=CocoerciveMap(2, lambda x: x, beta=1.0),
+                       A=MonotoneBlock.from_prox(g), L=L, P_V=OrthoProjector.full(2),
+                       U=SpdOperator.scalar_op(1.0, L.codomain_dim), g=g)
+
+
+def rows3(bad, healthy=(0.5, -0.25)):
+    """Three rows: ``healthy`` in rows 0 and 2, ``bad`` in row 1."""
+    return np.array([healthy, bad, healthy], dtype=float)
+
+
+# (quantity, spec, schedule, oracle, x, v, errstate kwargs): a step whose
+# first non-finite quantity is ``quantity``, in row 1 only.
+DIVERGENT_STEPS = {
+    # NaN and inf samples; after an inf one the step meets inf - inf.
+    "r_n-nan": ("r_n", free_dual_spec(), (0.5, 1.0, 1.0), FixedOracle(poison=[1]),
+                rows3([1.0, 2.0]), np.zeros((3, 2)), {}),
+    "r_n-inf": ("r_n", free_dual_spec(), (0.5, 1.0, 1.0),
+                FixedOracle(poison=[1], value=np.inf), rows3([1.0, 2.0]),
+                np.zeros((3, 2)), {}),
+    # L* v_n + r_n overflows: 1.5e308 + 1.5e308.
+    "p_n-overflow": ("p_n", free_dual_spec(), (0.5, 1.0, 1.0), FixedOracle(),
+                     rows3([1.5e308, 0.0]), rows3([1.5e308, 0.0], (0.0, 0.0)),
+                     {"over": "ignore"}),
+    # p_n overflows in the coordinate L ignores: (1 + gamma) x_n with r_n = -x_n.
+    "p_n-ignored-coordinate": ("p_n", free_dual_spec(L=ignoring_map()), (0.5, 1.0, 1.0),
+                               FixedOracle(scale=-1.0), rows3([0.0, 1.5e308]),
+                               np.zeros((3, 1)), {"over": "ignore"}),
+    # L p_n overflows: 4 * 1e308, with r_n = 0.
+    "v_{n+1}": ("v_{n+1}", free_dual_spec(L=LinearMap.from_matrix(4.0 * np.eye(2))),
+                (0.5, 0.5, 1.0), FixedOracle(scale=0.0), rows3([1e308, 0.0]),
+                np.zeros((3, 2)), {"over": "ignore"}),
+    # p_n = 0.75e308 and v_{n+1} = 1.5e308 are finite, L* v_{n+1} + r_n is not.
+    "x_{n+1}": ("x_{n+1}", free_dual_spec(), (0.5, 1.0, 1.0), FixedOracle(),
+                rows3([1.5e308, 0.0]), np.zeros((3, 2)), {"over": "ignore"}),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestStepChecks:
+    """A step checks v_{n+1} and x_{n+1} only, with floating-point errors
+    raised, and takes itself again with four checks when that fails: the
+    error names the first non-finite quantity and its rows, as four checks
+    in a row would."""
+
+    @pytest.mark.parametrize("case", sorted(DIVERGENT_STEPS))
+    def test_error_names_the_first_nonfinite_quantity(self, case):
+        quantity, spec, (gamma0, tau0, beta), oracle, x, v, errs = DIVERGENT_STEPS[case]
+        sched = Schedules.constant(gamma0, tau0, beta)
+        with np.errstate(**errs), pytest.raises(DivergenceError) as exc:
+            papc_step(PapcState(0, x, v), spec, sched, oracle)
+        assert str(exc.value) == "non-finite values in %s at iteration 0" % quantity
+        assert exc.value.rows.tolist() == [1]
+        # Each healthy row alone takes the step without an error.
+        for i in (0, 2):
+            papc_step(PapcState(0, x[i], v[i]), spec, sched, oracle)
+
+
+# The zoo's specs, with the P_V and U calls a step makes: lasso and fused
+# have a full P_V and a unit U, cls projects onto a basis, multi's stacked
+# spec scales each block by its sigma_i and its lifted spec also averages.
+ZOO_SPECS = {
+    "lasso": (lambda: build_instance("lasso", {}).spec, 0, 0),
+    "fused": (lambda: build_instance("fused", {}).spec, 0, 0),
+    "cls": (lambda: build_instance("cls", {}).spec, 2, 0),
+    "multi": (lambda: build_instance("multi", {}).spec, 0, 1),
+    "multi-lifted": (lambda: build_instance("multi", {}).lifted, 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZOO_SPECS))
+def test_operator_calls_per_step(monkeypatch, name):
+    # A step with L* v_n carried applies L and L* once each, a full P_V and
+    # a unit U never, and draws one sample; only the spec's own operators
+    # are counted.
+    make, projections, preconditions = ZOO_SPECS[name]
+    spec = make()
+    calls = {"L": 0, "L*": 0, "P_V": 0, "U": 0, "sample": 0}
+    owners = {"L": spec.L, "L*": spec.L, "P_V": spec.P_V, "U": spec.U}
+    for label, cls, attr in (("L", LinearMap, "__call__"), ("L*", LinearMap, "adjoint"),
+                             ("P_V", OrthoProjector, "__call__"), ("U", SpdOperator, "apply")):
+        def counted(self, arg, label=label, original=getattr(cls, attr)):
+            if self is owners[label]:
+                calls[label] += 1
+            return original(self, arg)
+        monkeypatch.setattr(cls, attr, counted)
+
+    class CountingOracle(DeterministicOracle):
+        def sample(self, x, n):
+            calls["sample"] += 1
+            return super().sample(x, n)
+
+    sched = Schedules.constant(0.5 * spec.B.beta, 0.1, spec.B.beta)
+    oracle = CountingOracle(spec.B)
+    state = papc_step(PapcState(0, np.zeros(spec.B.dim), np.zeros(spec.A.dim)), spec,
+                      sched, oracle)
+    assert state.adj_v is not None
+    calls.update(dict.fromkeys(calls, 0))
+    papc_step(state, spec, sched, oracle)
+    assert calls == {"L": 1, "L*": 1, "P_V": projections, "U": preconditions, "sample": 1}
