@@ -11,11 +11,11 @@ import time
 
 import numpy as np
 
-from papc.diagnostics import GapConstant, gap_and_bound, kkt_residual, rate_fit
+from papc.diagnostics import gap_and_bound, kkt_residual, rate_fit
 from papc.runner import default_checkpoints
 from papc.solver import run, validate_hypotheses
 from papc.stochastic import DeterministicOracle
-from papc.zoo import build_instance, oracle_solution, saddle_function
+from papc.zoo import build_instance, oracle_solution
 
 
 def run_problem(name, horizon):
@@ -33,9 +33,7 @@ def run_problem(name, horizon):
 
     dist = float(np.linalg.norm(rec.terminal_x - x_ref))
     pres, dres = kkt_residual(rec.terminal_x, rec.terminal_v, spec)
-    gapc = GapConstant(spec=spec, sched=inst.schedules,
-                       x0=np.zeros(spec.B.dim), v0=np.zeros(spec.A.dim), c0=0.0)
-    rows = gap_and_bound(rec, saddle_function(inst), (x_ref, v_ref), gapc)
+    rows = gap_and_bound(rec, spec, inst.schedules, (x_ref, v_ref))
     slope = rate_fit([(r.N, r.gap) for r in rows if r.finite], (100, horizon))
     violations = sum(1 for r in rows if r.finite and r.gap > r.bound)
     return dist, max(pres, dres), slope, violations, wall

@@ -12,11 +12,11 @@ import math
 
 import numpy as np
 
-from papc.diagnostics import GapConstant, gap_and_bound
+from papc.diagnostics import gap_and_bound
 from papc.runner import default_checkpoints
 from papc.solver import run
 from papc.stochastic import GaussianOracle, VarianceSchedule, summability_certificate
-from papc.zoo import build_instance, oracle_solution, saddle_function
+from papc.zoo import build_instance, oracle_solution
 
 
 def main():
@@ -34,10 +34,8 @@ def main():
     report = summability_certificate(noise, inst.schedules, args.horizon, regime="ergodic")
     print("noise certificate: %s (%s)" % (report.status, "; ".join(report.messages)))
 
-    gapc = GapConstant(spec=spec, sched=inst.schedules, x0=np.zeros(spec.B.dim),
-                       v0=np.zeros(spec.A.dim), c0=report.noise_constant(spec.B.dim))
+    c0 = report.noise_constant(spec.B.dim)
     cps = default_checkpoints(args.horizon)
-    K = saddle_function(inst)
 
     seeds = range(args.seeds)
     batch = run(spec, inst.schedules, GaussianOracle(spec.B, noise, seeds),
@@ -50,7 +48,7 @@ def main():
         if rec.diverged:
             raise SystemExit("seed %d: %s" % (seed, rec.error))
         dists.append(float(np.linalg.norm(rec.terminal_x - x_ref)))
-        tables.append(gap_and_bound(rec, K, (x_ref, v_ref), gapc))
+        tables.append(gap_and_bound(rec, spec, inst.schedules, (x_ref, v_ref), c0))
         print("seed %2d: terminal distance %.3e" % (seed, dists[-1]))
     print("max over seeds: %.3e" % max(dists))
 

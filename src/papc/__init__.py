@@ -14,8 +14,7 @@ from .monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, ProxF
 from .solver import (BatchRecord, ErgodicAccumulator, PapcState, ProblemSpec, RunRecord,
                      Schedules, ergodic_update, papc_step, run, validate_hypotheses)
 from .composite import CompositeBlock, CompositeProblem, lift, stack
-from .diagnostics import (GapConstant, SaddleFunction, fejer_tracker, gap_and_bound,
-                          kkt_residual, rate_fit, saddle_value)
+from .diagnostics import fejer_tracker, gap_and_bound, kkt_residual, rate_fit, saddle_value
 from .stochastic import (DeterministicOracle, GaussianOracle, MinibatchOracle,
                          VarianceSchedule, summability_certificate)
 

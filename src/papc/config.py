@@ -8,9 +8,10 @@ Grammar (also documented in the README):
 
 Sections and keys::
 
-    [problem]   name = cls | lasso | fused | multi | custom
-                any further keys are passed to the zoo builder verbatim
-                (custom problems instead use: h, g, L, projector, sigma)
+    [problem]   name = cls | lasso | fused | multi | custom | custom_composite,
+                and only the keys the problem reads (_PROBLEM_KEYS); custom_composite
+                reads dim, h and blockN.g, blockN.L, blockN.sigma, blockN.omega for
+                N = 1, 2, ... up to the first N with no blockN.g or blockN.L
     [schedules] gamma_kind = constant | harmonic_floor | harmonic
                 gamma0     = <float> | auto        (auto = 0.9 * beta)
                 tau_kind   = constant | ramp
@@ -60,6 +61,37 @@ __all__ = [
 
 _SECTIONS = ("problem", "schedules", "noise", "run", "output")
 
+# The [problem] keys each problem reads.
+_PROBLEM_KEYS = {
+    "cls": ("dim", "subspace_dim", "data_seed"),
+    "lasso": ("dim", "weight", "data_seed"),
+    "fused": ("dim", "weight", "data_seed"),
+    "multi": ("dim", "data_seed"),
+    "custom": ("dim", "h", "g", "L", "projector", "sigma"),
+    "custom_composite": ("dim", "h", "blockN.g", "blockN.L", "blockN.sigma", "blockN.omega"),
+}
+
+
+def composite_blocks(params):
+    """The number of blocks of a custom_composite problem: blocks 1, 2, ...
+    up to the first N with neither a blockN.g nor a blockN.L key."""
+    n = 0
+    while "block%d.g" % (n + 1) in params or "block%d.L" % (n + 1) in params:
+        n += 1
+    return n
+
+
+def _check_problem_keys(name, params):
+    """A [problem] key that ``name`` does not read (blockN keys: N = 1, 2, ...,
+    composite_blocks) is a config error; an unknown name is the registry's."""
+    accepted = _PROBLEM_KEYS.get(name, ())
+    blocks = range(1, composite_blocks(params) + 1) if name == "custom_composite" else ()
+    keys = set(accepted) | {key.replace("N", str(n)) for n in blocks for key in accepted}
+    for key in params:
+        if accepted and key not in keys:
+            raise ConfigError("[problem] %s: unknown key %r (accepted: %s)"
+                              % (name, key, ", ".join(accepted)))
+
 
 @dataclass
 class ExperimentConfig:
@@ -106,6 +138,7 @@ class ExperimentConfig:
             raise ConfigError("tau_cap must be positive (or auto)")
         if self.batch_schedule is not None and self.batch_schedule < 1:
             raise ConfigError("batch_schedule must be at least 1")
+        _check_problem_keys(self.problem, self.problem_params)
         return self
 
 
@@ -139,8 +172,10 @@ def _parse_sections(text):
             continue
         if current is None or "=" not in line:
             raise ConfigError("line %d: expected 'key = value' inside a section" % lineno)
-        key, value = line.split("=", 1)
-        sections[current][key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in sections[current]:
+            raise ConfigError("line %d: key %r repeated in [%s]" % (lineno, key, current))
+        sections[current][key] = value
     return sections
 
 

@@ -11,11 +11,9 @@ import numpy as np
 
 from .errors import CertificateError, FejerViolationError, IndeterminateValueError
 from .linop import inner, norm, weighted_norm_sq
-from .monotone import ProxFunction, inverse_resolvent
+from .monotone import inverse_resolvent
 
 __all__ = [
-    "SaddleFunction",
-    "GapConstant",
     "GapRow",
     "kkt_residual",
     "saddle_value",
@@ -27,40 +25,28 @@ __all__ = [
 _MEMBERSHIP_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SaddleFunction:
-    """K(x, v) = h(x) + i_V(x) + <Lx, v> - g*(v) on the problem's spaces."""
-
-    h: ProxFunction
-    g: ProxFunction
-    L: object
-    P_V: object
-    name: str = ""
-
-    def __post_init__(self):
-        if self.g.conjugate_value is None:
-            raise ValueError("saddle function needs g with a conjugate value oracle")
-
-
-def saddle_value(K, x, v):
-    """Evaluate K(x, v) as an extended real.
+def saddle_value(spec, x, v):
+    """Evaluate K(x, v) = h(x) + i_V(x) + <Lx, v> - g*(v) of ``spec`` (whose g
+    needs a conjugate value oracle) as an extended real.
 
     Returns +inf when x is outside V (membership tolerance 1e-10), -inf when
     v is outside dom g*; both at once is an indeterminate inf - inf and
     raises instead of silently propagating NaN.
     """
+    if getattr(spec.g, "conjugate_value", None) is None:
+        raise ValueError("saddle function needs g with a conjugate value oracle")
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    wH = K.L.domain_weights
-    in_v = norm(x - K.P_V(x), wH) <= _MEMBERSHIP_TOL * (1.0 + norm(x, wH))
-    gstar = K.g.conjugate_value(v)
+    wH = spec.primal_weights
+    in_v = norm(x - spec.P_V(x), wH) <= _MEMBERSHIP_TOL * (1.0 + norm(x, wH))
+    gstar = spec.g.conjugate_value(v)
     if not in_v and math.isinf(gstar):
         raise IndeterminateValueError("x is outside V and v outside dom g*: K is inf - inf")
     if not in_v:
         return math.inf
     if math.isinf(gstar):
         return -math.inf
-    return K.h.value(x) + inner(K.L(x), v, K.L.codomain_weights) - gstar
+    return spec.h.value(x) + inner(spec.L(x), v, spec.dual_weights) - gstar
 
 
 def kkt_residual(x, v, spec):
@@ -82,30 +68,11 @@ def kkt_residual(x, v, spec):
     return primal, dual
 
 
-@dataclass(frozen=True)
-class GapConstant:
-    """The constant c(x, v) of the ergodic gap bound, built from the run
-    setup: initial iterates, step-size caps, operator norms, and the
-    accumulated noise constant c0 = sum gamma_n^2 E||r_n - grad h(x_n)||^2
-    (zero for deterministic runs; schedule certificate times the dimension
-    for the gaussian model)."""
-
-    spec: object
-    sched: object
-    x0: np.ndarray
-    v0: np.ndarray
-    c0: float = 0.0
-
-    def c_of(self, x, v):
-        wH = self.spec.primal_weights
-        d0 = inner(self.x0 - x, self.x0 - x, wH)
-        d0 += weighted_norm_sq(self.v0 - v, self.spec.U, float(self.sched.tau(0)),
-                               float(self.sched.gamma(0)), self.spec.L, self.spec.P_V)
-        u_norm = self.spec.U.operator_norm_bound
-        l_norm = self.spec.L.norm_bound()
-        factor = 2.0 * (math.sqrt(self.sched.tau_cap * float(self.sched.gamma(0)) * u_norm)
-                        * l_norm ** 2 + 1.0)
-        return d0 + factor * self.c0
+def _phi(spec, dx, dv, tau, gamma):
+    """The step-metric distance ||dx||^2 + ||dv||^2_{R(tau, gamma)}: a float
+    for vectors, one value per row for (S, d) arrays with per-row steps."""
+    return inner(dx, dx, spec.primal_weights) + weighted_norm_sq(
+        dv, spec.U, tau, gamma, spec.L, spec.P_V)
 
 
 @dataclass(frozen=True)
@@ -117,21 +84,31 @@ class GapRow:
     finite: bool
 
 
-def gap_and_bound(record, K, reference, gapc):
-    """Per-checkpoint table of the ergodic duality gap against its bound.
+def gap_and_bound(record, spec, sched, reference, c0=0.0):
+    """Per-checkpoint table of the ergodic duality gap against its bound, for
+    a run of ``spec`` under ``sched`` from the origin.
 
-    gap_N = K(x~_N, v) - K(x, v~_N) at the reference (x, v), and
-    bound_N = c(x, v) / (2 sum_{n<=N} gamma_n).  Rows with infinite or
-    indeterminate K are flagged (``finite=False``) and excluded from fits.
+    gap_N = K(x~_N, v) - K(x, v~_N) at the reference (x, v), and bound_N =
+    c(x, v) / (2 sum_{n<=N} gamma_n), with c(x, v) the step-0 distance Phi from
+    the origin to (x, v) plus a multiple of the noise constant
+    c0 = sum gamma_n^2 E||r_n - grad h(x_n)||^2 (zero for deterministic runs).
+    Rows with infinite or indeterminate K are flagged (``finite=False``) and
+    excluded from fits.
     """
     x_ref, v_ref = reference
-    cval = gapc.c_of(np.asarray(x_ref, dtype=float), np.asarray(v_ref, dtype=float))
+    gamma0 = float(sched.gamma(0))
+    cval = _phi(spec, np.zeros(spec.B.dim) - np.asarray(x_ref, dtype=float),
+                np.zeros(spec.A.dim) - np.asarray(v_ref, dtype=float),
+                float(sched.tau(0)), gamma0)
+    factor = 2.0 * (math.sqrt(sched.tau_cap * gamma0 * spec.U.operator_norm_bound)
+                    * spec.L.norm_bound() ** 2 + 1.0)
+    cval = cval + factor * c0
     rows = []
     for cp in record.checkpoints:
         bound = cval / (2.0 * cp.sum_gamma)
         try:
-            k1 = saddle_value(K, cp.x_avg, v_ref)
-            k2 = saddle_value(K, x_ref, cp.v_avg)
+            k1 = saddle_value(spec, cp.x_avg, v_ref)
+            k2 = saddle_value(spec, x_ref, cp.v_avg)
             gap = k1 - k2
             finite = math.isfinite(gap)
         except IndeterminateValueError:
@@ -151,10 +128,8 @@ def fejer_tracker(record, reference, spec, certificate=None, check_monotone=True
     assertion, since noise terms enter the descent inequality.
     """
     x_ref, v_ref = reference
-    dx = record.xs - np.asarray(x_ref, dtype=float)
-    phis = inner(dx, dx, spec.primal_weights) + weighted_norm_sq(
-        record.vs - np.asarray(v_ref, dtype=float), spec.U, record.taus, record.gammas,
-        spec.L, spec.P_V)
+    phis = _phi(spec, record.xs - np.asarray(x_ref, dtype=float),
+                record.vs - np.asarray(v_ref, dtype=float), record.taus, record.gammas)
     if check_monotone and not record.stochastic:
         if certificate is None or not certificate.ok:
             raise CertificateError(

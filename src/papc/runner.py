@@ -28,9 +28,9 @@ from typing import Callable
 import numpy as np
 
 from .composite import CompositeBlock, CompositeProblem, stack
-from .config import (ExperimentConfig, parse_config, parse_projector_spec, parse_prox_spec,
-                     parse_smooth_spec, reads_input, serialize_config)
-from .diagnostics import GapConstant, GapRow, fejer_tracker, gap_and_bound, kkt_residual, rate_fit
+from .config import (ExperimentConfig, composite_blocks, parse_config, parse_projector_spec,
+                     parse_prox_spec, parse_smooth_spec, reads_input, serialize_config)
+from .diagnostics import GapRow, fejer_tracker, gap_and_bound, kkt_residual, rate_fit
 from .errors import ConfigError, DivergenceError
 from .linop import (LinearMap, OrthoProjector, SpdOperator, coupling_lambda_max, norm,
                     read_matrix)
@@ -122,15 +122,13 @@ def _build_custom_composite(cfg):
     if lipschitz <= 0:
         raise ConfigError("custom problems need a smooth term with positive curvature")
     blocks, weights = [], []
-    i = 1
-    while ("block%d.g" % i) in params or ("block%d.L" % i) in params:
+    for i in range(1, composite_blocks(params) + 1):
         prefix = "block%d." % i
         L = _custom_coupling(params, prefix + "L", dim, base, prefix + "L")
         g = parse_prox_spec(params.get(prefix + "g", "zero"), L.codomain_dim, base)
         sigma = zoo_mod._getf(params, prefix + "sigma", 1.0)
         blocks.append(CompositeBlock(L=L, A=MonotoneBlock.from_prox(g), sigma=sigma, g=g))
         weights.append(zoo_mod._getf(params, prefix + "omega", 0.0))
-        i += 1
     if not blocks:
         raise ConfigError("custom_composite needs block1.g/block1.L/... entries")
     cp = CompositeProblem(weights=np.array(weights), C=gradient_map(h, lipschitz),
@@ -236,14 +234,6 @@ def _trace_columns(bound, record, oracle_xv):
         dist_v = norm(record.vs - v_ref, spec.dual_weights)
     return (record.ns, record.gammas, record.taus, pres, dres, phis, dist_x, dist_v,
             record.grad_gap_partial)
-
-
-def _gap_rows(bound, record, oracle_xv, c0):
-    spec = bound.instance.spec
-    K = zoo_mod.saddle_function(bound.instance)
-    gapc = GapConstant(spec=spec, sched=bound.schedules, x0=np.zeros(spec.B.dim),
-                       v0=np.zeros(spec.A.dim), c0=c0)
-    return gap_and_bound(record, K, oracle_xv, gapc)
 
 
 def _gap_csv_rows(rows):
@@ -462,7 +452,7 @@ def _seed_fragment(bound, seed, record, overflow, last, wall, out_dir, oracle_xv
     status = "ok" if error is None else "diverged"
     gap_rows = None
     if status == "ok" and record.checkpoints and oracle_xv is not None and c0 is not None:
-        rows = _gap_rows(bound, record, oracle_xv, c0)
+        rows = gap_and_bound(record, bound.instance.spec, bound.schedules, oracle_xv, c0)
         _write_csv(os.path.join(out_dir, "seed_%d_gap.csv" % seed), GAP_COLUMNS,
                    _gap_csv_rows(rows))
         gap_rows = [(r.N, r.gap, r.bound, r.sum_gamma) for r in rows]
@@ -496,7 +486,10 @@ def run_experiment(cfg, out_dir=None, force=False, seed_override=None):
     if seed_override is not None:
         cfg = replace(cfg, seeds=(int(seed_override),))
     out_dir = out_dir or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("cannot create the output directory %r: %s" % (out_dir, exc)) from exc
 
     t0 = time.perf_counter()
     bound = bind(cfg)

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .composite import CompositeBlock, CompositeProblem, lift, stack
-from .diagnostics import SaddleFunction, kkt_residual
+from .diagnostics import kkt_residual
 from .errors import ConfigError, OracleError
 from .linop import LinearMap, OrthoProjector, SpdOperator, coupling_lambda_max
 from .monotone import (MonotoneBlock, box_support, gradient_map, l1, quadratic_lipschitz,
@@ -33,7 +33,6 @@ __all__ = [
     "zoo",
     "build_instance",
     "oracle_solution",
-    "saddle_function",
     "lasso_sign_oracle",
     "cls_kkt_oracle",
     "long_run_oracle",
@@ -344,8 +343,3 @@ def oracle_solution(inst):
         _SOLUTIONS[key] = (x, v)
     return _SOLUTIONS[key]
 
-
-def saddle_function(inst):
-    """The saddle function K of the instance's spec."""
-    return SaddleFunction(h=inst.spec.h, g=inst.spec.g, L=inst.spec.L,
-                          P_V=inst.spec.P_V, name=inst.name)

@@ -11,8 +11,7 @@ import pytest
 
 from papc.composite import composite_dual_residuals
 from papc.config import parse_config
-from papc.diagnostics import (GapConstant, fejer_tracker, gap_and_bound, kkt_residual,
-                              rate_fit)
+from papc.diagnostics import fejer_tracker, gap_and_bound, kkt_residual, rate_fit
 from papc.linop import (LinearMap, OrthoProjector, SpdOperator, certify_tau,
                         coupling_lambda_max, inner, norm)
 from papc.monotone import (MonotoneBlock, box, box_support, inverse_resolvent, l1, singleton,
@@ -21,7 +20,7 @@ from papc.runner import default_checkpoints, run_experiment
 from papc.solver import Schedules, run, validate_hypotheses
 from papc.stochastic import DeterministicOracle, GaussianOracle, VarianceSchedule, \
     summability_certificate
-from papc.zoo import build_instance, oracle_solution, saddle_function
+from papc.zoo import build_instance, oracle_solution
 
 from checks import (PROX_LIBRARY, adjoint_consistency_check, firm_nonexpansiveness_check,
                     lift_flat_equivalence)
@@ -234,11 +233,8 @@ def test_c07_ergodic_gap_bound(det_runs):
     # problem, with c0 = 0.
     for name in ZOO_NAMES:
         data = det_runs[name]
-        spec = data["spec"]
-        gapc = GapConstant(spec=spec, sched=data["sched"], x0=np.zeros(spec.B.dim),
-                           v0=np.zeros(spec.A.dim), c0=0.0)
-        rows = gap_and_bound(data["record"], saddle_function(data["inst"]),
-                             (data["x_ref"], data["v_ref"]), gapc)
+        rows = gap_and_bound(data["record"], data["spec"], data["sched"],
+                             (data["x_ref"], data["v_ref"]), c0=0.0)
         finite = [r for r in rows if r.finite]
         ok &= len(finite) == len(rows)
         ok &= all(r.gap >= -1e-10 and r.gap <= r.bound for r in finite)
@@ -247,11 +243,8 @@ def test_c07_ergodic_gap_bound(det_runs):
     # Fitted slope of the deterministic gap over N in [1e2, 1e4].
     for name in ("lasso", "cls"):
         data = det_runs[name]
-        gapc = GapConstant(spec=data["spec"], sched=data["sched"],
-                           x0=np.zeros(data["spec"].B.dim),
-                           v0=np.zeros(data["spec"].A.dim), c0=0.0)
-        rows = gap_and_bound(data["record"], saddle_function(data["inst"]),
-                             (data["x_ref"], data["v_ref"]), gapc)
+        rows = gap_and_bound(data["record"], data["spec"], data["sched"],
+                             (data["x_ref"], data["v_ref"]), c0=0.0)
         slope = rate_fit([(r.N, r.gap) for r in rows if r.finite], (100, 10 ** 4))
         ok &= slope <= -0.9
         details.append("%s slope %.2f" % (name, slope))
@@ -264,13 +257,11 @@ def test_c07_ergodic_gap_bound(det_runs):
     cps = default_checkpoints(2000)
     report = summability_certificate(noise, inst.schedules, 2000, regime="ergodic")
     c0 = report.noise_constant(spec.B.dim)
-    gapc = GapConstant(spec=spec, sched=inst.schedules, x0=np.zeros(5), v0=np.zeros(5),
-                       c0=c0)
     tables = []
     for seed in range(20):
         rec = run(spec, inst.schedules, GaussianOracle(spec.B, noise, seed),
                   np.zeros(5), np.zeros(5), 2000, checkpoints=cps)
-        tables.append(gap_and_bound(rec, saddle_function(inst), (x_ref, v_ref), gapc))
+        tables.append(gap_and_bound(rec, spec, inst.schedules, (x_ref, v_ref), c0))
     for k in range(len(cps)):
         gaps = np.array([t[k].gap for t in tables])
         se = gaps.std(ddof=1) / math.sqrt(len(gaps))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -71,6 +72,43 @@ class TestConfigParsing:
     def test_problem_params_pass_through(self):
         cfg = parse_config("[problem]\nname = lasso\ndim = 4\nweight = 0.7\n")
         assert cfg.problem_params == {"dim": "4", "weight": "0.7"}
+
+    @pytest.mark.parametrize("name,params", [
+        ("lasso", "dim = 4\nweight = 0.7\ndata_seed = 2"),
+        ("fused", "dim = 4\nweight = 0.7\ndata_seed = 2"),
+        ("cls", "dim = 4\nsubspace_dim = 2\ndata_seed = 2"),
+        ("multi", "dim = 4\ndata_seed = 2"),
+        ("custom", "dim = 3\nh = zero\ng = zero\nL = identity\nprojector = full\nsigma = 1"),
+        ("custom_composite", "dim = 3\nh = zero\nblock1.g = zero\nblock1.sigma = 1\n"
+         "block1.omega = 0.5\nblock2.L = identity\nblock2.omega = 0.5"),
+    ])
+    def test_problem_accepts_its_own_keys(self, name, params):
+        cfg = parse_config("[problem]\nname = %s\n%s\n" % (name, params))
+        assert len(cfg.problem_params) == params.count("\n") + 1
+
+    @pytest.mark.parametrize("name,params,key", [
+        ("lasso", "dimm = 7", "dimm"),
+        ("fused", "wieght = 5", "wieght"),
+        ("cls", "weight = 1", "weight"),
+        ("multi", "subspace_dim = 2", "subspace_dim"),
+        ("custom", "sigmaa = 3", "sigmaa"),
+        # block 3 without a block 2 was dropped
+        ("custom_composite", "block1.g = zero\nblock1.omega = 1\nblock3.g = zero", "block3.g"),
+        ("custom_composite", "block1.g = zero\nblock1.omega = 1\nblock2.sigma = 2",
+         "block2.sigma"),
+        ("custom_composite", "block0.g = zero", "block0.g"),
+    ])
+    def test_problem_rejects_keys_it_does_not_read(self, name, params, key):
+        with pytest.raises(ConfigError, match=r"^\[problem\] %s: unknown key '%s' \(accepted: "
+                           % (name, re.escape(key))):
+            parse_config("[problem]\nname = %s\n%s\n" % (name, params))
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"^line 4: key 'horizon' repeated in \[run\]$"):
+            parse_config("[run]\nhorizon = 100\n\nhorizon = 7\n")
+        # in a section given twice, too
+        with pytest.raises(ConfigError, match=r"^line 6: key 'seeds' repeated in \[run\]$"):
+            parse_config("[run]\nseeds = 0\n[output]\ndir = o\n[run]\nseeds = 1\n")
 
 
 class TestProxSpecs:
@@ -449,9 +487,15 @@ class TestCli:
                              ids=["%s-%s" % case[:2] for case in OUT_OF_RANGE])
     def test_out_of_range_value_exit_2(self, tmp_path, capsys, section, entries, cause):
         cfg_path = tmp_path / "c.cfg"
-        # The entries come last, so they override the [run] defaults too.
-        cfg_path.write_text("[problem]\nname = lasso\n\n[run]\nhorizon = 20\nseeds = 0\n\n"
-                            "[%s]\n%s\n" % (section, entries))
+        # The entries replace the defaults of the keys they set (a key may
+        # appear once in a section).
+        sections = {"problem": ["name = lasso"], "run": ["horizon = 20", "seeds = 0"]}
+        lines = entries.split("\n")
+        given = {line.split("=")[0].strip() for line in lines}
+        sections[section] = [line for line in sections.get(section, [])
+                             if line.split("=")[0].strip() not in given] + lines
+        cfg_path.write_text("".join("[%s]\n%s\n\n" % (name, "\n".join(body))
+                                    for name, body in sections.items()))
         assert cli_main(["validate", "--config", str(cfg_path)]) == 2
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -476,6 +520,28 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count("config error") == 2 and cause in err and "Traceback" not in err
+
+    def test_uncreatable_output_directory_exit_2(self, tmp_path, capsys):
+        # The output directory lies below a file: a config error, before the
+        # problem is built.
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("[problem]\nname = lasso\n\n[run]\nhorizon = 20\nseeds = 0\n")
+        (tmp_path / "afile").write_text("")
+        out = str(tmp_path / "afile" / "sub")
+        assert cli_main(["run", "--config", str(cfg_path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot create the output directory %r" % out)
+        assert "Traceback" not in err
+
+    def test_unknown_problem_key_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("[problem]\nname = lasso\ndimm = 7\n\n[run]\nhorizon = 20\n")
+        assert cli_main(["validate", "--config", str(cfg_path)]) == 2
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error: [problem] lasso: unknown key 'dimm' "
+                         "(accepted: dim, weight, data_seed)") == 2
+        assert not (tmp_path / "o").exists()
 
     def test_nan_composite_coupling_exit_2(self, tmp_path, capsys):
         # A composite block's NaN coupling is rejected by the spectral gate

@@ -1,16 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from papc.diagnostics import (GapConstant, GapRow, SaddleFunction, fejer_tracker,
-                              gap_and_bound, kkt_residual, rate_fit, saddle_value)
+from papc.diagnostics import (GapRow, fejer_tracker, gap_and_bound, kkt_residual, rate_fit,
+                              saddle_value)
 from papc.errors import CertificateError, FejerViolationError, IndeterminateValueError
 from papc.linop import LinearMap, OrthoProjector, SpdOperator
 from papc.monotone import MonotoneBlock, CocoerciveMap, l1, sq_dist, zero_prox, singleton
 from papc.solver import ProblemSpec, Schedules, run, validate_hypotheses
 from papc.stochastic import DeterministicOracle, GaussianOracle, VarianceSchedule
-from papc.zoo import build_instance, oracle_solution, saddle_function
+from papc.zoo import build_instance, oracle_solution
 from papc.runner import default_checkpoints
 
 from checks import epsilon_saddle_check
@@ -67,48 +68,68 @@ class TestKktResidual:
             assert dres <= 10 * delta * factor
 
 
+def saddle_spec(h, g, L, P_V):
+    """A spec whose saddle function is K(x, v) = h(x) + i_V(x) + <Lx, v> - g*(v);
+    its B, A and U are trivial, since K reads only h, g, L and P_V."""
+    return ProblemSpec(
+        B=CocoerciveMap(L.domain_dim, lambda x: np.zeros_like(x), beta=1.0),
+        A=MonotoneBlock.zero(L.codomain_dim),
+        L=L,
+        P_V=P_V,
+        U=SpdOperator.scalar_op(1.0, L.codomain_dim),
+        g=g,
+        h=h,
+    )
+
+
 class TestSaddleValue:
     def test_all_zero_on_v(self):
-        K = SaddleFunction(h=zero_prox(2), g=zero_prox(2), L=LinearMap.zero(2, 2),
-                           P_V=OrthoProjector.full(2))
+        K = saddle_spec(h=zero_prox(2), g=zero_prox(2), L=LinearMap.zero(2, 2),
+                        P_V=OrthoProjector.full(2))
         assert saddle_value(K, np.zeros(2), np.zeros(2)) == 0.0
 
     def test_quadratic_pair_value(self):
         g = sq_dist(0.0, dim=1)
-        K = SaddleFunction(h=sq_dist(0.0, dim=1), g=g, L=LinearMap.identity(1),
-                           P_V=OrthoProjector.full(1))
+        K = saddle_spec(h=sq_dist(0.0, dim=1), g=g, L=LinearMap.identity(1),
+                        P_V=OrthoProjector.full(1))
         val = saddle_value(K, np.array([1.0]), np.array([1.0]))
         assert val == pytest.approx(1.0)  # 0.5 + 1 - 0.5
 
     def test_outside_subspace_is_plus_inf(self):
         basis = np.array([[1.0], [0.0]])
-        K = SaddleFunction(h=zero_prox(2), g=sq_dist(0.0, dim=1),
-                           L=LinearMap.from_matrix([[1.0, 0.0]]),
-                           P_V=OrthoProjector.from_basis(basis))
+        K = saddle_spec(h=zero_prox(2), g=sq_dist(0.0, dim=1),
+                        L=LinearMap.from_matrix([[1.0, 0.0]]),
+                        P_V=OrthoProjector.from_basis(basis))
         assert saddle_value(K, np.array([0.0, 1.0]), np.zeros(1)) == math.inf
 
     def test_outside_dual_domain_is_minus_inf(self):
         g = l1(1.0, 1)  # g* is the [-1, 1] box indicator
-        K = SaddleFunction(h=zero_prox(1), g=g, L=LinearMap.identity(1),
-                           P_V=OrthoProjector.full(1))
+        K = saddle_spec(h=zero_prox(1), g=g, L=LinearMap.identity(1),
+                        P_V=OrthoProjector.full(1))
         assert saddle_value(K, np.zeros(1), np.array([2.0])) == -math.inf
 
     def test_indeterminate_raises(self):
         basis = np.array([[1.0], [0.0]])
         g = l1(1.0, 1)
-        K = SaddleFunction(h=zero_prox(2), g=g, L=LinearMap.from_matrix([[1.0, 0.0]]),
-                           P_V=OrthoProjector.from_basis(basis))
+        K = saddle_spec(h=zero_prox(2), g=g, L=LinearMap.from_matrix([[1.0, 0.0]]),
+                        P_V=OrthoProjector.from_basis(basis))
         with pytest.raises(IndeterminateValueError):
             saddle_value(K, np.array([0.0, 1.0]), np.array([2.0]))
+
+    def test_g_without_conjugate_raises(self):
+        # a g without a conjugate value oracle, and a spec with no g at all
+        g = replace(l1(1.0, 1), conjugate_value=None)
+        for spec in (saddle_spec(h=zero_prox(1), g=g, L=LinearMap.identity(1),
+                                 P_V=OrthoProjector.full(1)), degenerate_spec(1)):
+            with pytest.raises(ValueError,
+                               match="^saddle function needs g with a conjugate value oracle$"):
+                saddle_value(spec, np.zeros(1), np.zeros(1))
 
 
 class TestGapAndBound:
     def test_reference_equals_average_gives_zero_gap(self):
         inst = build_instance("lasso", {})
         x, v = oracle_solution(inst)
-        K = saddle_function(inst)
-        gapc = GapConstant(spec=inst.spec, sched=inst.schedules,
-                           x0=np.zeros(5), v0=np.zeros(5))
 
         class FakeCp:
             N = 0
@@ -119,7 +140,7 @@ class TestGapAndBound:
         class FakeRec:
             checkpoints = (FakeCp,)
 
-        rows = gap_and_bound(FakeRec, K, (x, v), gapc)
+        rows = gap_and_bound(FakeRec, inst.spec, inst.schedules, (x, v))
         assert rows[0].gap == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_lasso_bound_holds_pathwise(self):
@@ -128,13 +149,36 @@ class TestGapAndBound:
         cps = default_checkpoints(5000)
         rec = run(inst.spec, inst.schedules, DeterministicOracle(inst.spec.B),
                   np.zeros(5), np.zeros(5), 5000, checkpoints=cps)
-        gapc = GapConstant(spec=inst.spec, sched=inst.schedules,
-                           x0=np.zeros(5), v0=np.zeros(5), c0=0.0)
-        rows = gap_and_bound(rec, saddle_function(inst), (x, v), gapc)
+        rows = gap_and_bound(rec, inst.spec, inst.schedules, (x, v), c0=0.0)
         assert all(r.finite for r in rows)
         for r in rows:
             assert r.gap >= -1e-10
             assert r.gap <= r.bound
+
+    def test_bound_is_step_zero_fejer_distance(self):
+        # From the origin with c0 = 0, c(x, v) is Phi_0 of the Fejer series:
+        # each bound is Phi_0 / (2 sum_gamma), bit for bit.
+        inst = build_instance("lasso", {})
+        x, v = oracle_solution(inst)
+        cps = default_checkpoints(300)
+        rec = run(inst.spec, inst.schedules, DeterministicOracle(inst.spec.B),
+                  np.zeros(5), np.zeros(5), 300, checkpoints=cps)
+        cert = validate_hypotheses(inst.spec, inst.schedules, 300)
+        phi0 = fejer_tracker(rec, (x, v), inst.spec, certificate=cert)[0]
+        rows = gap_and_bound(rec, inst.spec, inst.schedules, (x, v), c0=0.0)
+        assert rec.ns[0] == 0 and len(rows) == len(cps)
+        for r in rows:
+            assert r.bound == phi0 / (2.0 * r.sum_gamma)
+
+    def test_g_without_conjugate_raises(self):
+        inst = build_instance("lasso", {})
+        x, v = oracle_solution(inst)
+        spec = replace(inst.spec, g=replace(inst.spec.g, conjugate_value=None))
+        rec = run(spec, inst.schedules, DeterministicOracle(spec.B), np.zeros(5),
+                  np.zeros(5), 10, checkpoints=(0, 9))
+        with pytest.raises(ValueError,
+                           match="^saddle function needs g with a conjugate value oracle$"):
+            gap_and_bound(rec, spec, inst.schedules, (x, v))
 
     def test_constant_gamma_bound_slope_is_minus_one(self):
         inst = build_instance("lasso", {})
@@ -142,9 +186,7 @@ class TestGapAndBound:
         cps = default_checkpoints(2000)
         rec = run(inst.spec, inst.schedules, DeterministicOracle(inst.spec.B),
                   np.zeros(5), np.zeros(5), 2000, checkpoints=cps)
-        gapc = GapConstant(spec=inst.spec, sched=inst.schedules,
-                           x0=np.zeros(5), v0=np.zeros(5))
-        rows = gap_and_bound(rec, saddle_function(inst), (x, v), gapc)
+        rows = gap_and_bound(rec, inst.spec, inst.schedules, (x, v))
         # bound = c / (2 gamma (N+1)): exact power law in N+1.
         slope = rate_fit([(r.N + 1, r.bound) for r in rows], (1, 3000))
         assert slope == pytest.approx(-1.0, abs=1e-9)
@@ -187,9 +229,7 @@ class TestEpsilonSaddle:
         cps = default_checkpoints(4000)
         rec = run(inst.spec, inst.schedules, DeterministicOracle(inst.spec.B),
                   np.zeros(5), np.zeros(5), 4000, checkpoints=cps)
-        gapc = GapConstant(spec=inst.spec, sched=inst.schedules,
-                           x0=np.zeros(5), v0=np.zeros(5))
-        table = gap_and_bound(rec, saddle_function(inst), (x, v), gapc)
+        table = gap_and_bound(rec, inst.spec, inst.schedules, (x, v))
         n_eps = epsilon_saddle_check([table], 1e-3)
         n_half = epsilon_saddle_check([table], 5e-4)
         assert n_eps is not None and n_half is not None and n_half >= n_eps

@@ -23,6 +23,8 @@ def test_deterministic_suite_runs():
     lines = run_script("run_deterministic_suite.py", "--horizon", "500")
     assert lines[0].split() == ["problem", "dist_to_ref", "kkt", "slope", "gap>bd", "seconds"]
     assert [line.split()[0] for line in lines[1:]] == ["cls", "lasso", "fused", "multi"]
+    # no checkpoint's ergodic gap exceeds its bound on any problem
+    assert [line.split()[4] for line in lines[1:]] == ["0", "0", "0", "0"]
 
 
 def test_stochastic_lasso_runs():

@@ -9,7 +9,7 @@ from papc.errors import ConfigError
 from papc.solver import validate_hypotheses
 from papc.stochastic import DeterministicOracle
 from papc.zoo import (build_instance, cls_kkt_oracle, lasso_sign_oracle, long_run_oracle,
-                      oracle_solution, saddle_function, zoo)
+                      oracle_solution, zoo)
 
 from checks import difference_matrix
 
@@ -148,15 +148,15 @@ class TestSaddleFunctions:
         # K(x_bar, v) <= K(x_bar, v_bar) <= K(x, v_bar) on probes.
         from papc.diagnostics import saddle_value
         inst = build_instance(name, {})
-        K = saddle_function(inst)
+        spec = inst.spec
         x, v = oracle_solution(inst)
-        k_star = saddle_value(K, x, v)
+        k_star = saddle_value(spec, x, v)
         rng = np.random.default_rng(1)
         for _ in range(10):
-            x_probe = K.P_V(x + 0.3 * rng.standard_normal(x.size))
-            assert saddle_value(K, x_probe, v) >= k_star - 1e-9
+            x_probe = spec.P_V(x + 0.3 * rng.standard_normal(x.size))
+            assert saddle_value(spec, x_probe, v) >= k_star - 1e-9
             v_probe = v + 0.3 * rng.standard_normal(v.size)
-            assert saddle_value(K, x, v_probe) <= k_star + 1e-9
+            assert saddle_value(spec, x, v_probe) <= k_star + 1e-9
 
 
 class TestLongRunOracle:
