@@ -13,7 +13,8 @@ own output directory; ``--force`` and ``--seed-override S`` are passed to
 when the bytes agree, and otherwise the largest absolute difference in each
 column (``text`` for a column whose cells differ but do not parse as
 numbers).  It prints the exit codes when they differ and a diff of the
-``papc validate`` output when that differs.  ``summary.json`` is compared
+``papc validate`` output when that differs.  For the ``config.cfg`` the run
+writes it prints ``identical`` or a unified diff.  ``summary.json`` is compared
 without its non-stable fields, the experiment's and each seed's
 ``wall_time_s``: it prints ``identical``, or each differing dotted key with
 both values.  The exit status is 0 when everything is identical and 1
@@ -134,6 +135,27 @@ def compare_summaries(base_dir, change_dir):
     return False
 
 
+def print_diff(base_text, change_text):
+    sys.stdout.writelines("    " + line for line in difflib.unified_diff(
+        base_text.splitlines(True), change_text.splitlines(True), "base", "change"))
+
+
+def compare_written_configs(base_dir, change_dir):
+    """``identical``, or a unified diff of the config.cfg each run wrote;
+    True when they agree."""
+    texts = [path.read_text(encoding="utf-8") if path.exists() else None
+             for path in (Path(base_dir) / "config.cfg", Path(change_dir) / "config.cfg")]
+    if texts[0] == texts[1]:
+        print("  config.cfg: %s" % ("identical" if texts[0] is not None else "not written"))
+        return True
+    if None in texts:
+        print("  config.cfg: only in %s" % ("change" if texts[0] is None else "base"))
+    else:
+        print("  config.cfg: differs")
+        print_diff(*texts)
+    return False
+
+
 def compare_config(base, config, out, run_args=()):
     print(config)
     same = True
@@ -144,9 +166,7 @@ def compare_config(base, config, out, run_args=()):
     else:
         same = False
         print("  validate: exit %d -> %d" % (validated["base"][0], validated["change"][0]))
-        sys.stdout.writelines("    " + line for line in difflib.unified_diff(
-            validated["base"][1].splitlines(True), validated["change"][1].splitlines(True),
-            "base", "change"))
+        print_diff(validated["base"][1], validated["change"][1])
     codes = {}
     for side, checkout in (("base", base), ("change", ROOT)):
         codes[side], _ = papc(checkout, "run", "--config", config,
@@ -155,6 +175,7 @@ def compare_config(base, config, out, run_args=()):
         same = False
         print("  run: exit %d -> %d" % (codes["base"], codes["change"]))
     same &= compare_dirs(out / "base", out / "change")
+    same &= compare_written_configs(out / "base", out / "change")
     return compare_summaries(out / "base", out / "change") and same
 
 

@@ -28,6 +28,11 @@ Sections and keys::
                 checkpoints = log | none | <int> <int> ...   (0 <= index < horizon)
     [output]    dir = <path>
 
+Every section accepts only its listed keys: any other is a config error
+naming the section (or problem, or tag) and the key, for example
+``[run]: unknown key 'horizn' (accepted: horizon, seeds, checkpoints)``.
+A key a file leaves out keeps the ``ExperimentConfig`` default.
+
 Prox functions are named by string tags, e.g. ``l1(weight=0.5)``,
 ``box(lo=-1, hi=1)``, ``quadratic(D=<path>, a=<path>)``; projectors by
 ``full``, ``matrix:<path>``, ``basis:<path>`` or ``averaging:<m>``.
@@ -59,8 +64,6 @@ __all__ = [
     "reads_input",
 ]
 
-_SECTIONS = ("problem", "schedules", "noise", "run", "output")
-
 # The [problem] keys each problem reads.
 _PROBLEM_KEYS = {
     "cls": ("dim", "subspace_dim", "data_seed"),
@@ -89,8 +92,23 @@ def _check_problem_keys(name, params):
     keys = set(accepted) | {key.replace("N", str(n)) for n in blocks for key in accepted}
     for key in params:
         if accepted and key not in keys:
-            raise ConfigError("[problem] %s: unknown key %r (accepted: %s)"
-                              % (name, key, ", ".join(accepted)))
+            raise unknown_key("[problem] %s" % name, key, accepted)
+
+
+def unknown_key(where, key, accepted):
+    """The config error for a key that ``where`` (a section, a problem or a
+    tag) does not list among ``accepted``."""
+    return ConfigError("%s: unknown key %r (accepted: %s)"
+                       % (where, key, ", ".join(accepted) or "none"))
+
+
+def convert(parse, where, key, text):
+    """``parse(text)``; a value that does not parse is a config error naming
+    where it was read and its key."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError("%s %s: %s" % (where, key, exc)) from exc
 
 
 @dataclass
@@ -166,7 +184,7 @@ def _parse_sections(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _SECTIONS:
+            if current != "problem" and current not in _KEYS:
                 raise ConfigError("line %d: unknown section [%s]" % (lineno, current))
             sections.setdefault(current, {})
             continue
@@ -179,60 +197,74 @@ def _parse_sections(text):
     return sections
 
 
-def _number(convert, sec, section, key, default):
-    """``convert`` applied to a key's value (or the default); a value that
-    does not convert is a config error naming its section and key."""
-    text = sec.get(section, {}).get(key, default)
-    try:
-        return convert(text)
-    except ValueError as exc:
-        raise ConfigError("[%s] %s: %s" % (section, key, exc)) from exc
+def _opt_float(text):
+    return None if text == "auto" else float(text)
 
 
-def _opt_float(value):
-    return None if value == "auto" else float(value)
+def _ints(text):
+    return tuple(int(v) for v in text.split())
 
 
-def _ints(value):
-    return tuple(int(v) for v in value.split())
+def _checkpoints(text):
+    return text if text in ("log", "none") else _ints(text)
+
+
+def _float(value):
+    return repr(float(value))
+
+
+def _auto(value):
+    return "auto" if value is None else _float(value)
+
+
+def _words(values):
+    return values if isinstance(values, str) else " ".join(str(v) for v in values)
+
+
+# The keys of every section but [problem], in serialization order: the
+# ExperimentConfig field each sets, the parser of its text and the formatter
+# of its value (a formatter returning None leaves the key out).  A key that
+# a file leaves out keeps the field's default; a key not listed is an error.
+_KEYS = {
+    "schedules": {
+        "gamma_kind": ("gamma_kind", str, str),
+        "gamma0": ("gamma0", _opt_float, _auto),
+        "tau_kind": ("tau_kind", str, str),
+        "tau_cap": ("tau_cap", _opt_float, _auto),
+    },
+    "noise": {
+        "kind": ("noise_kind", str, str),
+        "sigma0": ("sigma0_sq", float, _float),
+        "epsilon": ("epsilon", float, _float),
+        "regime": ("regime", str, str),
+        "batch_schedule": ("batch_schedule", int, lambda b: None if b is None else "%d" % b),
+    },
+    "run": {
+        "horizon": ("horizon", int, "%d".__mod__),
+        "seeds": ("seeds", _ints, _words),
+        "checkpoints": ("checkpoints", _checkpoints, _words),
+    },
+    "output": {
+        "dir": ("out_dir", str, str),
+    },
+}
 
 
 @reads_input
 def parse_config(text, base_dir="."):
     sec = _parse_sections(text)
-    problem = dict(sec.get("problem", {}))
-    name = problem.pop("name", "lasso")
-    sch = sec.get("schedules", {})
-    noi = sec.get("noise", {})
-    run = sec.get("run", {})
-    out = sec.get("output", {})
-
-    cps_raw = run.get("checkpoints", "log")
-    if cps_raw in ("log", "none"):
-        checkpoints = cps_raw
-    else:
-        checkpoints = _number(_ints, sec, "run", "checkpoints", None)
-
-    cfg = ExperimentConfig(
-        problem=name,
-        problem_params=problem,
-        gamma_kind=sch.get("gamma_kind", "constant"),
-        gamma0=_number(_opt_float, sec, "schedules", "gamma0", "auto"),
-        tau_kind=sch.get("tau_kind", "constant"),
-        tau_cap=_number(_opt_float, sec, "schedules", "tau_cap", "auto"),
-        noise_kind=noi.get("kind", "none"),
-        sigma0_sq=_number(float, sec, "noise", "sigma0", "1.0"),
-        epsilon=_number(float, sec, "noise", "epsilon", "1.0"),
-        regime=noi.get("regime", "almost-sure"),
-        batch_schedule=(_number(int, sec, "noise", "batch_schedule", None)
-                        if "batch_schedule" in noi else None),
-        horizon=_number(int, sec, "run", "horizon", "10000"),
-        seeds=_number(_ints, sec, "run", "seeds", "0"),
-        checkpoints=checkpoints,
-        out_dir=out.get("dir", "out"),
-        base_dir=base_dir,
-    )
-    return cfg.validate()
+    params = sec.pop("problem", {})
+    fields = {"problem_params": params, "base_dir": base_dir}
+    if "name" in params:
+        fields["problem"] = params.pop("name")
+    for section, values in sec.items():
+        table = _KEYS[section]
+        for key, text in values.items():
+            if key not in table:
+                raise unknown_key("[%s]" % section, key, table)
+            name, parse, _ = table[key]
+            fields[name] = convert(parse, "[%s]" % section, key, text)
+    return ExperimentConfig(**fields).validate()
 
 
 @reads_input
@@ -241,45 +273,17 @@ def parse_config_file(path):
         return parse_config(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _fmt(value):
-    return "auto" if value is None else repr(float(value))
-
-
 def serialize_config(cfg):
     """Canonical text form; parse(serialize(parse(t))) == parse(t)."""
     lines = ["[problem]", "name = %s" % cfg.problem]
-    for key in sorted(cfg.problem_params):
-        lines.append("%s = %s" % (key, cfg.problem_params[key]))
-    lines += [
-        "",
-        "[schedules]",
-        "gamma_kind = %s" % cfg.gamma_kind,
-        "gamma0 = %s" % _fmt(cfg.gamma0),
-        "tau_kind = %s" % cfg.tau_kind,
-        "tau_cap = %s" % _fmt(cfg.tau_cap),
-        "",
-        "[noise]",
-        "kind = %s" % cfg.noise_kind,
-        "sigma0 = %s" % repr(float(cfg.sigma0_sq)),
-        "epsilon = %s" % repr(float(cfg.epsilon)),
-        "regime = %s" % cfg.regime,
-    ]
-    if cfg.batch_schedule is not None:
-        lines.append("batch_schedule = %d" % cfg.batch_schedule)
-    cps = cfg.checkpoints
-    cps_text = cps if isinstance(cps, str) else " ".join(str(c) for c in cps)
-    lines += [
-        "",
-        "[run]",
-        "horizon = %d" % cfg.horizon,
-        "seeds = %s" % " ".join(str(s) for s in cfg.seeds),
-        "checkpoints = %s" % cps_text,
-        "",
-        "[output]",
-        "dir = %s" % cfg.out_dir,
-        "",
-    ]
-    return "\n".join(lines)
+    lines += ["%s = %s" % (key, cfg.problem_params[key]) for key in sorted(cfg.problem_params)]
+    for section, table in _KEYS.items():
+        lines += ["", "[%s]" % section]
+        for key, (name, _, fmt) in table.items():
+            text = fmt(getattr(cfg, name))
+            if text is not None:
+                lines.append("%s = %s" % (key, text))
+    return "\n".join(lines + [""])
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +336,14 @@ def _parse_tag(tag):
     if accepted is not None:
         for key in kw:
             if key not in accepted:
-                raise ConfigError("prox tag %s: unknown key %r (accepted: %s)"
-                                  % (name, key, ", ".join(accepted) or "none"))
+                raise unknown_key("prox tag %s" % name, key, accepted)
     return name, kw
 
 
 def _tag_float(name, kw, key, default):
     """A tag's number; a value that does not convert is a config error
     naming the tag and the key."""
-    try:
-        return float(kw.get(key, default))
-    except ValueError as exc:
-        raise ConfigError("prox tag %s: %s: %s" % (name, key, exc)) from exc
+    return convert(float, "prox tag %s:" % name, key, kw.get(key, default))
 
 
 def _quadratic_data(kw, base_dir):

@@ -185,7 +185,8 @@ def sq_dist(b, dim=None):
 def l1(weight=1.0, dim=1):
     """Weighted l1 norm; prox is the soft threshold, conjugate the box indicator."""
     w = np.atleast_1d(np.asarray(weight, dtype=float))
-    if np.any(w < 0):
+    # Written so that a NaN weight fails it: every comparison with NaN is False.
+    if not np.all(w >= 0):
         raise ValueError("l1 weight must be nonnegative")
     if w.size == 1:
         w = np.full(dim, float(w[0]))
@@ -209,7 +210,7 @@ def box(lo, hi, dim=1):
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (dim,)) if np.isscalar(lo) else np.asarray(lo, dtype=float)
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (dim,)) if np.isscalar(hi) else np.asarray(hi, dtype=float)
     lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
-    if lo.shape != hi.shape or np.any(lo > hi):
+    if lo.shape != hi.shape or not np.all(lo <= hi):  # a NaN bound fails it
         raise ValueError("box bounds must satisfy lo <= hi elementwise")
     scale = 1.0 + float(np.max(np.abs(np.concatenate([lo, hi]))))
 

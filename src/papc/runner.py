@@ -28,8 +28,9 @@ from typing import Callable
 import numpy as np
 
 from .composite import CompositeBlock, CompositeProblem, stack
-from .config import (ExperimentConfig, composite_blocks, parse_config, parse_projector_spec,
-                     parse_prox_spec, parse_smooth_spec, reads_input, serialize_config)
+from .config import (ExperimentConfig, composite_blocks, convert, parse_config,
+                     parse_projector_spec, parse_prox_spec, parse_smooth_spec, reads_input,
+                     serialize_config)
 from .diagnostics import GapRow, fejer_tracker, gap_and_bound, kkt_residual, rate_fit
 from .errors import ConfigError, DivergenceError
 from .linop import (LinearMap, OrthoProjector, SpdOperator, coupling_lambda_max, norm,
@@ -106,7 +107,8 @@ def _build_custom_single(cfg):
     L = _custom_coupling(params, "L", dim, base, "custom L")
     g = parse_prox_spec(params.get("g", "zero"), L.codomain_dim, base)
     P = parse_projector_spec(params.get("projector", "full"), dim, base)
-    U = SpdOperator.scalar_op(zoo_mod._getf(params, "sigma", 1.0), L.codomain_dim)
+    U = SpdOperator.scalar_op(convert(float, "[problem]", "sigma", params.get("sigma", 1.0)),
+                              L.codomain_dim)
     spec = ProblemSpec(B=gradient_map(h, lipschitz), A=MonotoneBlock.from_prox(g),
                        L=L, P_V=P, U=U, g=g, h=h, name="custom")
     tau = 0.9 / max(_finite_lambda(U, L, P), 1e-12)
@@ -126,9 +128,10 @@ def _build_custom_composite(cfg):
         prefix = "block%d." % i
         L = _custom_coupling(params, prefix + "L", dim, base, prefix + "L")
         g = parse_prox_spec(params.get(prefix + "g", "zero"), L.codomain_dim, base)
-        sigma = zoo_mod._getf(params, prefix + "sigma", 1.0)
+        sigma = convert(float, "[problem]", prefix + "sigma", params.get(prefix + "sigma", 1.0))
         blocks.append(CompositeBlock(L=L, A=MonotoneBlock.from_prox(g), sigma=sigma, g=g))
-        weights.append(zoo_mod._getf(params, prefix + "omega", 0.0))
+        weights.append(convert(float, "[problem]", prefix + "omega",
+                               params.get(prefix + "omega", 0.0)))
     if not blocks:
         raise ConfigError("custom_composite needs block1.g/block1.L/... entries")
     cp = CompositeProblem(weights=np.array(weights), C=gradient_map(h, lipschitz),

@@ -52,6 +52,58 @@ class TestConfigParsing:
         assert cfg == again
         assert serialize_config(cfg) == serialize_config(again)
 
+    # Every key of every section set to a value other than its default.
+    EVERY_KEY = """
+[problem]
+name = custom
+dim = 3
+h = sq_dist(b=0.5)
+g = l1(weight=0.2)
+L = identity
+projector = full
+sigma = 2
+
+[schedules]
+gamma_kind = harmonic_floor
+gamma0 = 0.25
+tau_kind = ramp
+tau_cap = 0.5
+
+[noise]
+kind = minibatch
+sigma0 = 2
+epsilon = 0.5
+regime = ergodic
+batch_schedule = 3
+
+[run]
+horizon = 77
+seeds = 4 5
+checkpoints = 0 10 20
+
+[output]
+dir = results/every
+"""
+
+    def test_every_key_round_trips_to_pinned_text(self):
+        cfg = parse_config(self.EVERY_KEY)
+        text = serialize_config(cfg)
+        assert text == (
+            "[problem]\nname = custom\nL = identity\ndim = 3\ng = l1(weight=0.2)\n"
+            "h = sq_dist(b=0.5)\nprojector = full\nsigma = 2\n\n"
+            "[schedules]\ngamma_kind = harmonic_floor\ngamma0 = 0.25\ntau_kind = ramp\n"
+            "tau_cap = 0.5\n\n"
+            "[noise]\nkind = minibatch\nsigma0 = 2.0\nepsilon = 0.5\nregime = ergodic\n"
+            "batch_schedule = 3\n\n"
+            "[run]\nhorizon = 77\nseeds = 4 5\ncheckpoints = 0 10 20\n\n"
+            "[output]\ndir = results/every\n")
+        assert parse_config(text) == cfg
+        defaults = ExperimentConfig()
+        for name in ("problem", "gamma_kind", "gamma0", "tau_kind", "tau_cap", "noise_kind",
+                     "sigma0_sq", "epsilon", "regime", "batch_schedule", "horizon", "seeds",
+                     "checkpoints", "out_dir"):
+            assert getattr(cfg, name) != getattr(defaults, name), name
+
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# top\n[problem]\nname = cls  # trailing\n\n[run]\nseeds = 3\n")
         assert cfg.problem == "cls"
@@ -481,6 +533,26 @@ class TestCli:
         ("problem", "name = custom_composite\nh = sq_dist(b=0.5)\nblock1.g = l1(weight=0.3)\n"
          "block1.omega = nan\nblock2.g = sq_dist(b=0.1)\nblock2.omega = 1.0",
          "config error: weights must lie in (0,1] and sum to 1"),
+        # A misspelt key was once dropped, and the run took the key's default.
+        ("schedules", "gama_kind = harmonic", "config error: [schedules]: unknown key "
+         "'gama_kind' (accepted: gamma_kind, gamma0, tau_kind, tau_cap)"),
+        ("noise", "regim = ergodic", "config error: [noise]: unknown key 'regim' "
+         "(accepted: kind, sigma0, epsilon, regime, batch_schedule)"),
+        ("run", "horizn = 50",
+         "config error: [run]: unknown key 'horizn' (accepted: horizon, seeds, checkpoints)"),
+        ("output", "dirr = elsewhere",
+         "config error: [output]: unknown key 'dirr' (accepted: dir)"),
+        # NaN weights and bounds once passed "w < 0" and "lo > hi".
+        ("problem", "name = fused\nweight = nan", "config error: l1 weight must be nonnegative"),
+        ("problem", "name = lasso\nweight = nan", "config error: l1 weight must be nonnegative"),
+        ("problem", "name = custom\nh = sq_dist(b=0.0)\ng = box(lo=nan, hi=1)",
+         "config error: box bounds must satisfy lo <= hi elementwise"),
+        ("problem", "name = custom\nh = sq_dist(b=0.0)\ng = box_support(lo=0, hi=nan)",
+         "config error: box bounds must satisfy lo <= hi elementwise"),
+        ("problem", "name = cls\nsubspace_dim = 0",
+         "config error: [problem] subspace_dim: must be at least 1"),
+        ("problem", "name = cls\nsubspace_dim = -1",
+         "config error: [problem] subspace_dim: must be at least 1"),
     ]
 
     @pytest.mark.parametrize("section,entries,cause", OUT_OF_RANGE,
@@ -541,6 +613,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("config error: [problem] lasso: unknown key 'dimm' "
                          "(accepted: dim, weight, data_seed)") == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section,key", [
+        ("schedules", "gama_kind"), ("noise", "regim"), ("run", "horizn"), ("output", "dirr")])
+    def test_unknown_section_key_exit_2(self, tmp_path, capsys, section, key):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("[problem]\nname = lasso\n\n[%s]\n%s = 1\n" % (section, key))
+        assert cli_main(["validate", "--config", str(cfg_path)]) == 2
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error: [%s]: unknown key '%s' (accepted: " % (section, key)) == 2
+        assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_nan_composite_coupling_exit_2(self, tmp_path, capsys):

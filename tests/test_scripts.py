@@ -70,3 +70,4 @@ def test_compare_outputs_runs_forced_single_seed_configs(tmp_path):
                  if ".csv:" in line]
     assert csv_lines == ["seed_1_trace.csv"], proc.stdout
     assert "no CSV written" not in proc.stdout
+    assert "  config.cfg: identical" in proc.stdout.splitlines()

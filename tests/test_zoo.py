@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from papc.diagnostics import kkt_residual
-from papc.errors import ConfigError
+from papc.errors import ConfigError, OracleError
 from papc.solver import validate_hypotheses
 from papc.stochastic import DeterministicOracle
 from papc.zoo import (build_instance, cls_kkt_oracle, lasso_sign_oracle, long_run_oracle,
@@ -41,6 +42,20 @@ class TestOracleSelfChecks:
             # computed on; the solution must check there too.
             pres, dres = kkt_residual(np.tile(x, inst.composite.m), v, inst.lifted)
             assert max(pres, dres) <= 1e-8
+
+    @pytest.mark.parametrize("nan_in", ["x", "v", "both"])
+    def test_nan_reference_fails_the_self_check(self, nan_in):
+        # Every comparison with NaN is False, so "residual > 1e-8" once let a
+        # NaN pair through.
+        inst = build_instance("lasso", {"dim": "3"})
+        x, v = oracle_solution(inst)
+        nan_x = np.full_like(x, np.nan) if nan_in in ("x", "both") else x
+        nan_v = np.full_like(v, np.nan) if nan_in in ("v", "both") else v
+        # A params tuple of its own keeps it out of the memo of the real instance.
+        bad = dataclasses.replace(inst, params=inst.params + (("nan_in", nan_in),),
+                                  oracle=lambda: (nan_x, nan_v))
+        with pytest.raises(OracleError, match="oracle self-check failed for lasso"):
+            oracle_solution(bad)
 
 
 class TestClsExamples:
