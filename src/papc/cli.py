@@ -43,7 +43,7 @@ def _cmd_validate(args):
 
 def _cmd_zoo(args):
     for name, entry in sorted(zoo().items()):
-        print("%-8s %s" % (name, entry.description))
+        print("%-16s %s" % (name, entry.description))
     return 0
 
 

@@ -9,7 +9,8 @@ Grammar (also documented in the README):
 Sections and keys::
 
     [problem]   name = cls | lasso | fused | multi | custom | custom_composite,
-                and only the keys the problem reads (_PROBLEM_KEYS); custom_composite
+                and only the keys the problem reads (_PROBLEM_KEYS, with each
+                key's parser, default and least value); custom_composite
                 reads dim, h and blockN.g, blockN.L, blockN.sigma, blockN.omega for
                 N = 1, 2, ... up to the first N with no blockN.g or blockN.L
     [schedules] gamma_kind = constant | harmonic_floor | harmonic
@@ -62,16 +63,24 @@ __all__ = [
     "parse_projector_spec",
     "parse_smooth_spec",
     "reads_input",
+    "problem_values",
 ]
 
-# The [problem] keys each problem reads.
+# The [problem] keys each problem reads: the parser of its text, its default
+# and its least value (None: no bound).  A blockN key stands for block1,
+# block2, ... up to composite_blocks; tags (str) are read by the builders.
+# cls's subspace_dim defaults to max(1, dim // 2).
 _PROBLEM_KEYS = {
-    "cls": ("dim", "subspace_dim", "data_seed"),
-    "lasso": ("dim", "weight", "data_seed"),
-    "fused": ("dim", "weight", "data_seed"),
-    "multi": ("dim", "data_seed"),
-    "custom": ("dim", "h", "g", "L", "projector", "sigma"),
-    "custom_composite": ("dim", "h", "blockN.g", "blockN.L", "blockN.sigma", "blockN.omega"),
+    "cls": {"dim": (int, 6, 1), "subspace_dim": (int, None, 1), "data_seed": (int, 11, 0)},
+    "lasso": {"dim": (int, 5, 1), "weight": (float, 0.5, None), "data_seed": (int, 5, 0)},
+    "fused": {"dim": (int, 12, 2), "weight": (float, 0.3, None), "data_seed": (int, 3, 0)},
+    "multi": {"dim": (int, 6, 2), "data_seed": (int, 17, 0)},
+    "custom": {"dim": (int, 4, 1), "h": (str, "zero", None), "g": (str, "zero", None),
+               "L": (str, "identity", None), "projector": (str, "full", None),
+               "sigma": (float, 1.0, None)},
+    "custom_composite": {"dim": (int, 4, 1), "h": (str, "zero", None),
+                         "blockN.g": (str, "zero", None), "blockN.L": (str, "identity", None),
+                         "blockN.sigma": (float, 1.0, None), "blockN.omega": (float, 0.0, None)},
 }
 
 
@@ -84,15 +93,28 @@ def composite_blocks(params):
     return n
 
 
-def _check_problem_keys(name, params):
-    """A [problem] key that ``name`` does not read (blockN keys: N = 1, 2, ...,
-    composite_blocks) is a config error; an unknown name is the registry's."""
-    accepted = _PROBLEM_KEYS.get(name, ())
-    blocks = range(1, composite_blocks(params) + 1) if name == "custom_composite" else ()
-    keys = set(accepted) | {key.replace("N", str(n)) for n in blocks for key in accepted}
+def problem_values(name, params):
+    """The value of every [problem] key ``name`` reads, parsed from
+    ``params`` (its text) or its default.  An unknown problem, a key the
+    problem does not read, a value that does not parse and one below its
+    least value are config errors."""
+    table = _PROBLEM_KEYS.get(name)
+    if table is None:
+        raise ConfigError("unknown problem %r; available: %s"
+                          % (name, ", ".join(sorted(_PROBLEM_KEYS))))
+    blocks = range(1, composite_blocks(params) + 1)
+    entries = {k: entry for key, entry in table.items()
+               for k in ([key.replace("N", str(n)) for n in blocks] if key.startswith("blockN.")
+                         else [key])}
     for key in params:
-        if accepted and key not in keys:
-            raise unknown_key("[problem] %s" % name, key, accepted)
+        if key not in entries:
+            raise unknown_key("[problem] %s" % name, key, table)
+    values = {}
+    for key, (parse, default, least) in entries.items():
+        values[key] = convert(parse, "[problem]", key, params[key]) if key in params else default
+        if key in params and least is not None and values[key] < least:
+            raise ConfigError("[problem] %s: must be at least %d" % (key, least))
+    return values
 
 
 def unknown_key(where, key, accepted):
@@ -156,7 +178,7 @@ class ExperimentConfig:
             raise ConfigError("tau_cap must be positive (or auto)")
         if self.batch_schedule is not None and self.batch_schedule < 1:
             raise ConfigError("batch_schedule must be at least 1")
-        _check_problem_keys(self.problem, self.problem_params)
+        problem_values(self.problem, self.problem_params)
         return self
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "certify_tau",
     "weighted_norm_sq",
     "read_matrix",
-    "write_matrix",
 ]
 
 
@@ -387,10 +386,3 @@ def read_matrix(path):
                          % (path, rows * cols, len(data)))
     return np.array(data, dtype=float).reshape(rows, cols)
 
-
-def write_matrix(path, matrix):
-    mat = np.asarray(matrix, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%d %d\n" % mat.shape)
-        for row in mat:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")

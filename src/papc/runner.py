@@ -1,5 +1,5 @@
 """Config-driven experiment runner: multi-seed orchestration, per-seed trace
-CSVs, gap tables, and a summary JSON.
+CSVs, gap tables, and a summary JSON, for a problem :mod:`papc.zoo` builds.
 
 The seeds of an experiment are split into one contiguous share per usable
 core, and each share runs in the process or in one forked worker, from its
@@ -27,18 +27,13 @@ from typing import Callable
 
 import numpy as np
 
-from .composite import CompositeBlock, CompositeProblem, stack
-from .config import (ExperimentConfig, composite_blocks, convert, parse_config,
-                     parse_projector_spec, parse_prox_spec, parse_smooth_spec, reads_input,
-                     serialize_config)
+from .config import ExperimentConfig, parse_config, reads_input, serialize_config
 from .diagnostics import GapRow, fejer_tracker, gap_and_bound, kkt_residual, rate_fit
 from .errors import ConfigError, DivergenceError
-from .linop import (LinearMap, OrthoProjector, SpdOperator, coupling_lambda_max, norm,
-                    read_matrix)
-from .monotone import MonotoneBlock, gradient_map
-from .solver import ProblemSpec, Schedules, run, validate_hypotheses
+from .linop import norm
+from .solver import Schedules, run, validate_hypotheses
 from .stochastic import DeterministicOracle, GaussianOracle, MinibatchOracle, VarianceSchedule
-from . import zoo as zoo_mod
+from . import zoo
 
 __all__ = [
     "ExperimentResult",
@@ -78,84 +73,14 @@ class _Bound:
     oracle: Callable  # seeds -> the config's oracle over those seeds
 
 
-def _custom_coupling(params, key, dim, base, label):
-    """The coupling tagged ``identity`` (default) or ``matrix:<path>``."""
-    tag = params.get(key, "identity")
-    if tag == "identity":
-        return LinearMap.identity(dim)
-    if tag.startswith("matrix:"):
-        return LinearMap.from_matrix(read_matrix(os.path.join(base, tag.split(":", 1)[1])))
-    raise ConfigError("%s must be 'identity' or 'matrix:<path>'" % label)
-
-
-def _finite_lambda(U, L, P):
-    """The exact coupling lambda_max of a config-assembled problem; a coupling
-    with a non-finite entry is a config error."""
-    lam = coupling_lambda_max(U, L, P)
-    if not math.isfinite(lam):
-        raise ConfigError("the coupling spectrum is not finite")
-    return lam
-
-
-def _build_custom_single(cfg):
-    params = dict(cfg.problem_params)
-    dim = zoo_mod._getdim(params, 4, 1)
-    base = cfg.base_dir
-    h, lipschitz = parse_smooth_spec(params.get("h", "zero"), dim, base)
-    if lipschitz <= 0:
-        raise ConfigError("custom problems need a smooth term with positive curvature")
-    L = _custom_coupling(params, "L", dim, base, "custom L")
-    g = parse_prox_spec(params.get("g", "zero"), L.codomain_dim, base)
-    P = parse_projector_spec(params.get("projector", "full"), dim, base)
-    U = SpdOperator.scalar_op(convert(float, "[problem]", "sigma", params.get("sigma", 1.0)),
-                              L.codomain_dim)
-    spec = ProblemSpec(B=gradient_map(h, lipschitz), A=MonotoneBlock.from_prox(g),
-                       L=L, P_V=P, U=U, g=g, h=h, name="custom")
-    tau = 0.9 / max(_finite_lambda(U, L, P), 1e-12)
-    sched = Schedules.constant(0.9 * spec.B.beta, tau, spec.B.beta)
-    return zoo_mod.ZooInstance("custom", sched, tuple(sorted(params.items())), spec)
-
-
-def _build_custom_composite(cfg):
-    params = dict(cfg.problem_params)
-    dim = zoo_mod._getdim(params, 4, 1)
-    base = cfg.base_dir
-    h, lipschitz = parse_smooth_spec(params.get("h", "zero"), dim, base)
-    if lipschitz <= 0:
-        raise ConfigError("custom problems need a smooth term with positive curvature")
-    blocks, weights = [], []
-    for i in range(1, composite_blocks(params) + 1):
-        prefix = "block%d." % i
-        L = _custom_coupling(params, prefix + "L", dim, base, prefix + "L")
-        g = parse_prox_spec(params.get(prefix + "g", "zero"), L.codomain_dim, base)
-        sigma = convert(float, "[problem]", prefix + "sigma", params.get(prefix + "sigma", 1.0))
-        blocks.append(CompositeBlock(L=L, A=MonotoneBlock.from_prox(g), sigma=sigma, g=g))
-        weights.append(convert(float, "[problem]", prefix + "omega",
-                               params.get(prefix + "omega", 0.0)))
-    if not blocks:
-        raise ConfigError("custom_composite needs block1.g/block1.L/... entries")
-    cp = CompositeProblem(weights=np.array(weights), C=gradient_map(h, lipschitz),
-                          blocks=tuple(blocks), h=h, name="custom_composite")
-    caps = [0.9 / max(_finite_lambda(SpdOperator.scalar_op(blk.sigma, blk.A.dim), blk.L,
-                                     OrthoProjector.full(dim)), 1e-12)
-            for blk in cp.blocks]
-    sched = Schedules.constant(0.9 * cp.C.beta, min(caps), cp.C.beta)
-    return zoo_mod.ZooInstance("custom_composite", sched, tuple(sorted(params.items())),
-                               stack(cp), composite=cp)
-
-
 @reads_input
 def bind(cfg):
-    """Materialize problem, schedules and noise model from a config.  Values
-    that do not parse or build (a bad number, an unknown kind, an unreadable
+    """Materialize problem, schedules and noise model from a config; the
+    problem, whatever its name, is the zoo registry's to build.  Values that
+    do not parse or build (a bad number, an unknown kind, an unreadable
     matrix file, a dimension the problem cannot take) are config errors."""
     cfg.validate()
-    if cfg.problem == "custom":
-        inst = _build_custom_single(cfg)
-    elif cfg.problem == "custom_composite":
-        inst = _build_custom_composite(cfg)
-    else:
-        inst = zoo_mod.build_instance(cfg.problem, cfg.problem_params)
+    inst = zoo.build_instance(cfg.problem, cfg.problem_params, cfg.base_dir)
     base = inst.schedules
     gamma0 = cfg.gamma0 if cfg.gamma0 is not None else base.gamma0
     tau_cap = cfg.tau_cap if cfg.tau_cap is not None else base.tau_cap
@@ -481,22 +406,22 @@ def run_experiment(cfg, out_dir=None, force=False, seed_override=None):
     """Execute a full experiment: validate, run every seed, write artifacts.
 
     Exit code semantics: 0 success, 1 any seed diverged or failed, 2
-    config/hypothesis rejection (unless ``force``).
+    config/hypothesis rejection (unless ``force``).  A config error leaves
+    no output directory: it is made once the config binds and is gated.
     """
     if isinstance(cfg, str):
         cfg = parse_config(cfg)
     cfg.validate()
     if seed_override is not None:
         cfg = replace(cfg, seeds=(int(seed_override),))
+    t0 = time.perf_counter()
+    bound = bind(cfg)
+    cert = _gate(bound, cfg.horizon)
     out_dir = out_dir or cfg.out_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError("cannot create the output directory %r: %s" % (out_dir, exc)) from exc
-
-    t0 = time.perf_counter()
-    bound = bind(cfg)
-    cert = _gate(bound, cfg.horizon)
     cert_summary = {
         "ok": cert.ok,
         "regime": cert.regime,
@@ -511,16 +436,22 @@ def run_experiment(cfg, out_dir=None, force=False, seed_override=None):
     with open(os.path.join(out_dir, "config.cfg"), "w", encoding="utf-8") as fh:
         fh.write(serialize_config(cfg))
 
-    oracle_xv = (zoo_mod.oracle_solution(bound.instance)
-                 if bound.instance.oracle is not None else None)
-    c0 = (0.0 if cert.summability is None
-          else cert.summability.noise_constant(bound.instance.spec.B.dim))
     seeds = sorted(set(int(s) for s in cfg.seeds))
-    # A diverging seed overflows before the finiteness checks retire it, and
-    # so do the diagnostics of its last trace rows (they read inf); its status
-    # records the divergence, so numpy's warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        per_seed = _run_seeds(bound, seeds, out_dir, oracle_xv, c0)
+    try:
+        oracle_xv = (zoo.oracle_solution(bound.instance)
+                     if bound.instance.oracle is not None else None)
+    except Exception as exc:
+        # A reference that cannot be computed, or fails its self-check, ends
+        # every seed: each is measured against it.
+        per_seed = [_error_fragment(seed, exc) for seed in seeds]
+    else:
+        c0 = (0.0 if cert.summability is None
+              else cert.summability.noise_constant(bound.instance.spec.B.dim))
+        # A diverging seed overflows before the finiteness checks retire it,
+        # and so do the diagnostics of its last trace rows (they read inf); its
+        # status records the divergence, so numpy's warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_seed = _run_seeds(bound, seeds, out_dir, oracle_xv, c0)
 
     dists = [d["terminal_dist_x"] for d in per_seed if d["terminal_dist_x"] is not None]
     statuses = {d["status"] for d in per_seed}

@@ -1,28 +1,34 @@
-"""Problem zoo: concrete desk-scale instances with independently computed
-reference solutions.
+"""Problem registry: every problem a config's ``[problem] name`` can pick,
+each an instance of the one structured inclusion the solver runs.
 
-Every entry exposes a builder (parameterized by config strings), default
-certified schedules, and an oracle producing a primal-dual pair by a method
-independent of the solver under test: a dense KKT solve on the constraint
-subspace (`cls`), exhaustive sign-pattern enumeration (`lasso`), or a cached
-conservative long-horizon run accepted only under a strict KKT residual
-(`fused`, `multi`).
+Every entry has a builder that reads the parsed values of its
+``[problem]`` keys (:func:`papc.config.problem_values`) and returns the
+problem with default certified schedules.  The four desk-scale problems also
+carry an oracle producing a primal-dual pair by a method independent of the
+solver under test: a dense KKT solve on the constraint subspace (`cls`),
+exhaustive sign-pattern enumeration (`lasso`), or a conservative
+long-horizon run accepted only under a strict KKT residual (`fused`,
+`multi`).  The two config-assembled problems, `custom` and
+`custom_composite`, have none.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .composite import CompositeBlock, CompositeProblem, lift, stack
-from .config import convert
+from .config import (composite_blocks, parse_projector_spec, parse_prox_spec,
+                     parse_smooth_spec, problem_values)
 from .diagnostics import kkt_residual
 from .errors import ConfigError, OracleError
-from .linop import LinearMap, OrthoProjector, SpdOperator, coupling_lambda_max
+from .linop import (LinearMap, OrthoProjector, SpdOperator, coupling_lambda_max,
+                    read_matrix)
 from .monotone import (MonotoneBlock, box_support, gradient_map, l1, quadratic_lipschitz,
                        quadratic_ls, sq_dist)
 from .solver import PapcState, ProblemSpec, Schedules, papc_step
@@ -48,39 +54,25 @@ class ZooInstance:
     where its oracle needs one.  ``oracle`` computes
     the reference pair (x, v) on ``spec`` (None when there is none).
     ``least_squares`` is (D, a), D a :class:`LinearMap`: the smooth term is
-    0.5||Dx - a||^2, whose rows the minibatch oracle samples."""
+    0.5||Dx - a||^2, whose rows the minibatch oracle samples (None for the
+    custom problems).  ``params`` is the parsed ``[problem]`` values, sorted
+    by key: with ``name``, the key of the memoized reference solution."""
 
     name: str
     schedules: Schedules
-    params: tuple
     spec: ProblemSpec
     oracle: Optional[Callable] = None
     composite: Optional[CompositeProblem] = None
     lifted: Optional[ProblemSpec] = None
     least_squares: Optional[tuple] = None
+    params: tuple = ()
 
 
 @dataclass(frozen=True)
 class ZooEntry:
     name: str
     description: str
-    build: callable
-
-
-def _geti(params, key, default):
-    return convert(int, "[problem]", key, params.get(key, default))
-
-
-def _getf(params, key, default):
-    return convert(float, "[problem]", key, params.get(key, default))
-
-
-def _getdim(params, default, minimum, key="dim"):
-    """A dimension key; one below the problem's minimum is a config error."""
-    dim = _geti(params, key, default)
-    if dim < minimum:
-        raise ConfigError("[problem] %s: must be at least %d" % (key, minimum))
-    return dim
+    build: Callable  # (parsed [problem] values, base_dir) -> ZooInstance
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +157,12 @@ def long_run_oracle(spec, beta, tau, total_steps=10 ** 6, segment=1000,
 # Builders
 # ---------------------------------------------------------------------------
 
-def _build_cls(params):
-    dim = _getdim(params, 6, 1)
-    sub = _getdim(params, max(1, dim // 2), 1, key="subspace_dim")
-    rng = np.random.default_rng(_geti(params, "data_seed", 11))
+def _build_cls(values, base_dir):
+    dim = values["dim"]
+    sub = max(1, dim // 2) if values["subspace_dim"] is None else values["subspace_dim"]
+    if sub > dim:
+        raise ConfigError("[problem] subspace_dim: must be at most dim (%d)" % dim)
+    rng = np.random.default_rng(values["data_seed"])
     D = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim)) / math.sqrt(dim)
     a = rng.standard_normal(dim)
     gdim = max(2, dim - 2)
@@ -188,15 +182,13 @@ def _build_cls(params):
     )
     lmax = coupling_lambda_max(spec.U, spec.L, spec.P_V)
     sched = Schedules.constant(0.9 * spec.B.beta, 0.9 / lmax, spec.B.beta)
-    return ZooInstance("cls", sched, tuple(sorted(params.items())), spec,
-                       oracle=lambda: cls_kkt_oracle(D, a, Lmat, b, basis),
+    return ZooInstance("cls", sched, spec, oracle=lambda: cls_kkt_oracle(D, a, Lmat, b, basis),
                        least_squares=(LinearMap.from_matrix(D), a))
 
 
-def _build_lasso(params):
-    dim = _getdim(params, 5, 1)
-    weight = _getf(params, "weight", 0.5)
-    rng = np.random.default_rng(_geti(params, "data_seed", 5))
+def _build_lasso(values, base_dir):
+    dim, weight = values["dim"], values["weight"]
+    rng = np.random.default_rng(values["data_seed"])
     D = np.eye(dim) + 0.25 * rng.standard_normal((dim, dim)) / math.sqrt(dim)
     # Alternate strong and weak coordinates so the solution has mixed support.
     signs = rng.choice([-1.0, 1.0], size=dim)
@@ -214,15 +206,13 @@ def _build_lasso(params):
         g=g, h=h, name="lasso",
     )
     sched = Schedules.constant(0.9 * spec.B.beta, 0.9, spec.B.beta)
-    return ZooInstance("lasso", sched, tuple(sorted(params.items())), spec,
-                       oracle=lambda: lasso_sign_oracle(D, a, weight),
+    return ZooInstance("lasso", sched, spec, oracle=lambda: lasso_sign_oracle(D, a, weight),
                        least_squares=(LinearMap.from_matrix(D), a))
 
 
-def _build_fused(params):
-    dim = _getdim(params, 12, 2)
-    weight = _getf(params, "weight", 0.3)
-    rng = np.random.default_rng(_geti(params, "data_seed", 3))
+def _build_fused(values, base_dir):
+    dim = values["dim"]
+    rng = np.random.default_rng(values["data_seed"])
     levels = np.concatenate([
         np.full(dim - 2 * (dim // 3), 1.0),
         np.full(dim // 3, 3.0),
@@ -231,7 +221,7 @@ def _build_fused(params):
     a = levels + 0.05 * rng.standard_normal(dim)
 
     h = sq_dist(a)
-    g = l1(weight, dim - 1)
+    g = l1(values["weight"], dim - 1)
     spec = ProblemSpec(
         B=gradient_map(h, 1.0),
         A=MonotoneBlock.from_prox(g),
@@ -243,14 +233,13 @@ def _build_fused(params):
     # lambda_max(L L*) = ||L||^2, which the difference operator knows in closed form.
     lmax = spec.L.norm_bound() ** 2
     sched = Schedules.constant(0.9, 0.9 / lmax, 1.0)
-    return ZooInstance("fused", sched, tuple(sorted(params.items())), spec,
-                       oracle=lambda: long_run_oracle(spec, 1.0, 0.5 / lmax),
+    return ZooInstance("fused", sched, spec, oracle=lambda: long_run_oracle(spec, 1.0, 0.5 / lmax),
                        least_squares=(LinearMap.identity(dim), a))
 
 
-def _build_multi(params):
-    dim = _getdim(params, 6, 2)
-    rng = np.random.default_rng(_geti(params, "data_seed", 17))
+def _build_multi(values, base_dir):
+    dim = values["dim"]
+    rng = np.random.default_rng(values["data_seed"])
     D = np.eye(dim) + 0.2 * rng.standard_normal((dim, dim)) / math.sqrt(dim)
     a = rng.standard_normal(dim)
     h = quadratic_ls(D, a)
@@ -287,9 +276,69 @@ def _build_multi(params):
         bold_x, v = long_run_oracle(lifted, mu, 0.5)
         return bold_x[:dim], v
 
-    return ZooInstance("multi", sched, tuple(sorted(params.items())), stack(cp),
-                       oracle=oracle, composite=cp, lifted=lifted,
+    return ZooInstance("multi", sched, stack(cp), oracle=oracle, composite=cp, lifted=lifted,
                        least_squares=(LinearMap.from_matrix(D), a))
+
+
+def _coupling(tag, dim, base_dir, label):
+    """The coupling tagged ``identity`` or ``matrix:<path>``."""
+    if tag == "identity":
+        return LinearMap.identity(dim)
+    if tag.startswith("matrix:"):
+        return LinearMap.from_matrix(read_matrix(os.path.join(base_dir, tag.split(":", 1)[1])))
+    raise ConfigError("%s must be 'identity' or 'matrix:<path>'" % label)
+
+
+def _finite_lambda(U, L, P):
+    """The exact coupling lambda_max of a config-assembled problem; a coupling
+    with a non-finite entry is a config error."""
+    lam = coupling_lambda_max(U, L, P)
+    if not math.isfinite(lam):
+        raise ConfigError("the coupling spectrum is not finite")
+    return lam
+
+
+def _smooth_term(values, base_dir):
+    """The smooth term h of a custom problem and its gradient map."""
+    h, lipschitz = parse_smooth_spec(values["h"], values["dim"], base_dir)
+    if lipschitz <= 0:
+        raise ConfigError("custom problems need a smooth term with positive curvature")
+    return h, gradient_map(h, lipschitz)
+
+
+def _build_custom(values, base_dir):
+    dim = values["dim"]
+    h, B = _smooth_term(values, base_dir)
+    L = _coupling(values["L"], dim, base_dir, "custom L")
+    g = parse_prox_spec(values["g"], L.codomain_dim, base_dir)
+    P = parse_projector_spec(values["projector"], dim, base_dir)
+    U = SpdOperator.scalar_op(values["sigma"], L.codomain_dim)
+    spec = ProblemSpec(B=B, A=MonotoneBlock.from_prox(g), L=L, P_V=P, U=U, g=g, h=h,
+                       name="custom")
+    tau = 0.9 / max(_finite_lambda(U, L, P), 1e-12)
+    return ZooInstance("custom", Schedules.constant(0.9 * B.beta, tau, B.beta), spec)
+
+
+def _build_custom_composite(values, base_dir):
+    dim = values["dim"]
+    h, C = _smooth_term(values, base_dir)
+    blocks, weights = [], []
+    for i in range(1, composite_blocks(values) + 1):
+        prefix = "block%d." % i
+        L = _coupling(values[prefix + "L"], dim, base_dir, prefix + "L")
+        g = parse_prox_spec(values[prefix + "g"], L.codomain_dim, base_dir)
+        blocks.append(CompositeBlock(L=L, A=MonotoneBlock.from_prox(g),
+                                     sigma=values[prefix + "sigma"], g=g))
+        weights.append(values[prefix + "omega"])
+    if not blocks:
+        raise ConfigError("custom_composite needs block1.g/block1.L/... entries")
+    cp = CompositeProblem(weights=np.array(weights), C=C, blocks=tuple(blocks), h=h,
+                          name="custom_composite")
+    caps = [0.9 / max(_finite_lambda(SpdOperator.scalar_op(blk.sigma, blk.A.dim), blk.L,
+                                     OrthoProjector.full(dim)), 1e-12)
+            for blk in cp.blocks]
+    sched = Schedules.constant(0.9 * C.beta, min(caps), C.beta)
+    return ZooInstance("custom_composite", sched, stack(cp), composite=cp)
 
 
 _ENTRIES = {
@@ -298,9 +347,13 @@ _ENTRIES = {
     "fused": ZooEntry("fused", "1-d total variation (long-run oracle)", _build_fused),
     "multi": ZooEntry("multi", "composite sum of three blocks (lifted long-run oracle)",
                       _build_multi),
+    "custom": ZooEntry("custom", "single block assembled from config tags (no oracle)",
+                       _build_custom),
+    "custom_composite": ZooEntry("custom_composite",
+                                 "composite sum of blocks assembled from config tags (no oracle)",
+                                 _build_custom_composite),
 }
 
-_INSTANCES = {}
 _SOLUTIONS = {}
 
 
@@ -309,16 +362,12 @@ def zoo():
     return dict(_ENTRIES)
 
 
-def build_instance(name, params=None):
-    """Build (and cache) a zoo instance from config-style string parameters."""
-    params = dict(params or {})
-    if name not in _ENTRIES:
-        raise ConfigError("unknown problem %r; available: %s"
-                          % (name, ", ".join(sorted(_ENTRIES))))
-    key = (name, tuple(sorted(params.items())))
-    if key not in _INSTANCES:
-        _INSTANCES[key] = _ENTRIES[name].build(params)
-    return _INSTANCES[key]
+def build_instance(name, params=None, base_dir="."):
+    """Build a problem from the text of its ``[problem]`` keys (a dict of
+    strings); relative paths in its tags resolve against ``base_dir``."""
+    values = problem_values(name, params or {})
+    inst = _ENTRIES[name].build(values, base_dir)
+    return replace(inst, params=tuple(sorted(values.items())))
 
 
 def oracle_solution(inst):

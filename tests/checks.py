@@ -2,7 +2,8 @@
 inequalities (prox inequality, firm nonexpansiveness, cocoercivity, adjoint
 consistency), the shipped prox library, the dense first-difference matrix,
 the lockstep flat/lifted comparison of a composite problem, the sampled
-noise variance, and epsilon-saddle certification over gap tables."""
+noise variance, epsilon-saddle certification over gap tables, and the
+writer of the plain-text matrix format."""
 
 from __future__ import annotations
 
@@ -229,3 +230,13 @@ def epsilon_saddle_check(tables, eps):
         if sup <= eps:
             return tables[0][k].N
     return None
+
+
+def write_matrix(path, matrix):
+    """Write ``matrix`` in the plain-text format :func:`papc.linop.read_matrix`
+    reads: a "rows cols" line, then one line of entries per row."""
+    mat = np.asarray(matrix, dtype=float)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("%d %d\n" % mat.shape)
+        for row in mat:
+            fh.write(" ".join(repr(float(x)) for x in row) + "\n")

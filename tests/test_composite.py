@@ -8,7 +8,7 @@ from papc.composite import (DENSE_STACK_ENTRIES, CompositeBlock, CompositeProble
                             composite_dual_residuals, lift, stack)
 from papc.config import parse_config
 from papc.errors import DimensionMismatchError
-from papc.linop import LinearMap, norm, write_matrix
+from papc.linop import LinearMap, norm
 from papc.runner import bind
 from papc.monotone import (MonotoneBlock, gradient_map, l1, quadratic_lipschitz, quadratic_ls,
                            sq_dist, zero_prox)
@@ -17,7 +17,7 @@ from papc.stochastic import DeterministicOracle, GaussianOracle, VarianceSchedul
 from papc.zoo import build_instance, oracle_solution
 
 from checks import (ReplicatedOracle, adjoint_consistency_check, cocoercivity_check,
-                    lift_flat_equivalence)
+                    lift_flat_equivalence, write_matrix)
 
 
 def single_block_problem(dim=3, seed=2):

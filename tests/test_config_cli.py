@@ -15,9 +15,10 @@ from papc.cli import main as cli_main
 from papc.config import (ExperimentConfig, parse_config, parse_prox_spec,
                          parse_projector_spec, parse_smooth_spec, serialize_config)
 from papc.errors import ConfigError
-from papc.linop import write_matrix
 from papc.monotone import quadratic_lipschitz
 from papc.runner import default_checkpoints, run_experiment, validate_only
+
+from checks import write_matrix
 
 BASIC = """
 [problem]
@@ -448,7 +449,7 @@ class TestCli:
     def test_zoo_list(self, capsys):
         assert cli_main(["zoo", "--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("cls", "lasso", "fused", "multi"):
+        for name in ("cls", "lasso", "fused", "multi", "custom", "custom_composite"):
             assert name in out
 
     def test_validate_ok(self, tmp_path, capsys):
@@ -553,6 +554,12 @@ class TestCli:
          "config error: [problem] subspace_dim: must be at least 1"),
         ("problem", "name = cls\nsubspace_dim = -1",
          "config error: [problem] subspace_dim: must be at least 1"),
+        # A subspace wider than the space once passed, and ran on the full space.
+        ("problem", "name = cls\ndim = 4\nsubspace_dim = 50",
+         "config error: [problem] subspace_dim: must be at most dim (4)"),
+        # numpy's own message for a negative seed named no key.
+        ("problem", "name = lasso\ndata_seed = -1",
+         "config error: [problem] data_seed: must be at least 0"),
     ]
 
     @pytest.mark.parametrize("section,entries,cause", OUT_OF_RANGE,
@@ -573,6 +580,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert cause in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("matrix,cause", [
         (None, "No such file"),  # the --config file itself is missing
@@ -592,10 +600,11 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count("config error") == 2 and cause in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_uncreatable_output_directory_exit_2(self, tmp_path, capsys):
-        # The output directory lies below a file: a config error, before the
-        # problem is built.
+        # The output directory lies below a file: a config error, once the
+        # problem is built and certified.
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text("[problem]\nname = lasso\n\n[run]\nhorizon = 20\nseeds = 0\n")
         (tmp_path / "afile").write_text("")
@@ -784,6 +793,23 @@ class TestCli:
             "terminal_dist_x": None, "terminal_dist_v": None, "wall_time_s": None}
         assert os.path.exists(out / "seed_0_trace.csv")
 
+    def test_failed_reference_is_recorded_per_seed(self, tmp_path, capsys):
+        # An infinite l1 weight passes the gate, but the reference pair fails
+        # its self-check.  That ended the run with exit 1 and no summary.
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("[problem]\nname = lasso\nweight = inf\n\n"
+                            "[run]\nhorizon = 20\nseeds = 0 1\n")
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        with open(out / "summary.json", encoding="utf-8") as fh:
+            summary = json.load(fh)
+        assert summary["status"] == "error"
+        assert {s: (d["status"], d["error"]) for s, d in summary["seeds"].items()} == {
+            s: ("error", "OracleError: oracle self-check failed for lasso: kkt=(nan, nan)")
+            for s in ("0", "1")}
+        assert sorted(os.listdir(out)) == ["config.cfg", "summary.json"]
+
     @settings(max_examples=40)
     @given(problem=st.sampled_from(["cls", "lasso", "fused", "multi"]),
            gamma_kind=st.sampled_from(["constant", "harmonic_floor", "harmonic"]),
@@ -824,3 +850,111 @@ class TestCli:
         cfg_path.write_text("[problem]\nname = unknown-problem\n")
         assert cli_main(["run", "--config", str(cfg_path), "--out",
                          str(tmp_path / "o")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Config fuzzing from the key tables
+# ---------------------------------------------------------------------------
+
+# Values every key is tried with, whatever its parser.
+EDGE = ("0", "-1", "nan", "inf", "-inf", "1e308", "", "abc")
+# The words of the sections' str keys (the tables hold parsers, not choices).
+WORDS = {"gamma_kind": ("constant", "harmonic_floor", "harmonic"),
+         "tau_kind": ("constant", "ramp"), "kind": ("none", "gaussian", "minibatch"),
+         "regime": ("almost-sure", "ergodic")}
+# The largest integer drawn for a key: dimensions, seeds and batches stay
+# desk-sized, and so does the horizon.
+LARGEST = {"horizon": 30, "checkpoints": 30}
+
+
+def _ints_text(key, least):
+    return st.lists(st.integers(least, LARGEST.get(key, 6)), min_size=1, max_size=3).map(
+        lambda values: " ".join(map(str, values)))
+
+
+def _typed_text(key, parse):
+    """Text of the type ``parse`` reads, in the range the fuzz keeps to."""
+    if parse is str:
+        return st.sampled_from(WORDS[key])
+    if parse is int:
+        return st.integers(1, LARGEST.get(key, 6)).map(str)
+    if parse is config._ints:
+        return _ints_text(key, 0)
+    if parse is config._checkpoints:
+        return st.one_of(st.sampled_from(["log", "none"]), _ints_text(key, 0))
+    floats = st.one_of(st.sampled_from(["0.5", "1"]), st.floats(0.0, 4.0).map(repr))
+    return st.one_of(st.just("auto"), floats) if parse is config._opt_float else floats
+
+
+def _text(key, parse):
+    """Text for ``key``: one draw in ten from the edge values."""
+    return st.integers(0, 9).flatmap(
+        lambda k: st.sampled_from(EDGE) if k == 9 else _typed_text(key, parse))
+
+
+def _sometimes(draw):
+    return draw(st.integers(0, 2)) == 2
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A config text: a problem named in ``config._PROBLEM_KEYS`` with any of
+    its numeric keys, any keys of the other sections but [output] (the run's
+    directory is given on the command line), and now and then a misspelt or
+    a repeated key.  Tags keep their defaults; the custom problems get the
+    smooth term they need, and custom_composite one or two identity blocks."""
+    name = draw(st.sampled_from(sorted(config._PROBLEM_KEYS)))
+    lines = {"problem": [("name", name)]}
+    blocks = draw(st.integers(1, 2)) if name == "custom_composite" else 0
+    if name.startswith("custom"):
+        lines["problem"].append(("h", "sq_dist(b=1.0)"))
+    lines["problem"] += [("block%d.L" % n, "identity") for n in range(1, blocks + 1)]
+    for key, (parse, _, _) in config._PROBLEM_KEYS[name].items():
+        keys = ([key.replace("N", str(n)) for n in range(1, blocks + 1)]
+                if key.startswith("blockN.") else [key])
+        for k in keys:
+            if parse is not str and _sometimes(draw):
+                lines["problem"].append((k, draw(_text(k, parse))))
+    for section, table in config._KEYS.items():
+        if section == "output":
+            continue
+        lines[section] = [(key, draw(_text(key, parse))) for key, (_, parse, _) in table.items()
+                          if key in ("horizon", "seeds") or _sometimes(draw)]
+    flaw = draw(st.sampled_from([None] * 8 + ["misspelt", "repeated"]))
+    if flaw:
+        section = draw(st.sampled_from(sorted(s for s in lines if lines[s])))
+        key, text = draw(st.sampled_from(lines[section]))
+        lines[section].append((key + "x" if flaw == "misspelt" else key, text))
+    return "".join("[%s]\n%s\n" % (section, "".join("%s = %s\n" % kv for kv in body))
+                   for section, body in lines.items())
+
+
+class TestConfigFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(text=fuzzed_configs())
+    def test_every_config_ends_in_a_documented_exit(self, text):
+        # validate and run exit 0, 1 or 2 and never raise; they reject the
+        # same configs.  A config error leaves no output directory and a
+        # rejected certificate only its summary; a run writes a summary in
+        # which every seed has a status.
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = os.path.join(tmp, "c.cfg")
+            with open(cfg_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out = os.path.join(tmp, "o")
+            validated = cli_main(["validate", "--config", cfg_path])
+            ran = cli_main(["run", "--config", cfg_path, "--out", out])
+            assert validated in (0, 2) and ran in (0, 1, 2)
+            assert (ran == 2) == (validated == 2)
+            summary = None
+            if os.path.exists(out):
+                if ran == 2:
+                    assert os.listdir(out) == ["summary.json"]
+                with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+                    summary = json.load(fh)
+        if ran == 2:
+            assert summary is None or summary["status"] == "rejected"
+        else:
+            assert summary is not None
+            assert {d["status"] for d in summary["seeds"].values()} <= {"ok", "diverged",
+                                                                        "error"}

@@ -6,11 +6,10 @@ from hypothesis import given, strategies as st
 
 from papc.errors import DimensionMismatchError, StepSizeViolationError
 from papc.linop import (LinearMap, OrthoProjector, SpdOperator, certify_tau,
-                        coupling_lambda_max, inner, norm, read_matrix, weighted_norm_sq,
-                        write_matrix)
+                        coupling_lambda_max, inner, norm, read_matrix, weighted_norm_sq)
 from papc.zoo import build_instance
 
-from checks import adjoint_consistency_check, difference_matrix
+from checks import adjoint_consistency_check, difference_matrix, write_matrix
 
 
 def random_projectors(dim, rng):

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from papc import config, zoo as zoo_module
 from papc.diagnostics import kkt_residual
 from papc.errors import ConfigError, OracleError
-from papc.solver import validate_hypotheses
+from papc.solver import PapcState, papc_step, validate_hypotheses
 from papc.stochastic import DeterministicOracle
 from papc.zoo import (build_instance, cls_kkt_oracle, lasso_sign_oracle, long_run_oracle,
                       oracle_solution, zoo)
@@ -15,6 +16,19 @@ from papc.zoo import (build_instance, cls_kkt_oracle, lasso_sign_oracle, long_ru
 from checks import difference_matrix
 
 ALL_NAMES = ("cls", "lasso", "fused", "multi")
+
+
+def _fingerprint(inst):
+    """The bits of three deterministic steps of ``inst`` from a fixed start,
+    which pass through each of B, A, L, L*, P_V and U."""
+    spec = inst.spec
+    rng = np.random.default_rng(0)
+    state = PapcState(0, spec.P_V(rng.standard_normal(spec.B.dim)),
+                      rng.standard_normal(spec.A.dim))
+    oracle = DeterministicOracle(spec.B)
+    for _ in range(3):
+        state = papc_step(state, spec, inst.schedules, oracle)
+    return state.x.tobytes(), state.v.tobytes(), spec.B.beta
 
 
 class TestRegistry:
@@ -26,8 +40,37 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="cls"):
             build_instance("nope", {})
 
-    def test_instances_are_cached(self):
-        assert build_instance("cls", {}) is build_instance("cls", {})
+    def test_registry_holds_every_configurable_problem(self):
+        assert set(config._PROBLEM_KEYS) == set(zoo())
+
+    # Parameters a problem needs beyond its defaults to build at all.
+    NEEDS = {"custom": {"h": "sq_dist(b=1.0)"},
+             "custom_composite": {"h": "sq_dist(b=1.0)", "block1.g": "l1(weight=0.3)",
+                                  "block1.omega": "1"}}
+
+    @pytest.mark.parametrize("name", sorted(config._PROBLEM_KEYS))
+    def test_default_text_builds_the_default_problem(self, name):
+        # Every key written at its declared default builds, bit for bit, what
+        # leaving it out builds: no builder keeps a default of its own.
+        given = self.NEEDS.get(name, {})
+        values = config.problem_values(name, given)
+        spelled = dict(given, **{key: str(value) for key, value in values.items()
+                                 if key not in given and value is not None})
+        assert set(spelled) - set(given)
+        plain, written = build_instance(name, given), build_instance(name, spelled)
+        assert plain.schedules == written.schedules
+        assert _fingerprint(plain) == _fingerprint(written)
+
+    def test_builds_share_one_reference_computation(self, monkeypatch):
+        calls = []
+        real = zoo_module.lasso_sign_oracle
+        monkeypatch.setattr(zoo_module, "_SOLUTIONS", {})
+        monkeypatch.setattr(zoo_module, "lasso_sign_oracle",
+                            lambda *args: calls.append(args) or real(*args))
+        first, second = build_instance("lasso", {}), build_instance("lasso", {"dim": "5"})
+        assert first is not second
+        assert oracle_solution(first) is oracle_solution(second)
+        assert len(calls) == 1
 
 
 class TestOracleSelfChecks:
@@ -132,10 +175,9 @@ class TestFusedExamples:
 
     def test_wide_build_holds_no_square_array(self):
         # One 5000 x 5000 float array is 200 MB; the matrix-free build needs O(dim).
-        # The entry's builder is called directly so no cached instance is returned.
         tracemalloc.start()
         try:
-            inst = zoo()["fused"].build({"dim": "5000"})
+            inst = build_instance("fused", {"dim": "5000"})
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
