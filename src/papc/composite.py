@@ -57,7 +57,7 @@ class CompositeBlock:
     def __post_init__(self):
         if self.A.dim != self.L.codomain_dim:
             raise DimensionMismatchError("block A and L codomain disagree")
-        if self.sigma <= 0:
+        if not self.sigma > 0:  # a NaN sigma fails it
             raise DimensionMismatchError("sigma must be positive")
 
 

@@ -35,9 +35,11 @@ naming the section (or problem, or tag) and the key, for example
 A key a file leaves out keeps the ``ExperimentConfig`` default.
 
 Prox functions are named by string tags, e.g. ``l1(weight=0.5)``,
-``box(lo=-1, hi=1)``, ``quadratic(D=<path>, a=<path>)``; projectors by
-``full``, ``matrix:<path>``, ``basis:<path>`` or ``averaging:<m>``.
-Parsing then serializing then parsing is the identity.
+``box(lo=-1, hi=1)``, ``quadratic(D=<path>, a=<path>)`` (``_TAGS``);
+couplings by ``identity`` or ``matrix:<path>``; projectors by ``full``,
+``matrix:<path>``, ``basis:<path>`` or ``averaging:<m>``.  A ``<path>`` is
+relative to the config file.  Parsing then serializing then parsing is the
+identity.
 """
 
 from __future__ import annotations
@@ -47,12 +49,9 @@ import os
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigError
-from .linop import OrthoProjector, read_matrix
-from .monotone import (box, box_support, l1, quadratic_lipschitz, quadratic_ls,
-                       singleton, sq_dist, zero_prox)
+from .linop import LinearMap, OrthoProjector, read_matrix
+from .monotone import box, box_support, l1, quadratic_ls, singleton, sq_dist, zero_prox
 
 __all__ = [
     "ExperimentConfig",
@@ -61,10 +60,18 @@ __all__ = [
     "serialize_config",
     "parse_prox_spec",
     "parse_projector_spec",
-    "parse_smooth_spec",
+    "parse_coupling_spec",
     "reads_input",
     "problem_values",
 ]
+
+
+def _positive(text):
+    value = float(text)
+    if not value > 0:  # a NaN fails it
+        raise ValueError("must be positive")
+    return value
+
 
 # The [problem] keys each problem reads: the parser of its text, its default
 # and its least value (None: no bound).  A blockN key stands for block1,
@@ -77,10 +84,11 @@ _PROBLEM_KEYS = {
     "multi": {"dim": (int, 6, 2), "data_seed": (int, 17, 0)},
     "custom": {"dim": (int, 4, 1), "h": (str, "zero", None), "g": (str, "zero", None),
                "L": (str, "identity", None), "projector": (str, "full", None),
-               "sigma": (float, 1.0, None)},
+               "sigma": (_positive, 1.0, None)},
     "custom_composite": {"dim": (int, 4, 1), "h": (str, "zero", None),
                          "blockN.g": (str, "zero", None), "blockN.L": (str, "identity", None),
-                         "blockN.sigma": (float, 1.0, None), "blockN.omega": (float, 0.0, None)},
+                         "blockN.sigma": (_positive, 1.0, None),
+                         "blockN.omega": (float, 0.0, None)},
 }
 
 
@@ -126,9 +134,12 @@ def unknown_key(where, key, accepted):
 
 def convert(parse, where, key, text):
     """``parse(text)``; a value that does not parse is a config error naming
-    where it was read and its key."""
+    where it was read and its key (a config error ``parse`` raises itself,
+    such as a file that cannot be read, keeps its message)."""
     try:
         return parse(text)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError("%s %s: %s" % (where, key, exc)) from exc
 
@@ -309,74 +320,50 @@ def serialize_config(cfg):
 
 
 # ---------------------------------------------------------------------------
-# Prox-function and projector tags
+# Prox-function, coupling and projector tags
 # ---------------------------------------------------------------------------
 
 _TAG_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z_0-9]*)\s*(?:\((.*)\))?\s*$")
 
 
-def _parse_kwargs(body):
-    kwargs = {}
-    if not body or not body.strip():
-        return kwargs
-    for part in body.split(","):
-        if "=" not in part:
-            raise ConfigError("malformed tag argument %r (expected key=value)" % part.strip())
-        key, value = part.split("=", 1)
-        kwargs[key.strip()] = value.strip()
-    return kwargs
+@reads_input
+def _read_path(path, base_dir):
+    """The matrix in the file at ``path``, relative to ``base_dir``."""
+    return read_matrix(os.path.join(base_dir, path))
 
 
-def _load_vector(value, base_dir):
+def _number(text, base_dir):
+    return float(text)
+
+
+def _vector(text, base_dir):
+    """A number, or the entries of the matrix file at path ``text``."""
     try:
-        return float(value)
+        return float(text)
     except ValueError:
-        mat = read_matrix(os.path.join(base_dir, value))
-        return mat.ravel()
+        return _read_path(text, base_dir).ravel()
 
 
-# The keys each prox tag accepts.
-_TAG_KEYS = {
-    "zero": (),
-    "l1": ("weight",),
-    "box": ("lo", "hi"),
-    "box_support": ("lo", "hi"),
-    "singleton": ("c",),
-    "sq_dist": ("b",),
-    "quadratic": ("A", "D", "b", "a"),
-}
-
-
-def _parse_tag(tag):
-    """The name and keyword arguments of a prox tag; a key the tag does not
-    accept is a config error naming both."""
-    match = _TAG_RE.match(tag)
-    if not match:
-        raise ConfigError("malformed prox tag %r" % tag)
-    name, kw = match.group(1), _parse_kwargs(match.group(2))
-    accepted = _TAG_KEYS.get(name)
-    if accepted is not None:
-        for key in kw:
-            if key not in accepted:
-                raise unknown_key("prox tag %s" % name, key, accepted)
-    return name, kw
-
-
-def _tag_float(name, kw, key, default):
-    """A tag's number; a value that does not convert is a config error
-    naming the tag and the key."""
-    return convert(float, "prox tag %s:" % name, key, kw.get(key, default))
-
-
-def _quadratic_data(kw, base_dir):
-    """(D, a) of a ``quadratic(D=<path>, a=<path>)`` tag (or A=, b=)."""
-    mat_key = "A" if "A" in kw else "D"
-    vec_key = "b" if "b" in kw else "a"
-    if mat_key not in kw or vec_key not in kw:
+def _quadratic(dim, A=None, D=None, b=None, a=None):
+    """0.5||Ax - b||^2 (the keys may also be spelt D and a)."""
+    if (A is None and D is None) or (b is None and a is None):
         raise ConfigError("quadratic(...) needs A=<path> and b=<path>")
-    D = read_matrix(os.path.join(base_dir, kw[mat_key]))
-    a = read_matrix(os.path.join(base_dir, kw[vec_key])).ravel()
-    return D, a
+    return quadratic_ls(D if A is None else A, (a if b is None else b).ravel())
+
+
+# Each prox tag: its builder, called as build(dim=dim, key=value, ...), and
+# the keys it accepts, each with its reader and the text of its default (a
+# key with no default is passed only when the tag gives it).
+_TAGS = {
+    "zero": (zero_prox, {}),
+    "l1": (l1, {"weight": (_number, "1.0")}),
+    "box": (box, {"lo": (_number, "-1.0"), "hi": (_number, "1.0")}),
+    "box_support": (box_support, {"lo": (_number, "-1.0"), "hi": (_number, "1.0")}),
+    "singleton": (singleton, {"c": (_vector, "0.0")}),
+    "sq_dist": (sq_dist, {"b": (_vector, "0.0")}),
+    "quadratic": (_quadratic, {"A": (_read_path, None), "D": (_read_path, None),
+                               "b": (_read_path, None), "a": (_read_path, None)}),
+}
 
 
 def parse_prox_spec(tag, dim, base_dir="."):
@@ -385,42 +372,34 @@ def parse_prox_spec(tag, dim, base_dir="."):
     Scalar arguments broadcast to the target dimension; path arguments load
     matrices/vectors from the plain-text matrix format.
     """
-    name, kw = _parse_tag(tag)
-    if name == "zero":
-        return zero_prox(dim)
-    if name == "l1":
-        return l1(_tag_float(name, kw, "weight", 1.0), dim)
-    if name == "box":
-        return box(_tag_float(name, kw, "lo", -1.0), _tag_float(name, kw, "hi", 1.0), dim)
-    if name == "box_support":
-        return box_support(_tag_float(name, kw, "lo", -1.0), _tag_float(name, kw, "hi", 1.0),
-                           dim)
-    if name == "singleton":
-        c = _load_vector(kw.get("c", "0.0"), base_dir)
-        return singleton(c, dim=dim if np.isscalar(c) or np.size(c) == 1 else None)
-    if name == "sq_dist":
-        b = _load_vector(kw.get("b", "0.0"), base_dir)
-        return sq_dist(b, dim=dim if np.size(b) == 1 else None)
-    if name == "quadratic":
-        return quadratic_ls(*_quadratic_data(kw, base_dir))
-    raise ConfigError("unknown prox tag %r; known: %s" % (name, ", ".join(_TAG_KEYS)))
+    match = _TAG_RE.match(tag)
+    if not match:
+        raise ConfigError("malformed prox tag %r" % tag)
+    name, body, kw = match.group(1), (match.group(2) or "").strip(), {}
+    for part in body.split(",") if body else ():
+        if "=" not in part:
+            raise ConfigError("malformed tag argument %r (expected key=value)" % part.strip())
+        key, value = part.split("=", 1)
+        kw[key.strip()] = value.strip()
+    if name not in _TAGS:
+        raise ConfigError("unknown prox tag %r; known: %s" % (name, ", ".join(_TAGS)))
+    build, keys = _TAGS[name]
+    for key in kw:
+        if key not in keys:
+            raise unknown_key("prox tag %s" % name, key, keys)
+    values = {key: convert(lambda text: read(text, base_dir), "prox tag %s:" % name, key,
+                           kw.get(key, default))
+              for key, (read, default) in keys.items() if key in kw or default is not None}
+    return build(dim=dim, **values)
 
 
-def parse_smooth_spec(tag, dim, base_dir="."):
-    """Parse a smooth-term tag, returning (ProxFunction, gradient Lipschitz
-    constant).  Custom problems need an analytic constant, so only the
-    quadratic family (and the zero function) qualifies."""
-    name, kw = _parse_tag(tag)
-    if name == "quadratic":
-        D, a = _quadratic_data(kw, base_dir)
-        return quadratic_ls(D, a), quadratic_lipschitz(D)
-    f = parse_prox_spec(tag, dim, base_dir)
-    if f.name == "sq_dist":
-        return f, 1.0
-    if f.name == "zero":
-        return f, 0.0
-    raise ConfigError("smooth term must be quadratic(...), sq_dist(...) or zero; got %r"
-                      % tag)
+def parse_coupling_spec(spec, dim, base_dir=".", label="L"):
+    """Build a LinearMap from ``identity`` or ``matrix:<path>``."""
+    if spec == "identity":
+        return LinearMap.identity(dim)
+    if spec.startswith("matrix:"):
+        return LinearMap.from_matrix(_read_path(spec.split(":", 1)[1], base_dir))
+    raise ConfigError("%s must be 'identity' or 'matrix:<path>'" % label)
 
 
 def parse_projector_spec(spec, dim, base_dir="."):
@@ -430,20 +409,17 @@ def parse_projector_spec(spec, dim, base_dir="."):
     if spec == "full":
         return OrthoProjector.full(dim)
     if spec.startswith("matrix:"):
-        mat = read_matrix(os.path.join(base_dir, spec.split(":", 1)[1]))
+        mat = _read_path(spec.split(":", 1)[1], base_dir)
         if mat.shape != (dim, dim):
             raise ConfigError("projector matrix must be %d x %d" % (dim, dim))
         return OrthoProjector.from_matrix(mat)
     if spec.startswith("basis:"):
-        basis = read_matrix(os.path.join(base_dir, spec.split(":", 1)[1]))
+        basis = _read_path(spec.split(":", 1)[1], base_dir)
         if basis.shape[0] != dim:
             raise ConfigError("projector basis must have %d rows" % dim)
         return OrthoProjector.from_basis(basis)
     if spec.startswith("averaging:"):
-        try:
-            m = int(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError("projector %r: the number of copies: %s" % (spec, exc)) from exc
+        m = convert(int, "projector %r:" % spec, "the number of copies", spec.split(":", 1)[1])
         if m < 1:
             raise ConfigError("projector %r: the number of copies must be at least 1" % spec)
         if dim % m != 0:

@@ -265,7 +265,7 @@ class SpdOperator:
     def __init__(self, sigmas, dims, name=""):
         sigmas = [float(s) for s in sigmas]
         dims = [int(d) for d in dims]
-        if len(sigmas) != len(dims) or any(s <= 0 for s in sigmas):
+        if len(sigmas) != len(dims) or any(not s > 0 for s in sigmas):
             raise DimensionMismatchError("need one positive scalar per block")
         d = np.repeat(sigmas, dims)
         self.diag = _frozen(d)

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linop import matvec
+from .linop import lambda_max, matvec
 
 __all__ = [
     "MonotoneBlock",
@@ -51,7 +51,8 @@ class ProxFunction:
 
     ``prox(lam, x)`` returns prox_{lam*f}(x); ``value`` may return ``inf``
     outside the domain.  ``conjugate_value`` and ``gradient`` are optional
-    oracles needed only by saddle-value evaluation and smooth terms.
+    oracles needed only by saddle-value evaluation and smooth terms; a
+    smooth f records ``lipschitz``, its gradient's Lipschitz constant.
     """
 
     dim: int
@@ -60,6 +61,7 @@ class ProxFunction:
     conjugate_value: Optional[Callable] = None
     gradient: Optional[Callable] = None
     name: str = ""
+    lipschitz: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -179,6 +181,7 @@ def sq_dist(b, dim=None):
         conjugate_value=lambda a: 0.5 * float(np.dot(a, a)) + float(np.dot(a, b)),
         gradient=lambda x: x - b,
         name="sq_dist",
+        lipschitz=1.0,
     )
 
 
@@ -275,8 +278,8 @@ def box_support(lo, hi, dim=1):
 def quadratic_ls(D, a):
     """h(x) = (1/2) ||Dx - a||^2 with analytic gradient and prox.
 
-    The gradient Lipschitz constant is lambda_max(D^T D); use
-    :func:`gradient_map` to get the cocoercive gradient operator.
+    Its gradient Lipschitz constant, lambda_max(D^T D), is ``lipschitz``;
+    use :func:`gradient_map` to get the cocoercive gradient operator.
     """
     D = np.array(np.atleast_2d(D), dtype=float)
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -296,6 +299,7 @@ def quadratic_ls(D, a):
         prox=lambda lam, x: _solve(eye + lam * gram, x + lam * dta),
         gradient=lambda x: matvec(gram, x) - dta,
         name="quadratic_ls",
+        lipschitz=quadratic_lipschitz(D),
     )
 
 
@@ -305,18 +309,19 @@ def _solve(mat, x):
 
 
 def quadratic_lipschitz(D):
-    """lambda_max(D^T D), the gradient Lipschitz constant of quadratic_ls."""
+    """lambda_max(D^T D), quadratic_ls's gradient Lipschitz constant; NaN if D is not finite."""
     D = np.atleast_2d(np.asarray(D, dtype=float))
-    return float(np.linalg.eigvalsh(D.T @ D)[-1])
+    return lambda_max(D.T @ D)
 
 
-def gradient_map(f, lipschitz, weights=None):
+def gradient_map(f):
     """Wrap a smooth ProxFunction's gradient as a cocoercive operator.
 
     A convex function with L-Lipschitz gradient has a (1/L)-cocoercive
-    gradient (Baillon-Haddad).
+    gradient (Baillon-Haddad), L = ``f.lipschitz``.  At L = 0 the gradient
+    is constant, cocoercive for every beta, so beta = inf.
     """
-    if f.gradient is None:
+    if f.gradient is None or f.lipschitz is None:
         raise ValueError("%s has no gradient oracle" % (f.name or "f"))
-    return CocoerciveMap(f.dim, f.gradient, beta=1.0 / float(lipschitz),
-                         weights=weights, name=(f.name or "f") + "-grad")
+    beta = INF if f.lipschitz == 0 else 1.0 / f.lipschitz
+    return CocoerciveMap(f.dim, f.gradient, beta=beta, name=(f.name or "f") + "-grad")

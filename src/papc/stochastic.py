@@ -70,7 +70,10 @@ class VarianceSchedule:
     def sigma_sq(self, n):
         if self.kind == "constant":
             return self.sigma0_sq
-        return self.sigma0_sq / (n + 1.0) ** (1.0 + self.epsilon)
+        try:
+            return self.sigma0_sq / (n + 1.0) ** (1.0 + self.epsilon)
+        except OverflowError:  # a power past the float range (a huge epsilon)
+            return self.sigma0_sq / math.inf
 
     @classmethod
     def constant(cls, sigma0_sq):
@@ -272,7 +275,10 @@ def summability_certificate(schedule, sched, horizon, regime="almost-sure"):
     elif schedule.kind == "polynomial":
         # Integral comparison: sum_{n>N} (n+1)^{-(1+eps)} <= (N+1)^{-eps} / eps.
         eps = schedule.epsilon
-        tail_s = schedule.sigma0_sq / (eps * (horizon + 1.0) ** eps)
+        try:
+            tail_s = schedule.sigma0_sq / (eps * (horizon + 1.0) ** eps)
+        except OverflowError:
+            tail_s = schedule.sigma0_sq / math.inf
         tail_gs = gamma0 * gamma0 * tail_s
         status, message = "certified", "polynomial decay: tail bounded by integral comparison"
     elif regime == "almost-sure":

@@ -9,28 +9,26 @@ solver under test: a dense KKT solve on the constraint subspace (`cls`),
 exhaustive sign-pattern enumeration (`lasso`), or a conservative
 long-horizon run accepted only under a strict KKT residual (`fused`,
 `multi`).  The two config-assembled problems, `custom` and
-`custom_composite`, have none.
+`custom_composite`, have none; :mod:`papc.config` reads their tags, and
+their smooth term must carry a positive gradient Lipschitz constant.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .composite import CompositeBlock, CompositeProblem, lift, stack
-from .config import (composite_blocks, parse_projector_spec, parse_prox_spec,
-                     parse_smooth_spec, problem_values)
+from .config import (composite_blocks, parse_coupling_spec, parse_projector_spec,
+                     parse_prox_spec, problem_values)
 from .diagnostics import kkt_residual
 from .errors import ConfigError, OracleError
-from .linop import (LinearMap, OrthoProjector, SpdOperator, coupling_lambda_max,
-                    read_matrix)
-from .monotone import (MonotoneBlock, box_support, gradient_map, l1, quadratic_lipschitz,
-                       quadratic_ls, sq_dist)
+from .linop import LinearMap, OrthoProjector, SpdOperator, coupling_lambda_max
+from .monotone import MonotoneBlock, box_support, gradient_map, l1, quadratic_ls, sq_dist
 from .solver import PapcState, ProblemSpec, Schedules, papc_step
 from .stochastic import DeterministicOracle
 
@@ -173,7 +171,7 @@ def _build_cls(values, base_dir):
     h = quadratic_ls(D, a)
     g = sq_dist(b)
     spec = ProblemSpec(
-        B=gradient_map(h, quadratic_lipschitz(D)),
+        B=gradient_map(h),
         A=MonotoneBlock.from_prox(g),
         L=LinearMap.from_matrix(Lmat, name="cls-L"),
         P_V=OrthoProjector.from_basis(basis),
@@ -198,7 +196,7 @@ def _build_lasso(values, base_dir):
     h = quadratic_ls(D, a)
     g = l1(weight, dim)
     spec = ProblemSpec(
-        B=gradient_map(h, quadratic_lipschitz(D)),
+        B=gradient_map(h),
         A=MonotoneBlock.from_prox(g),
         L=LinearMap.identity(dim, name="lasso-L"),
         P_V=OrthoProjector.full(dim),
@@ -223,7 +221,7 @@ def _build_fused(values, base_dir):
     h = sq_dist(a)
     g = l1(values["weight"], dim - 1)
     spec = ProblemSpec(
-        B=gradient_map(h, 1.0),
+        B=gradient_map(h),
         A=MonotoneBlock.from_prox(g),
         L=LinearMap.difference(dim),
         P_V=OrthoProjector.full(dim),
@@ -243,8 +241,7 @@ def _build_multi(values, base_dir):
     D = np.eye(dim) + 0.2 * rng.standard_normal((dim, dim)) / math.sqrt(dim)
     a = rng.standard_normal(dim)
     h = quadratic_ls(D, a)
-    mu = 1.0 / quadratic_lipschitz(D)
-    C = gradient_map(h, quadratic_lipschitz(D))
+    C = gradient_map(h)
 
     # Block 1: l1 on the coordinates.
     g1 = l1(0.4, dim)
@@ -266,27 +263,18 @@ def _build_multi(values, base_dir):
     cp = CompositeProblem(weights=np.array([0.5, 0.3, 0.2]), C=C,
                           blocks=tuple(blocks), h=h, name="multi")
     lifted = lift(cp)
-    sched = Schedules.constant(0.9 * mu, 0.9, mu)
+    sched = Schedules.constant(0.9 * C.beta, 0.9, C.beta)
 
     def oracle():
         # sigma_i = 1/lambda_max(L_i L_i*) normalizes every block's coupling, so
         # the symmetrized lifted spectrum is at most 1 and tau = 0.5 is
         # conservative.  The lifted run is accepted under its own KKT check;
         # the base-space primal is its first diagonal copy.
-        bold_x, v = long_run_oracle(lifted, mu, 0.5)
+        bold_x, v = long_run_oracle(lifted, C.beta, 0.5)
         return bold_x[:dim], v
 
     return ZooInstance("multi", sched, stack(cp), oracle=oracle, composite=cp, lifted=lifted,
                        least_squares=(LinearMap.from_matrix(D), a))
-
-
-def _coupling(tag, dim, base_dir, label):
-    """The coupling tagged ``identity`` or ``matrix:<path>``."""
-    if tag == "identity":
-        return LinearMap.identity(dim)
-    if tag.startswith("matrix:"):
-        return LinearMap.from_matrix(read_matrix(os.path.join(base_dir, tag.split(":", 1)[1])))
-    raise ConfigError("%s must be 'identity' or 'matrix:<path>'" % label)
 
 
 def _finite_lambda(U, L, P):
@@ -300,16 +288,17 @@ def _finite_lambda(U, L, P):
 
 def _smooth_term(values, base_dir):
     """The smooth term h of a custom problem and its gradient map."""
-    h, lipschitz = parse_smooth_spec(values["h"], values["dim"], base_dir)
-    if lipschitz <= 0:
-        raise ConfigError("custom problems need a smooth term with positive curvature")
-    return h, gradient_map(h, lipschitz)
+    h = parse_prox_spec(values["h"], values["dim"], base_dir)
+    if h.lipschitz is None or not h.lipschitz > 0:
+        raise ConfigError("custom problems need a smooth term with positive curvature; "
+                          "got %r" % values["h"])
+    return h, gradient_map(h)
 
 
 def _build_custom(values, base_dir):
     dim = values["dim"]
     h, B = _smooth_term(values, base_dir)
-    L = _coupling(values["L"], dim, base_dir, "custom L")
+    L = parse_coupling_spec(values["L"], dim, base_dir, "custom L")
     g = parse_prox_spec(values["g"], L.codomain_dim, base_dir)
     P = parse_projector_spec(values["projector"], dim, base_dir)
     U = SpdOperator.scalar_op(values["sigma"], L.codomain_dim)
@@ -325,7 +314,7 @@ def _build_custom_composite(values, base_dir):
     blocks, weights = [], []
     for i in range(1, composite_blocks(values) + 1):
         prefix = "block%d." % i
-        L = _coupling(values[prefix + "L"], dim, base_dir, prefix + "L")
+        L = parse_coupling_spec(values[prefix + "L"], dim, base_dir, prefix + "L")
         g = parse_prox_spec(values[prefix + "g"], L.codomain_dim, base_dir)
         blocks.append(CompositeBlock(L=L, A=MonotoneBlock.from_prox(g),
                                      sigma=values[prefix + "sigma"], g=g))

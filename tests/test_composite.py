@@ -10,8 +10,7 @@ from papc.config import parse_config
 from papc.errors import DimensionMismatchError
 from papc.linop import LinearMap, norm
 from papc.runner import bind
-from papc.monotone import (MonotoneBlock, gradient_map, l1, quadratic_lipschitz, quadratic_ls,
-                           sq_dist, zero_prox)
+from papc.monotone import MonotoneBlock, gradient_map, l1, quadratic_ls, sq_dist, zero_prox
 from papc.solver import PapcState, Schedules, papc_step, run, validate_hypotheses
 from papc.stochastic import DeterministicOracle, GaussianOracle, VarianceSchedule
 from papc.zoo import build_instance, oracle_solution
@@ -27,7 +26,7 @@ def single_block_problem(dim=3, seed=2):
     g = l1(0.5, dim)
     block = CompositeBlock(L=LinearMap.identity(dim), A=MonotoneBlock.from_prox(g),
                            sigma=1.0, g=g)
-    cp = CompositeProblem(weights=np.array([1.0]), C=gradient_map(h, quadratic_lipschitz(D)),
+    cp = CompositeProblem(weights=np.array([1.0]), C=gradient_map(h),
                           blocks=(block,), h=h)
     return cp, Schedules.constant(0.9 * cp.C.beta, 0.9, cp.C.beta)
 
@@ -158,7 +157,7 @@ class TestCompositeStep:
         blk = CompositeBlock(L=LinearMap.identity(dim), A=MonotoneBlock.zero(dim),
                              sigma=1.0, g=g)
         cp = CompositeProblem(weights=np.array([1.0]),
-                              C=gradient_map(h, 1.0), blocks=(blk,), h=h)
+                              C=gradient_map(h), blocks=(blk,), h=h)
         sched = Schedules.constant(0.5, 0.5, 1.0)
         st = PapcState(0, np.array([0.4, -0.1]), np.zeros(dim))
         out = papc_step(st, stack(cp), sched, DeterministicOracle(cp.C))
@@ -221,7 +220,7 @@ class TestStructuredMin:
                            sigma=1.0, g=g)
             for _ in range(2))
         cp = CompositeProblem(weights=np.array([0.6, 0.4]),
-                              C=gradient_map(h, quadratic_lipschitz(D)),
+                              C=gradient_map(h),
                               blocks=blocks, h=h)
         sched = Schedules.constant(0.9 * cp.C.beta, 0.5, cp.C.beta)
         st = PapcState(0, rng.standard_normal(dim), np.zeros(2 * dim))

@@ -13,7 +13,7 @@ import papc
 from papc import config, runner
 from papc.cli import main as cli_main
 from papc.config import (ExperimentConfig, parse_config, parse_prox_spec,
-                         parse_projector_spec, parse_smooth_spec, serialize_config)
+                         parse_projector_spec, serialize_config)
 from papc.errors import ConfigError
 from papc.monotone import quadratic_lipschitz
 from papc.runner import default_checkpoints, run_experiment, validate_only
@@ -183,12 +183,17 @@ class TestProxSpecs:
         with pytest.raises(ConfigError):
             parse_prox_spec("mystery()", 2)
 
-    @pytest.mark.parametrize("tag,key", [
+    FOREIGN_KEYS = [
         ("zero(weight=1)", "weight"), ("l1(lo=x)", "lo"), ("box(weight=1)", "weight"),
         ("box_support(low=0)", "low"), ("singleton(b=0)", "b"), ("sq_dist(c=0)", "c"),
-        ("quadratic(D=D.txt, a=a.txt, c=1)", "c")])
+        ("quadratic(D=D.txt, a=a.txt, c=1)", "c")]
+
+    @pytest.mark.parametrize("tag,key", FOREIGN_KEYS)
     def test_tag_rejects_keys_outside_its_own(self, tmp_path, tag, key):
+        # Every tag of the table has a row, so a new tag cannot skip it.
+        assert [t.split("(")[0] for t, _ in self.FOREIGN_KEYS] == list(config._TAGS)
         name = tag.split("(")[0]
+        assert key not in config._TAGS[name][1]
         with pytest.raises(ConfigError, match="prox tag %s: unknown key '%s'" % (name, key)):
             parse_prox_spec(tag, 2, base_dir=str(tmp_path))
 
@@ -206,9 +211,9 @@ class TestProxSpecs:
         write_matrix(tmp_path / "a.txt", np.array([[1.0], [2.0]]))
         read, paths = config.read_matrix, []
         monkeypatch.setattr(config, "read_matrix", lambda path: paths.append(path) or read(path))
-        f, lipschitz = parse_smooth_spec("quadratic(D=D.txt, a=a.txt)", 2, str(tmp_path))
+        f = parse_prox_spec("quadratic(D=D.txt, a=a.txt)", 2, str(tmp_path))
         assert len(paths) == 2
-        assert lipschitz == quadratic_lipschitz(D)
+        assert f.lipschitz == quadratic_lipschitz(D)
         np.testing.assert_allclose(f.gradient(np.zeros(2)), -D.T @ [1.0, 2.0])
 
 
@@ -439,6 +444,15 @@ g = zero
         with pytest.raises(ConfigError):
             run_experiment(parse_config(text, base_dir=str(tmp_path)),
                            out_dir=str(tmp_path / "x"))
+        # One message, naming the tag, for every h without a positive,
+        # finite gradient Lipschitz constant.
+        write_matrix(tmp_path / "nan.txt", np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        write_matrix(tmp_path / "b.txt", np.ones((2, 1)))
+        for h in ("l1(weight=1.0)", "box(lo=-1, hi=1)", "zero", "quadratic(A=nan.txt, b=b.txt)"):
+            cfg = parse_config(text.replace("l1(weight=1.0)", h), base_dir=str(tmp_path))
+            with pytest.raises(ConfigError, match=re.escape(
+                    "custom problems need a smooth term with positive curvature; got %r" % h)):
+                run_experiment(cfg, out_dir=str(tmp_path / "x"))
 
 
 def _reject_constant(name):
@@ -560,6 +574,22 @@ class TestCli:
         # numpy's own message for a negative seed named no key.
         ("problem", "name = lasso\ndata_seed = -1",
          "config error: [problem] data_seed: must be at least 0"),
+        # A custom problem's dual step once failed with a message naming no key.
+        ("problem", "name = custom\nh = sq_dist(b=1.0)\nsigma = 0",
+         "config error: [problem] sigma: must be positive"),
+        ("problem", "name = custom\nh = sq_dist(b=1.0)\nsigma = -1",
+         "config error: [problem] sigma: must be positive"),
+        ("problem", "name = custom\nh = sq_dist(b=1.0)\nsigma = nan",
+         "config error: [problem] sigma: must be positive"),
+        ("problem", "name = custom_composite\nh = sq_dist(b=1.0)\nblock1.g = l1(weight=0.3)\n"
+         "block1.omega = 1.0\nblock1.sigma = -1",
+         "config error: [problem] block1.sigma: must be positive"),
+        ("problem", "name = custom_composite\nh = sq_dist(b=1.0)\nblock1.g = l1(weight=0.3)\n"
+         "block1.omega = 1.0\nblock1.sigma = 0",
+         "config error: [problem] block1.sigma: must be positive"),
+        ("problem", "name = custom_composite\nh = sq_dist(b=1.0)\nblock1.g = l1(weight=0.3)\n"
+         "block1.omega = 1.0\nblock1.sigma = nan",
+         "config error: [problem] block1.sigma: must be positive"),
     ]
 
     @pytest.mark.parametrize("section,entries,cause", OUT_OF_RANGE,
@@ -896,48 +926,130 @@ def _sometimes(draw):
     return draw(st.integers(0, 2)) == 2
 
 
+# The files a fuzzed <path> names (absent.txt is never written), and for each
+# tag key the one of the right shape.
+PATHS = ("square.txt", "column.txt", "wrong.txt", "nan.txt", "headerless.txt", "empty.txt",
+         "absent.txt")
+RIGHT = {"A": "square.txt", "D": "square.txt"}
+# The smooth terms h is drawn from, and one that is not smooth.
+SMOOTH = ("sq_dist", "quadratic", "l1")
+
+
+def _write_matrix_files(directory, dim):
+    """For a problem of dimension ``dim``: an identity and a column of ones
+    (the right shapes for a coupling, a projector, a basis, A and b), a
+    matrix of the wrong shape, one with a NaN entry, one with no header and
+    an empty file."""
+    nan = np.eye(dim)
+    nan[-1, 0] = np.nan
+    for name, mat in (("square.txt", np.eye(dim)), ("column.txt", np.ones((dim, 1))),
+                      ("wrong.txt", np.ones((dim + 1, dim + 2))), ("nan.txt", nan)):
+        write_matrix(os.path.join(directory, name), mat)
+    for name, text in (("headerless.txt", "1 0 0\n0 1 0\n0 0 1\n"), ("empty.txt", "")):
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _path(right):
+    """A <path>: often the file of the right shape, else any of PATHS."""
+    return st.one_of(st.just(right), st.sampled_from(PATHS))
+
+
+@st.composite
+def _prox_tag(draw, names):
+    """A tag of ``config._TAGS`` among ``names``: each of its own keys two
+    times in three, with a number (or, for a key that reads a file, a path),
+    and one time in ten a key foreign to it."""
+    name = draw(st.sampled_from(names))
+    keys = config._TAGS[name][1]
+    args = []
+    for key, (read, _) in keys.items():
+        if _sometimes(draw):
+            continue
+        numbers = _text(key, float)
+        paths = _path(RIGHT.get(key, "column.txt"))
+        args.append((key, draw(numbers if read is config._number else
+                               st.one_of(numbers, paths) if read is config._vector else paths)))
+    if draw(st.integers(0, 9)) == 9:
+        foreign = {k for _, other in config._TAGS.values() for k in other} | {"zz"}
+        args.append((draw(st.sampled_from(sorted(foreign - set(keys)))), "1"))
+    return "%s(%s)" % (name, ", ".join("%s=%s" % kv for kv in args))
+
+
+def _coupling_tag():
+    """A coupling or projector: full, identity, averaging:<k>, basis:<path>
+    or matrix:<path>."""
+    return st.one_of(st.sampled_from(["full", "identity"]),
+                     st.one_of(st.integers(0, 6).map(str), st.sampled_from(EDGE))
+                     .map("averaging:".__add__),
+                     _path("column.txt").map("basis:".__add__),
+                     _path("square.txt").map("matrix:".__add__))
+
+
+# The strategy of each [problem] tag key; a coupling is often the identity
+# and a projector often full, so that drawn configs also run.
+TAG_TEXT = {"h": _prox_tag(SMOOTH), "g": _prox_tag(list(config._TAGS)),
+            "blockN.g": _prox_tag(list(config._TAGS)),
+            "L": st.one_of(st.just("identity"), _coupling_tag()),
+            "blockN.L": st.one_of(st.just("identity"), _coupling_tag()),
+            "projector": st.one_of(st.just("full"), _coupling_tag())}
+
+
 @st.composite
 def fuzzed_configs(draw):
-    """A config text: a problem named in ``config._PROBLEM_KEYS`` with any of
-    its numeric keys, any keys of the other sections but [output] (the run's
-    directory is given on the command line), and now and then a misspelt or
-    a repeated key.  Tags keep their defaults; the custom problems get the
-    smooth term they need, and custom_composite one or two identity blocks."""
+    """A config text and the dimension its matrix files are written for: a
+    problem named in ``config._PROBLEM_KEYS`` with any of its keys, any keys
+    of the other sections but [output] (the run's directory is given on the
+    command line), and now and then a misspelt or a repeated key.  The
+    custom problems always get a drawn h, and custom_composite one or two
+    blocks, each with a drawn coupling and, unless a drawn value replaces
+    it, an equal share of the weight."""
     name = draw(st.sampled_from(sorted(config._PROBLEM_KEYS)))
-    lines = {"problem": [("name", name)]}
+    table = config._PROBLEM_KEYS[name]
+    problem = {"name": name}
     blocks = draw(st.integers(1, 2)) if name == "custom_composite" else 0
     if name.startswith("custom"):
-        lines["problem"].append(("h", "sq_dist(b=1.0)"))
-    lines["problem"] += [("block%d.L" % n, "identity") for n in range(1, blocks + 1)]
-    for key, (parse, _, _) in config._PROBLEM_KEYS[name].items():
+        problem["h"] = draw(TAG_TEXT["h"])
+    for n in range(1, blocks + 1):
+        problem["block%d.L" % n] = draw(TAG_TEXT["blockN.L"])
+        problem["block%d.omega" % n] = repr(1.0 / blocks)
+    for key, (parse, _, _) in table.items():
         keys = ([key.replace("N", str(n)) for n in range(1, blocks + 1)]
                 if key.startswith("blockN.") else [key])
         for k in keys:
-            if parse is not str and _sometimes(draw):
-                lines["problem"].append((k, draw(_text(k, parse))))
-    for section, table in config._KEYS.items():
+            if _sometimes(draw):
+                problem[k] = draw(TAG_TEXT[key] if parse is str else _text(k, parse))
+    try:
+        dim = int(problem.get("dim", ""))
+    except ValueError:
+        dim = 0
+    lines = {"problem": list(problem.items())}
+    for section, keys in config._KEYS.items():
         if section == "output":
             continue
-        lines[section] = [(key, draw(_text(key, parse))) for key, (_, parse, _) in table.items()
+        lines[section] = [(key, draw(_text(key, parse))) for key, (_, parse, _) in keys.items()
                           if key in ("horizon", "seeds") or _sometimes(draw)]
     flaw = draw(st.sampled_from([None] * 8 + ["misspelt", "repeated"]))
     if flaw:
         section = draw(st.sampled_from(sorted(s for s in lines if lines[s])))
         key, text = draw(st.sampled_from(lines[section]))
         lines[section].append((key + "x" if flaw == "misspelt" else key, text))
-    return "".join("[%s]\n%s\n" % (section, "".join("%s = %s\n" % kv for kv in body))
+    text = "".join("[%s]\n%s\n" % (section, "".join("%s = %s\n" % kv for kv in body))
                    for section, body in lines.items())
+    return text, dim if dim >= 1 else table["dim"][1]
 
 
 class TestConfigFuzz:
     @settings(max_examples=60, deadline=None)
-    @given(text=fuzzed_configs())
-    def test_every_config_ends_in_a_documented_exit(self, text):
+    @given(case=fuzzed_configs())
+    def test_every_config_ends_in_a_documented_exit(self, case):
         # validate and run exit 0, 1 or 2 and never raise; they reject the
         # same configs.  A config error leaves no output directory and a
         # rejected certificate only its summary; a run writes a summary in
         # which every seed has a status.
+        text, dim = case
         with tempfile.TemporaryDirectory() as tmp:
+            _write_matrix_files(tmp, dim)
             cfg_path = os.path.join(tmp, "c.cfg")
             with open(cfg_path, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -149,6 +149,13 @@ class TestProxLibrary:
         # optimality: p - x + lam * grad(p) = 0
         np.testing.assert_allclose(p - x + lam * f.gradient(p), 0.0, atol=1e-10)
         assert quadratic_lipschitz(D) == pytest.approx(np.linalg.eigvalsh(D.T @ D)[-1])
+        assert f.lipschitz == quadratic_lipschitz(D)
+
+    def test_only_smooth_functions_carry_a_lipschitz_constant(self):
+        assert sq_dist(np.ones(3)).lipschitz == 1.0
+        for f in (zero_prox(2), l1(0.5, 2), box(-1.0, 1.0, 2), box_support(-1.0, 1.0, 2),
+                  singleton(np.zeros(2))):
+            assert f.lipschitz is None, f.name
 
 
 class TestProxInequality:
@@ -194,9 +201,11 @@ class TestCocoercivity:
     def test_gradient_map(self, rng):
         D = rng.standard_normal((6, 4))
         f = quadratic_ls(D, rng.standard_normal(6))
-        B = gradient_map(f, quadratic_lipschitz(D))
+        B = gradient_map(f)
         rep = cocoercivity_check(B, pairs=200, rng=11)
         assert rep.passed
+        # A zero gradient is cocoercive for every beta.
+        assert gradient_map(quadratic_ls(np.zeros((1, 3)), np.zeros(1))).beta == math.inf
 
     def test_violation_detected(self):
         # claim beta twice as large as allowed

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from papc.errors import DimensionMismatchError, DivergenceError
 from papc.linop import LinearMap, OrthoProjector, SpdOperator, norm
 from papc.monotone import (CocoerciveMap, MonotoneBlock, ProductMonotoneBlock, l1, sq_dist,
-                           zero_prox, gradient_map, inverse_resolvent, quadratic_lipschitz,
-                           quadratic_ls, singleton)
+                           zero_prox, gradient_map, inverse_resolvent, quadratic_ls,
+                           singleton)
 from papc.solver import (ConditionCheck, ErgodicAccumulator, PapcState, ProblemSpec,
                          Schedules, dual_resolvent, ergodic_update, papc_step, run,
                          validate_hypotheses)
@@ -396,7 +396,7 @@ class TestSaddleStep:
         a = np.array([3.0, 0.1])
         h = quadratic_ls(D, a)
         g = l1(1.0, 2)
-        spec = ProblemSpec(B=gradient_map(h, 1.0), A=MonotoneBlock.from_prox(g),
+        spec = ProblemSpec(B=gradient_map(h), A=MonotoneBlock.from_prox(g),
                            L=LinearMap.identity(2), P_V=OrthoProjector.full(2),
                            U=SpdOperator.scalar_op(1.0, 2), g=g, h=h)
         sched = Schedules.constant(0.5, 0.8, 1.0)

@@ -196,3 +196,12 @@ class TestVarianceSchedule:
         # 1/(n+1)^(1+epsilon) is not summable for epsilon <= 0.
         with pytest.raises(ValueError):
             VarianceSchedule.polynomial(1.0, epsilon)
+
+    def test_huge_epsilon_decays_to_zero(self):
+        # (n + 1) ** (1 + epsilon) is past the float range from n = 1 on, where
+        # Python's ** raises an OverflowError (`papc validate` once ended in
+        # that traceback for `epsilon = 1e308`).
+        sched = VarianceSchedule.polynomial(1.0, 1e308)
+        assert [sched.sigma_sq(n) for n in range(3)] == [1.0, 0.0, 0.0]
+        rep = summability_certificate(sched, Schedules.constant(0.5, 1.0, 1.0), 10)
+        assert rep.certified and rep.partial_sigma_sq == 1.0 and rep.tail_sigma_sq == 0.0

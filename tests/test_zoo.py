@@ -127,12 +127,11 @@ class TestLassoExamples:
             x_enum, v_enum = lasso_sign_oracle(D, a, weight)
 
             from papc.linop import LinearMap, OrthoProjector, SpdOperator
-            from papc.monotone import (MonotoneBlock, gradient_map, l1,
-                                       quadratic_lipschitz, quadratic_ls)
+            from papc.monotone import MonotoneBlock, gradient_map, l1, quadratic_ls
             from papc.solver import ProblemSpec
             h = quadratic_ls(D, a)
             g = l1(weight, dim)
-            spec = ProblemSpec(B=gradient_map(h, quadratic_lipschitz(D)),
+            spec = ProblemSpec(B=gradient_map(h),
                                A=MonotoneBlock.from_prox(g),
                                L=LinearMap.identity(dim),
                                P_V=OrthoProjector.full(dim),
@@ -155,7 +154,7 @@ class TestFusedExamples:
         h = quadratic_ls(np.eye(dim), a)
         g = l1(0.3, dim - 1)
         Lmat = difference_matrix(dim)
-        spec = ProblemSpec(B=gradient_map(h, 1.0), A=MonotoneBlock.from_prox(g),
+        spec = ProblemSpec(B=gradient_map(h), A=MonotoneBlock.from_prox(g),
                            L=LinearMap.from_matrix(Lmat),
                            P_V=OrthoProjector.full(dim),
                            U=SpdOperator.scalar_op(1.0, dim - 1), g=g, h=h)
