@@ -3,7 +3,9 @@
 
 Runs every zoo problem with its certified default schedules and zero noise,
 then prints terminal distances to the reference solutions, KKT residuals,
-and the fitted log-log slope of the ergodic duality gap.
+the fitted log-log slope of the ergodic duality gap, the run's wall time and
+the cycle its iterates entered, as ``entry+period`` (``-`` when the run
+computed every step).
 """
 
 import argparse
@@ -36,7 +38,7 @@ def run_problem(name, horizon):
     rows = gap_and_bound(rec, spec, inst.schedules, (x_ref, v_ref))
     slope = rate_fit([(r.N, r.gap) for r in rows if r.finite], (100, horizon))
     violations = sum(1 for r in rows if r.finite and r.gap > r.bound)
-    return dist, max(pres, dres), slope, violations, wall
+    return dist, max(pres, dres), slope, violations, wall, rec.cycle
 
 
 def main():
@@ -44,12 +46,13 @@ def main():
     parser.add_argument("--horizon", type=int, default=10000)
     args = parser.parse_args()
 
-    print("%-8s %12s %12s %8s %6s %8s" % ("problem", "dist_to_ref", "kkt", "slope",
-                                          "gap>bd", "seconds"))
+    print("%-8s %12s %12s %8s %6s %8s %9s" % ("problem", "dist_to_ref", "kkt", "slope",
+                                              "gap>bd", "seconds", "cycle"))
     for name in ("cls", "lasso", "fused", "multi"):
-        dist, kkt, slope, violations, wall = run_problem(name, args.horizon)
-        print("%-8s %12.3e %12.3e %8.2f %6d %8.1f" % (name, dist, kkt, slope,
-                                                      violations, wall))
+        dist, kkt, slope, violations, wall, cycle = run_problem(name, args.horizon)
+        print("%-8s %12.3e %12.3e %8.2f %6d %8.2f %9s"
+              % (name, dist, kkt, slope, violations, wall,
+                 "-" if cycle is None else "%d+%d" % cycle))
 
 
 if __name__ == "__main__":

@@ -45,9 +45,12 @@ identity.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConfigError
 from .linop import LinearMap, OrthoProjector, read_matrix
@@ -326,22 +329,39 @@ def serialize_config(cfg):
 _TAG_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z_0-9]*)\s*(?:\((.*)\))?\s*$")
 
 
-@reads_input
 def _read_path(path, base_dir):
-    """The matrix in the file at ``path``, relative to ``base_dir``."""
-    return read_matrix(os.path.join(base_dir, path))
+    """The matrix in the file at ``path``, relative to ``base_dir``.  A file
+    that cannot be read or parsed, or that holds a NaN or an infinite entry,
+    is a ValueError, which :func:`convert` turns into a config error naming
+    the key that gave the path."""
+    try:
+        mat = read_matrix(os.path.join(base_dir, path))
+    except OSError as exc:
+        raise ValueError("matrix file %s: %s" % (path, exc.strerror or exc)) from exc
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix file %s: an entry is not finite" % path)
+    return mat
+
+
+def _not_nan(value):
+    if math.isnan(value):
+        raise ValueError("must not be NaN")
+    return value
 
 
 def _number(text, base_dir):
-    return float(text)
+    """A float other than NaN (an infinite bound is a bound)."""
+    return _not_nan(float(text))
 
 
 def _vector(text, base_dir):
-    """A number, or the entries of the matrix file at path ``text``."""
+    """A number other than NaN, or the entries of the matrix file at path
+    ``text``."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return _read_path(text, base_dir).ravel()
+    return _not_nan(value)
 
 
 def _quadratic(dim, A=None, D=None, b=None, a=None):
@@ -379,8 +399,10 @@ def parse_prox_spec(tag, dim, base_dir="."):
     for part in body.split(",") if body else ():
         if "=" not in part:
             raise ConfigError("malformed tag argument %r (expected key=value)" % part.strip())
-        key, value = part.split("=", 1)
-        kw[key.strip()] = value.strip()
+        key, value = (side.strip() for side in part.split("=", 1))
+        if key in kw:
+            raise ConfigError("prox tag %s: key %r repeated" % (name, key))
+        kw[key] = value
     if name not in _TAGS:
         raise ConfigError("unknown prox tag %r; known: %s" % (name, ", ".join(_TAGS)))
     build, keys = _TAGS[name]
@@ -393,28 +415,37 @@ def parse_prox_spec(tag, dim, base_dir="."):
     return build(dim=dim, **values)
 
 
-def parse_coupling_spec(spec, dim, base_dir=".", label="L"):
-    """Build a LinearMap from ``identity`` or ``matrix:<path>``."""
+def _matrix(spec, base_dir, key):
+    """The matrix of a ``matrix:<path>`` or ``basis:<path>`` spec given as
+    [problem] ``key``."""
+    return convert(lambda path: _read_path(path, base_dir), "[problem]", key,
+                   spec.split(":", 1)[1])
+
+
+def parse_coupling_spec(spec, dim, base_dir=".", key="L"):
+    """Build a LinearMap from ``identity`` or ``matrix:<path>``, given as
+    [problem] ``key``."""
     if spec == "identity":
         return LinearMap.identity(dim)
     if spec.startswith("matrix:"):
-        return LinearMap.from_matrix(_read_path(spec.split(":", 1)[1], base_dir))
-    raise ConfigError("%s must be 'identity' or 'matrix:<path>'" % label)
+        return LinearMap.from_matrix(_matrix(spec, base_dir, key))
+    raise ConfigError("[problem] %s: must be 'identity' or 'matrix:<path>'" % key)
 
 
 def parse_projector_spec(spec, dim, base_dir="."):
     """Build an OrthoProjector from ``full``, ``matrix:<path>``,
-    ``basis:<path>`` or ``averaging:<m>``."""
+    ``basis:<path>`` or ``averaging:<m>``.  A matrix must be an orthogonal
+    projector (:meth:`OrthoProjector.from_matrix`)."""
     spec = spec.strip()
     if spec == "full":
         return OrthoProjector.full(dim)
     if spec.startswith("matrix:"):
-        mat = _read_path(spec.split(":", 1)[1], base_dir)
+        mat = _matrix(spec, base_dir, "projector")
         if mat.shape != (dim, dim):
             raise ConfigError("projector matrix must be %d x %d" % (dim, dim))
-        return OrthoProjector.from_matrix(mat)
+        return convert(OrthoProjector.from_matrix, "[problem]", "projector", mat)
     if spec.startswith("basis:"):
-        basis = _read_path(spec.split(":", 1)[1], base_dir)
+        basis = _matrix(spec, base_dir, "projector")
         if basis.shape[0] != dim:
             raise ConfigError("projector basis must have %d rows" % dim)
         return OrthoProjector.from_basis(basis)

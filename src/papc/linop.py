@@ -184,6 +184,11 @@ class LinearMap:
         return self._norm_bound
 
 
+# Largest entry of |W P - (W P)^T| and of |P P - P| that a projector matrix
+# may have (its entries are at most 1 in magnitude in the unweighted space).
+PROJECTOR_TOL = 1e-9
+
+
 class OrthoProjector:
     """Orthogonal projector onto a subspace, self-adjoint in the space's inner product."""
 
@@ -201,9 +206,20 @@ class OrthoProjector:
 
     @classmethod
     def from_matrix(cls, matrix, weights=None):
+        """The projector with this matrix, which must be self-adjoint in the
+        weighted inner product (W P symmetric, W = diag(weights)) and
+        idempotent, each entry within PROJECTOR_TOL; otherwise a ValueError
+        (DimensionMismatchError when it is not square)."""
         mat = np.array(matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError("projector matrix must be square")
+        wp = mat if weights is None else np.asarray(weights, dtype=float)[:, None] * mat
+        asym = np.abs(wp - wp.T).max(initial=0.0)
+        idem = np.abs(mat @ mat - mat).max(initial=0.0)
+        if not (asym <= PROJECTOR_TOL and idem <= PROJECTOR_TOL):  # a NaN fails
+            raise ValueError("not an orthogonal projector: max |WP - (WP)^T| = %.3g, "
+                             "max |PP - P| = %.3g (tolerance %g)"
+                             % (asym, idem, PROJECTOR_TOL))
         return cls(lambda x: matvec(mat, x), mat.shape[0], weights, kind="matrix", matrix=mat)
 
     @classmethod

@@ -182,7 +182,7 @@ def _gap_csv_rows(rows):
 def _error_fragment(seed, exc):
     return {"seed": seed, "status": "error", "error": "%s: %s" % (type(exc).__name__, exc),
             "terminal_dist_x": None, "terminal_dist_v": None, "wall_time_s": None,
-            "gap": None}
+            "cycle": None, "gap": None}
 
 
 def _usable_cores():
@@ -391,6 +391,7 @@ def _seed_fragment(bound, seed, record, overflow, last, wall, out_dir, oracle_xv
         "terminal_dist_x": _finite(last[0]),
         "terminal_dist_v": _finite(last[1]),
         "wall_time_s": wall,
+        "cycle": None if record.cycle is None else list(record.cycle),
         "gap": gap_rows,
     }
 
@@ -466,7 +467,8 @@ def run_experiment(cfg, out_dir=None, force=False, seed_override=None):
         "noise": cfg.noise_kind,
         "certificate": cert_summary,
         "seeds": {str(d["seed"]): {k: d[k] for k in ("status", "error", "terminal_dist_x",
-                                                     "terminal_dist_v", "wall_time_s")}
+                                                     "terminal_dist_v", "wall_time_s",
+                                                     "cycle")}
                   for d in per_seed},
         "max_terminal_dist_x": max(dists) if dists else None,
         "status": ("ok" if statuses == {"ok"} else

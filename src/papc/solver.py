@@ -18,6 +18,12 @@ seed of the oracle): every operator acts on the last axis and its rows never
 mix, so one step advances all S runs and each row is bitwise the run of its
 seed alone.  :func:`run` always records (S, d) traces, a vector run being
 the one-row batch, and steps a one-row batch on its vectors.
+
+With a deterministic oracle and constant steps, one step is a fixed map of
+the bits of (x_n, v_n), and in floating point the iterate of a convergent
+run can come back to an earlier state (within a few hundred steps on the
+zoo problems); :func:`run` finds that cycle with :class:`CycleSearch` and
+replays it instead of recomputing it, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ __all__ = [
     "papc_step",
     "dual_resolvent",
     "ergodic_update",
+    "CycleSearch",
     "run",
 ]
 
@@ -400,7 +407,9 @@ class ErgodicCheckpoint:
 class RunRecord:
     """Per-iteration trace.  Row k holds the state before step ``ns[k]`` plus
     the scheduled parameters at that index; a stride > 1 subsamples the trace
-    for very long horizons (the terminal row is always present)."""
+    for very long horizons (the terminal row is always present).  ``cycle``
+    is the (entry, period) of the cycle the run found and replayed from then
+    on, None when it found none (see :func:`run`)."""
 
     ns: np.ndarray
     xs: np.ndarray
@@ -414,6 +423,7 @@ class RunRecord:
     grad_gap_partial: Optional[np.ndarray] = None
     diverged: bool = False
     error: Optional[str] = None
+    cycle: Optional[tuple] = None
 
     @property
     def terminal_x(self):
@@ -437,7 +447,8 @@ class BatchRecord:
     rows of seeds retired before it.  Seed i ran until step ``stops[i]``
     (the horizon, unless it diverged at that step with message
     ``errors[i]``) and owns the trace rows with n <= stops[i]; :meth:`seed`
-    is its RunRecord."""
+    is its RunRecord.  ``cycle`` is the replayed cycle, shared by every
+    row."""
 
     ns: np.ndarray
     xs: np.ndarray
@@ -451,6 +462,7 @@ class BatchRecord:
     stops: tuple
     errors: tuple
     grad_gap_partial: Optional[np.ndarray] = None
+    cycle: Optional[tuple] = None
 
     def __len__(self):
         return len(self.stops)
@@ -467,7 +479,7 @@ class BatchRecord:
             stochastic=self.stochastic, horizon=self.horizon, stride=self.stride,
             grad_gap_partial=(None if self.grad_gap_partial is None
                               else self.grad_gap_partial[i, :k]),
-            diverged=err is not None, error=err,
+            diverged=err is not None, error=err, cycle=self.cycle,
         )
 
 
@@ -499,14 +511,14 @@ class TraceBuffer:
         self.taus[k] = tau
         self.rows = k + 1
 
-    def batch(self, checkpoints, stochastic, stops, errors):
+    def batch(self, checkpoints, stochastic, stops, errors, cycle=None):
         """The rows held, as the record of a batched run; its arrays are views
         of the buffer."""
         k = self.rows
         return BatchRecord(self.ns[:k], self.xs[:, :k], self.vs[:, :k], self.gammas[:k],
                            self.taus[:k], tuple(checkpoints), stochastic, self.horizon,
                            self.stride, tuple(stops), tuple(errors),
-                           None if self.grad_gap is None else self.grad_gap[:, :k])
+                           None if self.grad_gap is None else self.grad_gap[:, :k], cycle)
 
 
 # Trace rows a sink receives at a time, and steps whose iterates are held for
@@ -557,6 +569,66 @@ class _GradGapSums:
         self.count = 0
 
 
+def _same_bits(a, b):
+    return a.x.tobytes() == b.x.tobytes() and a.v.tobytes() == b.v.tobytes()
+
+
+class CycleSearch:
+    """Brent's cycle search (R. P. Brent, "An improved Monte Carlo
+    factorization algorithm", BIT 20, 1980) over the bits of the iterates
+    (x_n, v_n) of a fixed map, in O(1) memory until it matches.
+
+    It holds one state and moves the hold to the newest state each time the
+    steps since the hold reach a power of two, so a cycle of period p that
+    the iterates enter at step e is seen by step 2 max(e, p) or so.  A state
+    is compared by one scalar, the first entry of x, and by the bytes of x
+    and v only when that scalar agrees, so a search that never matches costs
+    about one float compare per step.
+
+    After a match with period p, :meth:`see` records the next p states; the
+    one after them must be bitwise the first recorded, which a fixed map
+    guarantees, or the search ends.  Then ``cycle`` is (entry, period): the
+    held step and p, so (x_{n+p}, v_{n+p}) = (x_n, v_n) bitwise for every
+    n >= entry, and :meth:`at` gives the state of any later step.  A
+    period above _BLOCK also ends the search, as its states are not held."""
+
+    def __init__(self, state):
+        self._hold(state)
+        self.power = 1
+        self.period = None
+        self.states = None
+        self.cycle = None
+
+    def _hold(self, state):
+        self.held, self.key, self.lam = state, state.x.item(0), 0
+
+    def see(self, state):
+        """Take the next computed state; returns the search, or None once it
+        has ended without a cycle."""
+        if self.states is None:
+            self.lam += 1
+            if state.x.item(0) == self.key and _same_bits(state, self.held):
+                if self.lam > _BLOCK:
+                    return None
+                self.period, self.states = self.lam, [state]
+            elif self.lam == self.power:
+                self._hold(state)
+                self.power *= 2
+        elif len(self.states) < self.period:
+            self.states.append(state)
+        elif _same_bits(state, self.states[0]):
+            self.cycle = (self.held.n, self.period)
+        else:
+            return None
+        return self
+
+    def at(self, n):
+        """The state of step n, for n at or after the first recorded step once
+        ``cycle`` is set; its ``n`` field is that of the recorded state."""
+        first = self.states[0].n
+        return self.states[(n - first) % self.period]
+
+
 def run(spec, sched, oracle, x0, v0, horizon, sink=None, checkpoints=(),
         grad_gap_reference=None):
     """Iterate the algorithm for ``horizon`` steps and record the trace.
@@ -579,6 +651,16 @@ def run(spec, sched, oracle, x0, v0, horizon, sink=None, checkpoints=(),
     vector, which gives the row's bits faster; its trace and checkpoint
     averages are still (1, d).  Each step is papc_step's: two finiteness
     checks, and the step taken again with four when one fails.
+
+    When the step is a fixed map of (x_n, v_n), that is with a deterministic
+    oracle (``is_deterministic``: its sample is a function of x alone),
+    constant gamma and tau, and no row retired, a :class:`CycleSearch` runs
+    alongside.  Once the iterates repeat bit for bit with period p, the next
+    p states are computed as usual and the rest of the horizon replays them:
+    every replayed step is still stored, folded into the grad-gap sums and
+    the ergodic averages and tested for a checkpoint, so the record has the
+    bits of a run that computed every step.  The record's ``cycle`` is the
+    (entry, period) found, None when the search was off or found none.
 
     Given a ``sink``, the trace is held _BLOCK rows at a time: each time
     the rows fill the buffer, and once after the last row, ``sink(block)``
@@ -636,26 +718,34 @@ def run(spec, sched, oracle, x0, v0, horizon, sink=None, checkpoints=(),
         if trace.rows == len(trace.ns):
             _flush()
 
+    # The step is a fixed map of (x, v), whose cycle can be replayed.
+    fixed = not stochastic and sched.gamma_kind == sched.tau_kind == "constant"
+    search = CycleSearch(state) if fixed else None
     for n in range(horizon):
         _store(n, state)
         gam = float(sched.gamma(n))
-        while True:
-            try:
-                state = papc_step(state, spec, sched, oracle)
-                break
-            except DivergenceError as exc:
-                failure = exc
-                for i in exc.rows:
-                    stops[i], errors[i] = n, str(exc)
-                if None not in errors:
+        if search is not None and search.cycle is not None:
+            state = search.at(n + 1)
+        else:
+            while True:
+                try:
+                    state = papc_step(state, spec, sched, oracle)
                     break
-                live = np.array([e is None for e in errors])
-                x, v = state.x.copy(), state.v.copy()
-                x[~live] = np.nan
-                v[~live] = np.nan
-                state = PapcState(n, x, v, live=live)
-        if None not in errors:
-            break
+                except DivergenceError as exc:
+                    failure = exc
+                    for i in exc.rows:
+                        stops[i], errors[i] = n, str(exc)
+                    if None not in errors:
+                        break
+                    live = np.array([e is None for e in errors])
+                    x, v = state.x.copy(), state.v.copy()
+                    x[~live] = np.nan
+                    v[~live] = np.nan
+                    state = PapcState(n, x, v, live=live)
+            if None not in errors:
+                break
+            if search is not None:
+                search = search.see(state) if state.live is None else None
         acc = ergodic_update(acc, gam, state.x, state.v)
         if next_cp is not None and n == next_cp:
             snaps.append(ErgodicCheckpoint(n, acc.x_avg.reshape(seeds, -1).copy(),
@@ -666,7 +756,8 @@ def run(spec, sched, oracle, x0, v0, horizon, sink=None, checkpoints=(),
         _store(horizon, state)
     _flush()
 
-    batch = trace.batch(snaps, stochastic, stops, errors)
+    batch = trace.batch(snaps, stochastic, stops, errors,
+                        None if search is None else search.cycle)
     if not vector:
         return batch
     record = batch.seed(0)

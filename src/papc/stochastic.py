@@ -18,6 +18,11 @@ one-seed oracle gives for that row.  A run keeps every row in place, a
 retired one as NaN, so the rows and the seeds stay aligned for the whole
 run.
 
+An oracle whose ``is_deterministic`` is true (false when it has none)
+promises that ``sample(x, n)`` is a function of x alone, whatever n and
+whatever was asked before: :func:`papc.solver.run` then treats a step with
+constant step sizes as a fixed map and replays the cycle its iterates enter.
+
 Every oracle also answers ``summability(sched, horizon, regime)``: the
 :class:`SummabilityReport` of its noise under the step sizes ``sched``, or
 None for no noise.  :func:`papc.solver.validate_hypotheses` checks it.

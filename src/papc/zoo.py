@@ -29,7 +29,7 @@ from .diagnostics import kkt_residual
 from .errors import ConfigError, OracleError
 from .linop import LinearMap, OrthoProjector, SpdOperator, coupling_lambda_max
 from .monotone import MonotoneBlock, box_support, gradient_map, l1, quadratic_ls, sq_dist
-from .solver import PapcState, ProblemSpec, Schedules, papc_step
+from .solver import CycleSearch, PapcState, ProblemSpec, Schedules, papc_step
 from .stochastic import DeterministicOracle
 
 __all__ = [
@@ -129,16 +129,27 @@ def long_run_oracle(spec, beta, tau, total_steps=10 ** 6, segment=1000,
     """Conservative long-horizon deterministic run, accepted only under a
     strict KKT residual.  Runs in segments, checking the residual after each,
     and stops early once it is below ``early_exit`` (strictly tighter than
-    the acceptance level)."""
+    the acceptance level).
+
+    The steps are constant, so a :class:`papc.solver.CycleSearch` runs
+    alongside.  Once the iterates cycle, the run jumps to each segment
+    boundary (to ``total_steps`` in the end, when no boundary exits early)
+    and takes its decision on the state the step-by-step loop would have
+    reached there."""
     sched = Schedules.constant(0.5 * beta, tau, beta)
     oracle = DeterministicOracle(spec.B)
     state = PapcState(0, spec.P_V(np.zeros(spec.B.dim)), np.zeros(spec.A.dim))
+    search = CycleSearch(state)
     done = 0
     pres = dres = math.inf
     while done < total_steps:
         seg = min(segment, total_steps - done)
         for _ in range(seg):
+            if search is not None and search.cycle is not None:
+                state = search.at(done + seg)
+                break
             state = papc_step(state, spec, sched, oracle)
+            search = None if search is None else search.see(state)
         done += seg
         pres, dres = kkt_residual(state.x, state.v, spec)
         if max(pres, dres) <= early_exit:
@@ -298,7 +309,7 @@ def _smooth_term(values, base_dir):
 def _build_custom(values, base_dir):
     dim = values["dim"]
     h, B = _smooth_term(values, base_dir)
-    L = parse_coupling_spec(values["L"], dim, base_dir, "custom L")
+    L = parse_coupling_spec(values["L"], dim, base_dir, "L")
     g = parse_prox_spec(values["g"], L.codomain_dim, base_dir)
     P = parse_projector_spec(values["projector"], dim, base_dir)
     U = SpdOperator.scalar_op(values["sigma"], L.codomain_dim)

@@ -1,9 +1,10 @@
 """Verification references the tests share: sampled checks of the operator
 inequalities (prox inequality, firm nonexpansiveness, cocoercivity, adjoint
 consistency), the shipped prox library, the dense first-difference matrix,
-the lockstep flat/lifted comparison of a composite problem, the sampled
-noise variance, epsilon-saddle certification over gap tables, and the
-writer of the plain-text matrix format."""
+the lockstep flat/lifted comparison of a composite problem, the plain
+segment loop of the long-run oracle, the sampled noise variance,
+epsilon-saddle certification over gap tables, and the writer of the
+plain-text matrix format."""
 
 from __future__ import annotations
 
@@ -13,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from papc.composite import lift, stack
+from papc.diagnostics import kkt_residual
+from papc.errors import OracleError
 from papc.linop import inner, norm
 from papc.monotone import box, box_support, l1, quadratic_ls, singleton, sq_dist, zero_prox
-from papc.solver import PapcState, papc_step
+from papc.solver import PapcState, Schedules, papc_step
 from papc.stochastic import DeterministicOracle, GaussianOracle
 
 
@@ -193,6 +196,34 @@ def lift_flat_equivalence(cp, sched, seed, steps, noise=None):
             dev_x = max(dev_x, float(np.max(np.abs(blockk - flat.x))))
         worst = max(worst, max(dev_x, dev_v) / (1.0 + mag))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Long-run reference
+# ---------------------------------------------------------------------------
+
+def plain_long_run(spec, beta, tau, total_steps=10 ** 6, segment=1000, accept=1e-9,
+                   early_exit=1e-10):
+    """``zoo.long_run_oracle`` without its cycle search: every step of every
+    segment is a papc_step, and the KKT decision is taken after each."""
+    sched = Schedules.constant(0.5 * beta, tau, beta)
+    oracle = DeterministicOracle(spec.B)
+    state = PapcState(0, spec.P_V(np.zeros(spec.B.dim)), np.zeros(spec.A.dim))
+    done = 0
+    pres = dres = math.inf
+    while done < total_steps:
+        seg = min(segment, total_steps - done)
+        for _ in range(seg):
+            state = papc_step(state, spec, sched, oracle)
+        done += seg
+        pres, dres = kkt_residual(state.x, state.v, spec)
+        if max(pres, dres) <= early_exit:
+            break
+    if not (pres <= accept and dres <= accept):
+        raise OracleError(
+            "long-run oracle rejected: kkt residual %.3e after %d steps (accept %.1e)"
+            % (max(pres, dres), done, accept))
+    return state.x, state.v
 
 
 # ---------------------------------------------------------------------------

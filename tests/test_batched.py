@@ -7,9 +7,11 @@ import dataclasses
 import json
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from papc import runner
 from papc.cli import main as cli_main
@@ -20,7 +22,8 @@ from papc.errors import DimensionMismatchError, DivergenceError, StepSizeViolati
 from papc.linop import LinearMap, OrthoProjector, SpdOperator, inner, norm, weighted_norm_sq
 from papc.monotone import (MonotoneBlock, ProductMonotoneBlock, inverse_resolvent, l1,
                            quadratic_ls)
-from papc.solver import PapcState, papc_step, run
+from papc.runner import default_checkpoints
+from papc.solver import CycleSearch, PapcState, Schedules, papc_step, run
 from papc.stochastic import (NOISE_BLOCK, DeterministicOracle, GaussianOracle, MinibatchOracle,
                              VarianceSchedule)
 from papc.zoo import build_instance, oracle_solution
@@ -385,6 +388,170 @@ class TestSink:
                 (cp.N, bits(cp.x_avg), bits(cp.v_avg)) for cp in streamed.seed(i).checkpoints]
 
 
+class FullPath:
+    """An oracle reported as not deterministic, so that run computes every
+    step with it."""
+
+    is_deterministic = False
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def sample(self, x, n):
+        return self.inner.sample(x, n)
+
+
+def states(values, n0=0):
+    """PapcStates whose x and v are [value, 1] and [value]."""
+    return [PapcState(n0 + k, np.array([value, 1.0]), np.array([float(value)]))
+            for k, value in enumerate(values)]
+
+
+# The [problem] keys of each problem the replay is checked on, beside its
+# data seed (the custom problems have none; their start point still varies).
+REPLAYED = {"cls": {}, "lasso": {}, "fused": {}, "multi": {},
+            "custom": {"dim": "3", "h": "sq_dist(b=1.0)", "g": "l1(weight=0.3)"},
+            "custom_composite": {"h": "sq_dist(b=1.0)", "block1.g": "l1(weight=0.3)",
+                                 "block1.omega": "0.5", "block2.g": "box_support(lo=-1, hi=1)",
+                                 "block2.omega": "0.5"}}
+
+
+class TestCycleReplay:
+    """A deterministic run with constant steps replays the cycle its
+    iterates enter, to the bits of the run that computes every step."""
+
+    @staticmethod
+    def _run(oracle, name, data_seed, rows, horizon, sink_block):
+        """The record of a run (a record whose blocks went to a sink of
+        ``sink_block`` rows, when given) and the copies of those blocks."""
+        params = dict(REPLAYED[name])
+        if not name.startswith("custom"):
+            params["data_seed"] = str(data_seed)
+        inst = build_instance(name, params)
+        spec = inst.spec
+        shape = (rows,) if rows else ()
+        start = np.random.default_rng(data_seed)
+        x0 = 0.5 * start.standard_normal(shape + (spec.B.dim,))
+        v0 = 0.5 * start.standard_normal(shape + (spec.A.dim,))
+        blocks = []
+
+        def sink(block):
+            blocks.append([getattr(block, f).copy() for f in (
+                "ns", "xs", "vs", "gammas", "taus", "grad_gap_partial")])
+
+        with mock.patch.object(solver, "_BLOCK", sink_block or solver._BLOCK):
+            record = run(spec, inst.schedules, oracle(spec.B), x0, v0, horizon,
+                         sink=sink if sink_block else None,
+                         checkpoints=default_checkpoints(horizon),
+                         grad_gap_reference=np.linspace(-1.0, 1.0, spec.B.dim))
+        return record, blocks
+
+    @settings(max_examples=40)
+    @given(name=st.sampled_from(sorted(REPLAYED)),
+           data_seed=st.integers(0, 3), rows=st.sampled_from([0, 1, 3]),
+           horizon=st.sampled_from([1, 7, 40, 300, 1100, 2600]),
+           sink_block=st.sampled_from([None, 16]), stride=st.sampled_from([1, 3]))
+    def test_replay_is_bitwise_the_full_path(self, name, data_seed, rows, horizon,
+                                             sink_block, stride):
+        with mock.patch.object(solver, "_trace_stride", lambda horizon: stride):
+            replayed, got = self._run(DeterministicOracle, name, data_seed, rows, horizon,
+                                      sink_block)
+            full, want = self._run(lambda B: FullPath(DeterministicOracle(B)), name,
+                                   data_seed, rows, horizon, sink_block)
+        assert full.cycle is None
+        if horizon >= 2600:
+            assert replayed.cycle is not None
+        one = [replayed] if rows == 0 else [replayed.seed(i) for i in range(rows)]
+        other = [full] if rows == 0 else [full.seed(i) for i in range(rows)]
+        for a, b in zip(one, other):
+            assert_same_record(a, b)
+        assert len(got) == len(want)
+        for block_a, block_b in zip(got, want):
+            for a, b in zip(block_a, block_b):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", ["cls", "lasso", "fused", "multi"])
+    def test_replay_computes_the_cycle_once(self, monkeypatch, name):
+        inst = build_instance(name, {})
+        calls = []
+        real = solver.papc_step
+        monkeypatch.setattr(solver, "papc_step", lambda *a: calls.append(1) or real(*a))
+        record = run(inst.spec, inst.schedules, DeterministicOracle(inst.spec.B),
+                     np.zeros(inst.spec.B.dim), np.zeros(inst.spec.A.dim), 20000)
+        entry, period = record.cycle
+        # Seen at step entry + period, recorded over one more period and
+        # replayed after: the rest of the 20000 steps call no papc_step.
+        assert len(calls) == entry + 2 * period < 1000
+        assert record.xs[-1].tobytes() == record.xs[-1 - period].tobytes()
+        assert record.xs[entry].tobytes() == record.xs[entry + period].tobytes()
+
+    @pytest.mark.parametrize("change", ["noise", "harmonic", "ramp"])
+    def test_armed_only_for_a_fixed_map(self, change):
+        inst = build_instance("lasso", {})
+        spec, sched, oracle = inst.spec, inst.schedules, DeterministicOracle(inst.spec.B)
+        if change == "noise":
+            oracle = GaussianOracle(spec.B, VarianceSchedule.constant(0.0), (0,))
+        else:
+            sched = Schedules(sched.beta, gamma_kind=("harmonic" if change == "harmonic"
+                                                      else "constant"),
+                              gamma0=sched.gamma0, tau_cap=sched.tau_cap,
+                              tau_kind="ramp" if change == "ramp" else "constant")
+        record = run(spec, sched, oracle, np.zeros(spec.B.dim), np.zeros(spec.A.dim), 3000)
+        assert record.cycle is None
+
+    def test_a_retired_row_ends_the_search(self):
+        # Row 1 starts non-finite and retires at step 0; the others compute
+        # every step.
+        inst = build_instance("lasso", {})
+        spec = inst.spec
+        x0 = np.zeros((3, spec.B.dim))
+        x0[1, 0] = np.nan
+        record = run(spec, inst.schedules, DeterministicOracle(spec.B), x0,
+                     np.zeros((3, spec.A.dim)), 3000)
+        assert record.stops == (3000, 0, 3000) and record.cycle is None
+
+    def test_search_finds_entry_and_period(self):
+        # 0, 1, ..., 9, then 10..16 repeating: entry 10, period 7.
+        seq = list(range(10)) + [10 + k % 7 for k in range(200)]
+        found = states(seq)
+        search = CycleSearch(found[0])
+        for k, state in enumerate(found[1:], 1):
+            search = search.see(state)
+            if search.cycle is not None:
+                break
+        entry, period = search.cycle
+        assert period == 7 and entry >= 10
+        for n in range(k, 300):
+            assert search.at(n).x[0] == (n if n < 10 else 10 + (n - 10) % 7)
+
+    def test_search_scalar_is_only_a_filter(self):
+        # x[0] repeats with period 1 but v does not: no cycle.
+        found = [PapcState(k, np.array([0.0, 1.0]), np.array([float(k)])) for k in range(300)]
+        search = CycleSearch(found[0])
+        for state in found[1:]:
+            search = search.see(state)
+        assert search.period is None and search.cycle is None
+
+    def test_search_ends_on_a_broken_cycle(self):
+        # 0, 1, 2, 1 matches the held 1 with period 2; the recorded 1, 4 is
+        # not followed by 1 again, which no fixed map can do.
+        found = states([0, 1, 2, 1, 4, 5])
+        search = CycleSearch(found[0])
+        for state in found[1:5]:
+            search = search.see(state)
+        assert search.period == 2 and search.see(found[5]) is None
+
+    def test_search_ends_on_a_period_above_the_block(self, monkeypatch):
+        monkeypatch.setattr(solver, "_BLOCK", 4)
+        found = states([k % 5 for k in range(40)])
+        search = CycleSearch(found[0])
+        for state in found[1:]:
+            search = search.see(state)
+            if search is None:
+                break
+        assert search is None
+
+
 class RecordingOracle:
     """An oracle that keeps x_n as first passed to its sample at step n (a
     retaken step passes the retired rows as NaN)."""
@@ -594,7 +761,8 @@ class TestArtifactWorkers:
         result, (files, summary) = self._run(tmp_path, "many", monkeypatch, 3)
         assert result.exit_code == 1 and summary["status"] == "error"
         assert summary["seeds"]["7"] == {"status": "error", "error": "RuntimeError: in the worker",
-                                         "terminal_dist_x": None, "terminal_dist_v": None}
+                                         "terminal_dist_x": None, "terminal_dist_v": None,
+                                         "cycle": None}
         assert summary["seeds"]["1"]["status"] == summary["seeds"]["3"]["status"] == "ok"
         assert "seed_7_trace.csv" not in files
 
@@ -617,7 +785,7 @@ class TestArtifactWorkers:
         assert result.exit_code == 1 and summary["status"] == "error"
         assert summary["seeds"]["3"] == {
             "status": "error", "error": "RuntimeError: sample failed at step 50",
-            "terminal_dist_x": None, "terminal_dist_v": None}
+            "terminal_dist_x": None, "terminal_dist_v": None, "cycle": None}
         assert not {"seed_3_trace.csv", "seed_3_gap.csv"} & set(files)
         for seed in ("1", "7"):
             assert summary["seeds"][seed] == clean_summary["seeds"][seed]

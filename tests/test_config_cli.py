@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -17,6 +19,9 @@ from papc.config import (ExperimentConfig, parse_config, parse_prox_spec,
 from papc.errors import ConfigError
 from papc.monotone import quadratic_lipschitz
 from papc.runner import default_checkpoints, run_experiment, validate_only
+from papc.solver import run as solver_run
+from papc.stochastic import DeterministicOracle
+from papc.zoo import build_instance
 
 from checks import write_matrix
 
@@ -448,11 +453,17 @@ g = zero
         # finite gradient Lipschitz constant.
         write_matrix(tmp_path / "nan.txt", np.array([[np.nan, 0.0], [0.0, 1.0]]))
         write_matrix(tmp_path / "b.txt", np.ones((2, 1)))
-        for h in ("l1(weight=1.0)", "box(lo=-1, hi=1)", "zero", "quadratic(A=nan.txt, b=b.txt)"):
+        for h in ("l1(weight=1.0)", "box(lo=-1, hi=1)", "zero"):
             cfg = parse_config(text.replace("l1(weight=1.0)", h), base_dir=str(tmp_path))
             with pytest.raises(ConfigError, match=re.escape(
                     "custom problems need a smooth term with positive curvature; got %r" % h)):
                 run_experiment(cfg, out_dir=str(tmp_path / "x"))
+        # A matrix file with a NaN entry is rejected as it is read.
+        cfg = parse_config(text.replace("l1(weight=1.0)", "quadratic(A=nan.txt, b=b.txt)"),
+                           base_dir=str(tmp_path))
+        with pytest.raises(ConfigError, match=re.escape(
+                "prox tag quadratic: A: matrix file nan.txt: an entry is not finite")):
+            run_experiment(cfg, out_dir=str(tmp_path / "x"))
 
 
 def _reject_constant(name):
@@ -560,10 +571,11 @@ class TestCli:
         # NaN weights and bounds once passed "w < 0" and "lo > hi".
         ("problem", "name = fused\nweight = nan", "config error: l1 weight must be nonnegative"),
         ("problem", "name = lasso\nweight = nan", "config error: l1 weight must be nonnegative"),
+        # A NaN tag number is rejected as it is read, naming the tag and key.
         ("problem", "name = custom\nh = sq_dist(b=0.0)\ng = box(lo=nan, hi=1)",
-         "config error: box bounds must satisfy lo <= hi elementwise"),
+         "config error: prox tag box: lo: must not be NaN"),
         ("problem", "name = custom\nh = sq_dist(b=0.0)\ng = box_support(lo=0, hi=nan)",
-         "config error: box bounds must satisfy lo <= hi elementwise"),
+         "config error: prox tag box_support: hi: must not be NaN"),
         ("problem", "name = cls\nsubspace_dim = 0",
          "config error: [problem] subspace_dim: must be at least 1"),
         ("problem", "name = cls\nsubspace_dim = -1",
@@ -616,8 +628,9 @@ class TestCli:
         (None, "No such file"),  # the --config file itself is missing
         ("absent.txt", "absent.txt"),
         ("headerless.txt", "expected 0 entries, found 7"),
-        # eigvalsh returns finite eigenvalues for a matrix with a NaN entry.
-        ("nan.txt", "config error: the coupling spectrum is not finite"),
+        # eigvalsh returns finite eigenvalues for a matrix with a NaN entry, so
+        # the file is rejected as it is read, naming its key.
+        ("nan.txt", "config error: [problem] L: matrix file nan.txt: an entry is not finite"),
     ])
     def test_unreadable_input_exit_2(self, tmp_path, capsys, matrix, cause):
         cfg_path = tmp_path / "c.cfg"
@@ -667,7 +680,7 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     def test_nan_composite_coupling_exit_2(self, tmp_path, capsys):
-        # A composite block's NaN coupling is rejected by the spectral gate
+        # A composite block's NaN coupling is rejected as its file is read,
         # before the stacked (dense, at this size) map is formed.
         cfg_path = tmp_path / "c.cfg"
         (tmp_path / "nan.txt").write_text("3 3\nnan 0 0\n0 1 0\n0 0 1\n")
@@ -678,7 +691,8 @@ class TestCli:
         assert cli_main(["validate", "--config", str(cfg_path)]) == 2
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.count("config error: the coupling spectrum is not finite") == 2
+        assert err.count("config error: [problem] block2.L: matrix file nan.txt: "
+                         "an entry is not finite") == 2
         assert "Traceback" not in err
 
     def test_wide_fused_is_certified(self, tmp_path, capsys):
@@ -734,6 +748,21 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "(0,1]" in err and "Traceback" not in err
+
+    def test_summary_records_the_replayed_cycle(self, tmp_path):
+        # A deterministic run with constant steps replays the cycle of its
+        # iterates, which summary.json records per seed as [entry, period]:
+        # the library run's.  A noisy run computes every step (null).
+        inst = build_instance("multi", {})
+        record = solver_run(inst.spec, inst.schedules, DeterministicOracle(inst.spec.B),
+                            np.zeros(inst.spec.B.dim), np.zeros(inst.spec.A.dim), 2000)
+        assert record.cycle is not None
+        text = BASIC.replace("name = lasso", "name = multi").replace(
+            "kind = gaussian", "kind = none").replace("horizon = 500", "horizon = 2000")
+        summary = run_experiment(parse_config(text), out_dir=str(tmp_path / "det")).summary
+        assert [summary["seeds"][s]["cycle"] for s in ("0", "1")] == [list(record.cycle)] * 2
+        summary = run_experiment(parse_config(BASIC), out_dir=str(tmp_path / "noisy")).summary
+        assert [summary["seeds"][s]["cycle"] for s in ("0", "1")] == [None, None]
 
     def test_seed_error_is_recorded_per_seed(self, tmp_path, capsys):
         # tau_cap = 5 violates the step-size condition on lasso; under --force
@@ -820,7 +849,8 @@ class TestCli:
         assert summary["seeds"]["0"]["wall_time_s"] > 0
         assert summary["seeds"]["1"] == {
             "status": "error", "error": "LinAlgError: singular matrix",
-            "terminal_dist_x": None, "terminal_dist_v": None, "wall_time_s": None}
+            "terminal_dist_x": None, "terminal_dist_v": None, "wall_time_s": None,
+            "cycle": None}
         assert os.path.exists(out / "seed_0_trace.csv")
 
     def test_failed_reference_is_recorded_per_seed(self, tmp_path, capsys):
@@ -928,8 +958,10 @@ def _sometimes(draw):
 
 # The files a fuzzed <path> names (absent.txt is never written), and for each
 # tag key the one of the right shape.
-PATHS = ("square.txt", "column.txt", "wrong.txt", "nan.txt", "headerless.txt", "empty.txt",
-         "absent.txt")
+PATHS = ("square.txt", "column.txt", "wrong.txt", "nan.txt", "double.txt", "headerless.txt",
+         "empty.txt", "absent.txt")
+# The files no key may read: a NaN entry, or none that parse.
+UNREADABLE = ("nan.txt", "headerless.txt", "empty.txt", "absent.txt")
 RIGHT = {"A": "square.txt", "D": "square.txt"}
 # The smooth terms h is drawn from, and one that is not smooth.
 SMOOTH = ("sq_dist", "quadratic", "l1")
@@ -938,12 +970,13 @@ SMOOTH = ("sq_dist", "quadratic", "l1")
 def _write_matrix_files(directory, dim):
     """For a problem of dimension ``dim``: an identity and a column of ones
     (the right shapes for a coupling, a projector, a basis, A and b), a
-    matrix of the wrong shape, one with a NaN entry, one with no header and
-    an empty file."""
+    matrix of the wrong shape, one with a NaN entry, twice the identity (a
+    coupling, but not a projector), one with no header and an empty file."""
     nan = np.eye(dim)
     nan[-1, 0] = np.nan
     for name, mat in (("square.txt", np.eye(dim)), ("column.txt", np.ones((dim, 1))),
-                      ("wrong.txt", np.ones((dim + 1, dim + 2))), ("nan.txt", nan)):
+                      ("wrong.txt", np.ones((dim + 1, dim + 2))), ("nan.txt", nan),
+                      ("double.txt", 2.0 * np.eye(dim))):
         write_matrix(os.path.join(directory, name), mat)
     for name, text in (("headerless.txt", "1 0 0\n0 1 0\n0 0 1\n"), ("empty.txt", "")):
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
@@ -959,7 +992,8 @@ def _path(right):
 def _prox_tag(draw, names):
     """A tag of ``config._TAGS`` among ``names``: each of its own keys two
     times in three, with a number (or, for a key that reads a file, a path),
-    and one time in ten a key foreign to it."""
+    one time in ten a key foreign to it and one time in ten its first key
+    again."""
     name = draw(st.sampled_from(names))
     keys = config._TAGS[name][1]
     args = []
@@ -973,6 +1007,8 @@ def _prox_tag(draw, names):
     if draw(st.integers(0, 9)) == 9:
         foreign = {k for _, other in config._TAGS.values() for k in other} | {"zz"}
         args.append((draw(st.sampled_from(sorted(foreign - set(keys)))), "1"))
+    if args and draw(st.integers(0, 9)) == 9:
+        args.append((args[0][0], "1"))
     return "%s(%s)" % (name, ", ".join("%s=%s" % kv for kv in args))
 
 
@@ -995,9 +1031,28 @@ TAG_TEXT = {"h": _prox_tag(SMOOTH), "g": _prox_tag(list(config._TAGS)),
             "projector": st.one_of(st.just("full"), _coupling_tag())}
 
 
+def _must_reject(problem):
+    """Whether a [problem] entry gives an input that no parse may accept: a
+    prox tag that repeats a key or gives a NaN, a file of UNREADABLE, or a
+    projector matrix that is not a projector."""
+    for key, text in problem.items():
+        if key == "projector" and text == "matrix:double.txt":
+            return True
+        if any(name in text for name in UNREADABLE):
+            return True
+        if key in ("h", "g") or (key.startswith("block") and key.endswith(".g")):
+            body = text[text.index("(") + 1:-1]
+            args = [part.split("=") for part in body.split(",") if part]
+            keys = [k.strip() for k, _ in args]
+            if len(set(keys)) < len(keys) or any(v.strip() == "nan" for _, v in args):
+                return True
+    return False
+
+
 @st.composite
 def fuzzed_configs(draw):
-    """A config text and the dimension its matrix files are written for: a
+    """A config text, the dimension its matrix files are written for and
+    whether it must be rejected (:func:`_must_reject`): a
     problem named in ``config._PROBLEM_KEYS`` with any of its keys, any keys
     of the other sections but [output] (the run's directory is given on the
     command line), and now and then a misspelt or a repeated key.  The
@@ -1036,28 +1091,88 @@ def fuzzed_configs(draw):
         lines[section].append((key + "x" if flaw == "misspelt" else key, text))
     text = "".join("[%s]\n%s\n" % (section, "".join("%s = %s\n" % kv for kv in body))
                    for section, body in lines.items())
-    return text, dim if dim >= 1 else table["dim"][1]
+    return text, dim if dim >= 1 else table["dim"][1], _must_reject(problem)
+
+
+@st.composite
+def flawed_custom_configs(draw):
+    """A custom problem that would run but for one flaw, and the words its
+    config error must contain: a prox tag that repeats a key, the last time
+    with a valid value; a NaN tag number; or a projector matrix that is not
+    an orthogonal projector (2I, or the oblique idempotent [[1, 1], [0, 0]]
+    padded with the identity)."""
+    dim = draw(st.integers(2, 4))
+    h, g, projector = "sq_dist(b=1.0)", "l1(weight=0.5)", "full"
+    flaw = draw(st.sampled_from(["repeated", "nan", "projector"]))
+    if flaw == "repeated":
+        tag, key, bad, good = draw(st.sampled_from([
+            ("l1", "weight", "-5", "1"), ("box", "lo", "3", "-1"), ("sq_dist", "b", "abc", "0"),
+            ("singleton", "c", "1", "0")]))
+        g = "%s(%s=%s, %s=%s)" % (tag, key, bad, key, good)
+        words = "prox tag %s: key %r repeated" % (tag, key)
+    elif flaw == "nan":
+        slot, tag, key = draw(st.sampled_from([("h", "sq_dist", "b"), ("g", "sq_dist", "b"),
+                                                ("g", "singleton", "c"), ("g", "l1", "weight"),
+                                                ("g", "box_support", "hi")]))
+        text = "%s(%s=nan)" % (tag, key)
+        h, g = (text, g) if slot == "h" else (h, text)
+        words = "prox tag %s: %s: must not be NaN" % (tag, key)
+    else:
+        projector = "matrix:%s" % draw(st.sampled_from(["double.txt", "oblique.txt"]))
+        words = "[problem] projector: not an orthogonal projector"
+    text = ("[problem]\nname = custom\ndim = %d\nh = %s\ng = %s\nprojector = %s\n\n"
+            "[run]\nhorizon = 5\nseeds = 0\n" % (dim, h, g, projector))
+    return text, dim, words
 
 
 class TestConfigFuzz:
+    @settings(max_examples=30, deadline=None)
+    @given(case=flawed_custom_configs())
+    def test_known_flaws_exit_2_naming_their_key(self, case):
+        # Each of these once passed validate: the repeated key ran with its
+        # last value, sq_dist(b=nan) ended diverged, and 2I ran as P_V.
+        text, dim, words = case
+        with tempfile.TemporaryDirectory() as tmp:
+            write_matrix(os.path.join(tmp, "double.txt"), 2.0 * np.eye(dim))
+            oblique = np.eye(dim)
+            oblique[:2, :2] = [[1.0, 1.0], [0.0, 0.0]]
+            write_matrix(os.path.join(tmp, "oblique.txt"), oblique)
+            cfg_path = os.path.join(tmp, "c.cfg")
+            with open(cfg_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out = os.path.join(tmp, "o")
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert cli_main(["validate", "--config", cfg_path]) == 2
+                assert cli_main(["run", "--config", cfg_path, "--out", out]) == 2
+            assert err.getvalue().count("config error: " + words) == 2
+            assert not os.path.exists(out)
+
     @settings(max_examples=60, deadline=None)
     @given(case=fuzzed_configs())
     def test_every_config_ends_in_a_documented_exit(self, case):
         # validate and run exit 0, 1 or 2 and never raise; they reject the
-        # same configs.  A config error leaves no output directory and a
-        # rejected certificate only its summary; a run writes a summary in
-        # which every seed has a status.
-        text, dim = case
+        # same configs, among them every one that must be rejected, and a
+        # message about a matrix file names the key that gave it.  A config
+        # error leaves no output directory and a rejected certificate only
+        # its summary; a run writes a summary in which every seed has a
+        # status.
+        text, dim, must_reject = case
         with tempfile.TemporaryDirectory() as tmp:
             _write_matrix_files(tmp, dim)
             cfg_path = os.path.join(tmp, "c.cfg")
             with open(cfg_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             out = os.path.join(tmp, "o")
-            validated = cli_main(["validate", "--config", cfg_path])
-            ran = cli_main(["run", "--config", cfg_path, "--out", out])
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                validated = cli_main(["validate", "--config", cfg_path])
+                ran = cli_main(["run", "--config", cfg_path, "--out", out])
             assert validated in (0, 2) and ran in (0, 1, 2)
             assert (ran == 2) == (validated == 2)
+            assert validated == 2 or not must_reject
+            for line in err.getvalue().splitlines():
+                if "matrix file" in line:
+                    assert re.match(r"config error: (\[problem\] [\w.]+|prox tag \w+: \w+): "
+                                    r"matrix file ", line), line
             summary = None
             if os.path.exists(out):
                 if ran == 2:

@@ -146,6 +146,22 @@ class TestProjectors:
             assert abs(inner(px, y, P.weights) - inner(x, P(y), P.weights)) <= 1e-12 * (
                 1.0 + norm(x, P.weights) * norm(y, P.weights))
 
+    def test_from_matrix_checks_the_projector(self):
+        # A matrix projector must be self-adjoint in its weights and
+        # idempotent; 2I once passed and ran as P_V.
+        weighted = OrthoProjector.averaging(3, 2, block_weights=[0.5, 0.3, 0.2])
+        accepted = OrthoProjector.from_matrix(weighted.to_dense(), weighted.weights)
+        assert accepted.to_dense().tobytes() == weighted.to_dense().tobytes()
+        nan = np.eye(2)
+        nan[0, 1] = np.nan
+        for mat, weights in ((2.0 * np.eye(2), None),
+                             (np.array([[1.0, 1.0], [0.0, 0.0]]), None),  # oblique
+                             (nan, None),
+                             (weighted.to_dense(), None),  # self-adjoint only in its weights
+                             (np.eye(2) + 1e-8, None)):
+            with pytest.raises(ValueError, match="not an orthogonal projector"):
+                OrthoProjector.from_matrix(mat, weights)
+
     def test_averaging_values(self):
         P = OrthoProjector.averaging(2, 1)
         np.testing.assert_allclose(P(np.array([1.0, 3.0])), [2.0, 2.0])

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -21,10 +22,15 @@ def run_script(name, *args):
 
 def test_deterministic_suite_runs():
     lines = run_script("run_deterministic_suite.py", "--horizon", "500")
-    assert lines[0].split() == ["problem", "dist_to_ref", "kkt", "slope", "gap>bd", "seconds"]
+    assert lines[0].split() == ["problem", "dist_to_ref", "kkt", "slope", "gap>bd", "seconds",
+                                "cycle"]
     assert [line.split()[0] for line in lines[1:]] == ["cls", "lasso", "fused", "multi"]
     # no checkpoint's ergodic gap exceeds its bound on any problem
     assert [line.split()[4] for line in lines[1:]] == ["0", "0", "0", "0"]
+    # the cycle replayed, as entry+period; multi's (511+56) lies past 500 steps
+    assert [bool(re.fullmatch(r"\d+\+\d+", line.split()[6])) for line in lines[1:]] == [
+        True, True, True, False]
+    assert lines[-1].split()[6] == "-"
 
 
 def test_stochastic_lasso_runs():

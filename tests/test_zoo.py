@@ -13,7 +13,7 @@ from papc.stochastic import DeterministicOracle
 from papc.zoo import (build_instance, cls_kkt_oracle, lasso_sign_oracle, long_run_oracle,
                       oracle_solution, zoo)
 
-from checks import difference_matrix
+from checks import difference_matrix, plain_long_run
 
 ALL_NAMES = ("cls", "lasso", "fused", "multi")
 
@@ -216,6 +216,45 @@ class TestSaddleFunctions:
 
 
 class TestLongRunOracle:
+    @staticmethod
+    def _outcome(func, spec, *args, **kwargs):
+        """The bits of the pair ``func`` returns, or the message it rejects with."""
+        try:
+            x, v = func(spec, *args, **kwargs)
+        except OracleError as exc:
+            return str(exc)
+        return x.tobytes(), v.tobytes()
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("total,segment,accept,early_exit", [
+        (10 ** 4, 1000, 1e-9, 1e-10),  # exits early, at its first boundary
+        (4321, 1000, 1e-9, 0.0),       # falls through, to a partial last segment
+        (2500, 7, 1e-9, 0.0),          # segments shorter than the cycle's entry
+        (40, 1000, 1e-12, 1e-13),      # rejected before any cycle is seen
+    ])
+    def test_equals_the_plain_segment_loop(self, name, total, segment, accept, early_exit):
+        # Replaying the cycle reaches each boundary's state bit for bit, so
+        # every decision, the returned pair and the rejection message are the
+        # plain loop's.
+        inst = build_instance(name, {})
+        spec = inst.lifted if name == "multi" else inst.spec
+        args = (spec.B.beta, inst.schedules.tau_cap if name != "multi" else 0.5)
+        kwargs = dict(total_steps=total, segment=segment, accept=accept,
+                      early_exit=early_exit)
+        assert (self._outcome(long_run_oracle, spec, *args, **kwargs)
+                == self._outcome(plain_long_run, spec, *args, **kwargs))
+
+    def test_jumps_once_the_iterates_cycle(self, monkeypatch):
+        # The lifted multi run cycles within a few hundred steps: a million
+        # steps then cost that many papc_step calls.
+        inst = build_instance("multi", {})
+        calls = []
+        real = zoo_module.papc_step
+        monkeypatch.setattr(zoo_module, "papc_step",
+                            lambda *args: calls.append(1) or real(*args))
+        long_run_oracle(inst.lifted, inst.spec.B.beta, 0.5, early_exit=0.0)
+        assert 0 < len(calls) < 1000
+
     def test_rejects_when_unconverged(self):
         inst = build_instance("cls", {})
         from papc.errors import OracleError
